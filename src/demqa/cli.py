@@ -5,9 +5,11 @@ validity screen -> Tukey screen -> per-class summaries -> ANOVA ->
 correlations -> Moran's I) and emits ``report.json`` plus plot-ready CSV
 tables. The other subcommands are thin wrappers over single modules.
 
-Configuration is a flat INI file; command-line flags override it. Every
-report echoes the full resolved configuration, because most of the knobs
-(weights scheme, quantile convention, extraction method) change numbers.
+Configuration is a flat INI file; command-line flags override it. Each
+option is one row of ``OPTIONS``: its INI key, flag, text parser and legal
+values. Every report echoes the full resolved configuration, because most
+of the knobs (weights scheme, quantile convention, extraction method)
+change numbers.
 
 Exit codes: 0 success, 2 configuration error, 3 input parse error,
 4 degenerate statistics.
@@ -26,8 +28,10 @@ import os
 import shutil
 import sys
 import tempfile
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .errors import (
@@ -37,7 +41,7 @@ from .errors import (
     ParseError,
 )
 from .landcover import read_legend_csv, read_training_csv, train_parallelepiped, classify
-from .raster import Grid, MultibandGrid, read_ascii_grid, write_ascii_grid
+from .raster import MultibandGrid, read_ascii_grid, write_ascii_grid
 from .sample import (
     EXTRACTION_METHODS,
     SampleRecord,
@@ -109,27 +113,12 @@ class AssessConfig:
     hist_width: float = 1.0
     hist_origin: float = 0.0
 
-    def validate(self) -> None:
-        if not self.dem:
-            raise ConfigError("no DEM given (config [input] dem or --dem)")
-        if not self.gcps:
-            raise ConfigError("no GCP file given (config [input] gcps or --gcps)")
-        if self.method not in EXTRACTION_METHODS:
-            raise ConfigError(f"unknown extraction method '{self.method}'")
-        if self.tukey_field not in FILTER_FIELDS:
-            raise ConfigError(f"unknown tukey field '{self.tukey_field}'")
-        if self.moran_scheme not in WEIGHT_SCHEMES:
-            raise ConfigError(f"unknown Moran weights scheme '{self.moran_scheme}'")
-        if self.moran_assumption not in ASSUMPTIONS:
-            raise ConfigError(f"unknown Moran assumption '{self.moran_assumption}'")
-        if self.moran_threshold is not None and self.moran_threshold <= 0:
-            raise ConfigError("Moran threshold must be positive or 'auto'")
-        if self.n_perm != 0 and self.n_perm < 99:
-            raise ConfigError("n_perm must be 0 (analytic only) or >= 99")
-        if self.hist_width <= 0:
-            raise ConfigError("histogram width must be positive")
-        if self.z_factor <= 0:
-            raise ConfigError("z_factor must be positive")
+    def validate(self, rows: Sequence[Option] | None = None) -> None:
+        """Raise ConfigError naming the first of ``rows`` (default: all) with an illegal value."""
+        for row in OPTIONS if rows is None else rows:
+            value = getattr(self, row.field)
+            if row.check is not None and not row.check.ok(value):
+                raise ConfigError(f"{row.name} must be {row.check.legal}, got {value!r}")
 
     def echo(self) -> dict:
         d = dataclasses.asdict(self)
@@ -141,31 +130,118 @@ class AssessConfig:
         return d
 
 
-def _parse_remap(text: str) -> dict[int, int]:
-    remap = {}
-    for part in text.replace(";", ",").split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            src, dst = part.split(":")
-            remap[int(src)] = int(dst)
-        except ValueError:
-            raise ConfigError(f"bad class remap entry '{part}' (expected src:dst)") from None
-    return remap
+# ---------------------------------------------------------------------------
+# the options table: INI keys, flags, text parsers and value checks
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    out = []
-    for part in text.replace(";", ",").split(","):
-        part = part.strip()
-        if not part:
+class Check(NamedTuple):
+    ok: Callable[[object], bool]
+    legal: str  # completes "<option> must be ..."
+
+
+REQUIRED = Check(bool, "non-empty")
+# None stands for "none"/"auto" and is always legal
+FINITE = Check(lambda v: v is None or math.isfinite(v), "finite")
+POSITIVE = Check(lambda v: v is None or (math.isfinite(v) and v > 0), "finite and > 0")
+
+
+def _one_of(names: Sequence[str]) -> Check:
+    return Check(lambda v: v in names, "one of " + ", ".join(names))
+
+
+def _parts(text: str) -> list[str]:
+    return [p.strip() for p in text.replace(";", ",").split(",") if p.strip()]
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in _parts(text))
+
+
+def _remap(text: str) -> dict[int, int]:
+    pairs = [p.split(":") for p in _parts(text)]
+    return {int(src): int(dst) for src, dst in pairs}
+
+
+def _bool(text: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+
+
+def _path(text: str) -> str | None:
+    return text or None
+
+
+def _float_or(word: str) -> Callable[[str], float | None]:
+    """Parser of a number, where ``word`` (any case) or blank text means None."""
+    return lambda text: None if text.strip().lower() in ("", word) else float(text)
+
+
+class Option(NamedTuple):
+    """One assess option: its AssessConfig field, INI key, flag, parser and check."""
+
+    field: str
+    section: str
+    key: str
+    flag: str
+    parse: Callable[[str], object]  # INI or flag text -> value; ValueError/KeyError if bad
+    help: str
+    check: Check | None = None
+
+    @property
+    def name(self) -> str:
+        return f"[{self.section}] {self.key} ({self.flag})"
+
+
+OPTIONS = (
+    Option("dem", "input", "dem", "--dem", str, "DEM ASCII grid", REQUIRED),
+    Option("gcps", "input", "gcps", "--gcps", str, "control point CSV (id,x,y,h)", REQUIRED),
+    Option("classmap", "input", "classmap", "--classmap", _path, "land-cover class grid"),
+    Option("legend", "input", "legend", "--legend", _path, "class legend CSV (class_code,label)"),
+    Option("out_dir", "output", "dir", "--out", str, "output directory"),
+    Option("method", "extract", "method", "--method", str, "height extraction method",
+           _one_of(EXTRACTION_METHODS)),
+    Option("exclude_classes", "screen", "exclude_classes", "--exclude-classes", _int_list,
+           "comma-separated class codes to drop"),
+    Option("min_h", "screen", "min_h", "--min-h", _float_or("none"),
+           "drop records with h_dem below this, or none", FINITE),
+    Option("tukey_field", "screen", "tukey_field", "--tukey-field", str,
+           "field the Tukey fences screen", _one_of(FILTER_FIELDS)),
+    Option("remap", "classes", "remap", "--remap", _remap,
+           "class remap entries src:dst[,src:dst...]"),
+    Option("z_factor", "terrain", "z_factor", "--z-factor", float,
+           "vertical-to-horizontal unit conversion", POSITIVE),
+    Option("moran_scheme", "moran", "scheme", "--scheme", str, "Moran weights scheme",
+           _one_of(WEIGHT_SCHEMES)),
+    Option("moran_threshold", "moran", "threshold", "--threshold", _float_or("auto"),
+           "Moran distance cutoff, or auto = max nearest-neighbour distance", POSITIVE),
+    Option("moran_row_standardize", "moran", "row_standardize", "--row-standardize", _bool,
+           "row-standardise the Moran weights"),
+    Option("moran_assumption", "moran", "assumption", "--assumption", str,
+           "Moran significance assumption", _one_of(ASSUMPTIONS)),
+    Option("n_perm", "moran", "n_perm", "--n-perm", int, "permutations (0 = analytic only)",
+           Check(lambda v: v == 0 or v >= 99, "0 or >= 99")),
+    Option("seed", "moran", "seed", "--seed", int, "permutation seed",
+           Check(lambda v: v >= 0, ">= 0")),
+    Option("hist_width", "histogram", "width", "--hist-width", float, "histogram bin width",
+           POSITIVE),
+    Option("hist_origin", "histogram", "origin", "--hist-origin", float,
+           "a histogram bin edge", FINITE),
+)
+MORAN_OPTIONS = tuple(row for row in OPTIONS if row.section == "moran")
+
+
+def _set_from_text(
+    cfg: AssessConfig, rows: Sequence[Option], text_of: Callable[[Option], str | None]
+) -> AssessConfig:
+    """Parse ``text_of(row)`` into ``cfg`` for each row that has text."""
+    for row in rows:
+        text = text_of(row)
+        if text is None:
             continue
         try:
-            out.append(int(part))
-        except ValueError:
-            raise ConfigError(f"bad class code '{part}'") from None
-    return tuple(out)
+            setattr(cfg, row.field, row.parse(text))
+        except (ValueError, KeyError):
+            raise ConfigError(f"bad value for {row.name}: '{text}'") from None
+    return cfg
 
 
 def load_config(path: str | Path) -> AssessConfig:
@@ -178,127 +254,29 @@ def load_config(path: str | Path) -> AssessConfig:
         raise ConfigError(f"cannot read config file: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"bad config file: {exc}") from None
-
-    cfg = AssessConfig()
-
-    def get(section, option, fallback=None):
-        return parser.get(section, option, fallback=fallback)
-
-    cfg.dem = get("input", "dem", cfg.dem)
-    cfg.gcps = get("input", "gcps", cfg.gcps)
-    cfg.classmap = get("input", "classmap") or None
-    cfg.legend = get("input", "legend") or None
-    cfg.out_dir = get("output", "dir", cfg.out_dir)
-    cfg.method = get("extract", "method", cfg.method)
-    excl = get("screen", "exclude_classes")
-    if excl:
-        cfg.exclude_classes = _parse_int_list(excl)
-    min_h = get("screen", "min_h")
-    if min_h and min_h.lower() != "none":
-        try:
-            cfg.min_h = float(min_h)
-        except ValueError:
-            raise ConfigError(f"bad min_h '{min_h}'") from None
-    cfg.tukey_field = get("screen", "tukey_field", cfg.tukey_field)
-    remap = get("classes", "remap")
-    if remap:
-        cfg.remap = _parse_remap(remap)
-
-    def get_typed(section, option, cast, current):
-        raw = get(section, option)
-        if raw is None:
-            return current
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ConfigError(f"bad value for [{section}] {option}: '{raw}'") from None
-
-    cfg.z_factor = get_typed("terrain", "z_factor", float, cfg.z_factor)
-    cfg.moran_scheme = get("moran", "scheme", cfg.moran_scheme)
-    thr = get("moran", "threshold")
-    if thr and thr.lower() != "auto":
-        try:
-            cfg.moran_threshold = float(thr)
-        except ValueError:
-            raise ConfigError(f"bad Moran threshold '{thr}'") from None
-    rs = get("moran", "row_standardize")
-    if rs is not None:
-        cfg.moran_row_standardize = rs.strip().lower() in ("1", "true", "yes", "on")
-    cfg.moran_assumption = get("moran", "assumption", cfg.moran_assumption)
-    cfg.n_perm = get_typed("moran", "n_perm", int, cfg.n_perm)
-    cfg.seed = get_typed("moran", "seed", int, cfg.seed)
-    cfg.hist_width = get_typed("histogram", "width", float, cfg.hist_width)
-    cfg.hist_origin = get_typed("histogram", "origin", float, cfg.hist_origin)
-    return cfg
+    return _set_from_text(
+        AssessConfig(), OPTIONS, lambda row: parser.get(row.section, row.key, fallback=None)
+    )
 
 
-def _apply_overrides(cfg: AssessConfig, args: argparse.Namespace) -> None:
-    simple = {
-        "dem": "dem",
-        "gcps": "gcps",
-        "classmap": "classmap",
-        "legend": "legend",
-        "out": "out_dir",
-        "method": "method",
-        "tukey_field": "tukey_field",
-        "scheme": "moran_scheme",
-        "assumption": "moran_assumption",
-        "n_perm": "n_perm",
-        "seed": "seed",
-        "hist_width": "hist_width",
-        "hist_origin": "hist_origin",
-        "z_factor": "z_factor",
-        "min_h": "min_h",
-    }
-    for arg_name, cfg_name in simple.items():
-        v = getattr(args, arg_name, None)
-        if v is not None:
-            setattr(cfg, cfg_name, v)
-    if getattr(args, "exclude_classes", None) is not None:
-        cfg.exclude_classes = _parse_int_list(args.exclude_classes)
-    if getattr(args, "remap", None) is not None:
-        cfg.remap = _parse_remap(args.remap)
-    if getattr(args, "threshold", None) is not None:
-        cfg.moran_threshold = _parse_threshold(args.threshold)
-    if getattr(args, "row_standardize", False):
-        cfg.moran_row_standardize = True
+def _config(args: argparse.Namespace, rows: Sequence[Option]) -> AssessConfig:
+    """The --config file, if any, overridden by the flags of ``rows`` (not yet validated)."""
+    cfg = load_config(args.config) if getattr(args, "config", None) else AssessConfig()
+    return _set_from_text(cfg, rows, lambda row: getattr(args, row.field))
 
 
-def _parse_threshold(text: str) -> float | None:
-    if text.strip().lower() == "auto":
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"bad threshold '{text}' (number or 'auto')") from None
+def _add_flags(parser: argparse.ArgumentParser, rows: Sequence[Option]) -> None:
+    for row in rows:
+        legal = f" [{row.check.legal}]" if row.check is not None else ""
+        if row.parse is _bool:  # a bare flag, same as "<key> = true"
+            kind = {"action": "store_const", "const": "true"}
+        else:
+            kind = {"metavar": row.key.upper()}
+        parser.add_argument(row.flag, dest=row.field, help=row.help + legal, **kind)
 
 
 # ---------------------------------------------------------------------------
 # assess pipeline
-
-
-@dataclass
-class AssessmentReport:
-    """Everything one assessment run produced, ready for serialization."""
-
-    provenance: dict
-    screening: dict
-    stats: dict
-    anova: dict
-    moran: dict
-    correlations: dict
-    histograms: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "screening": self.screening,
-            "stats": self.stats,
-            "anova": self.anova,
-            "moran": self.moran,
-            "correlations": self.correlations,
-            "histograms": self.histograms,
-        }
 
 
 def _jsonable(obj):
@@ -323,16 +301,15 @@ def _values(records: list[SampleRecord], field_name: str) -> list[float]:
     return [getattr(r, field_name) for r in records if getattr(r, field_name) is not None]
 
 
-def _pairs(records, fx, fy, drop_flat_aspect=True):
+def _pairs(records, fx, fy):
     xs, ys = [], []
     for r in records:
         vx = getattr(r, fx)
         vy = getattr(r, fy)
         if vx is None or vy is None:
             continue
-        if drop_flat_aspect and (
-            (fx == "aspect_deg" and vx == FLAT_ASPECT)
-            or (fy == "aspect_deg" and vy == FLAT_ASPECT)
+        if (fx == "aspect_deg" and vx == FLAT_ASPECT) or (
+            fy == "aspect_deg" and vy == FLAT_ASPECT
         ):
             continue
         xs.append(vx)
@@ -340,11 +317,14 @@ def _pairs(records, fx, fy, drop_flat_aspect=True):
     return xs, ys
 
 
-def run_assess(cfg: AssessConfig) -> tuple[AssessmentReport, list[tuple[SampleRecord, str]]]:
+def run_assess(
+    cfg: AssessConfig,
+) -> tuple[dict, list[tuple[SampleRecord, str]], dict[int, str]]:
     """Run the full assessment pipeline.
 
-    Returns the report plus every record tagged with its screening fate
-    (kept / removed_validity / removed_outlier), for the samples table.
+    Returns the report, every record tagged with its screening fate
+    (kept / removed_validity / removed_outlier) for the samples table, and
+    the class legend (empty without one).
     Degenerate inference on a particular statistic (constant errors, too
     few strata) is recorded in the report as a skip, not raised: a
     perfectly flat error field is a legitimate assessment outcome.
@@ -436,7 +416,8 @@ def run_assess(cfg: AssessConfig) -> tuple[AssessmentReport, list[tuple[SampleRe
             lambda xs=xs, ys=ys: dataclasses.asdict(pearson_r(xs, ys))
         )
 
-    moran_section = _moran_section(cfg, kept)
+    coords = [(r.x, r.y) for r in kept if r.delta_h is not None]
+    moran_section = _try_inference(lambda: _moran_section(cfg, coords, deltas))
 
     hist_section: dict = {
         "total": _hist_table(deltas, cfg),
@@ -459,20 +440,19 @@ def run_assess(cfg: AssessConfig) -> tuple[AssessmentReport, list[tuple[SampleRe
         "extraction_method": cfg.method,
         "quantile_convention": QUANTILE_CONVENTION,
     }
-    screening = {
-        "stages": stages,
-        "tukey_field": cfg.tukey_field,
-        "tukey_fences": dataclasses.asdict(fences),
+    report = {
+        "provenance": provenance,
+        "screening": {
+            "stages": stages,
+            "tukey_field": cfg.tukey_field,
+            "tukey_fences": dataclasses.asdict(fences),
+        },
+        "stats": stats_section,
+        "anova": anova_section,
+        "moran": moran_section,
+        "correlations": correlations,
+        "histograms": hist_section,
     }
-    report = AssessmentReport(
-        provenance=provenance,
-        screening=screening,
-        stats=stats_section,
-        anova=anova_section,
-        moran=moran_section,
-        correlations=correlations,
-        histograms=hist_section,
-    )
 
     tagged = (
         [(r, "kept") for r in kept]
@@ -480,7 +460,7 @@ def run_assess(cfg: AssessConfig) -> tuple[AssessmentReport, list[tuple[SampleRe
         + [(r, "removed_outlier") for r in removed_outlier]
     )
     tagged.sort(key=lambda t: t[0].id)
-    return report, tagged
+    return report, tagged, legend
 
 
 def _anova_groups(by_class: dict[int, list[SampleRecord]]) -> list[list[SampleRecord]]:
@@ -499,36 +479,35 @@ def _try_inference(thunk) -> dict:
         return {"skipped": str(exc)}
 
 
-def _moran_section(cfg: AssessConfig, kept: list[SampleRecord]) -> dict:
-    def compute() -> dict:
-        coords = [(r.x, r.y) for r in kept if r.delta_h is not None]
-        values = [r.delta_h for r in kept if r.delta_h is not None]
-        w = build_weights(
-            coords,
-            scheme=cfg.moran_scheme,
-            threshold=cfg.moran_threshold,
-            row_standardize=cfg.moran_row_standardize,
-        )
-        result = morans_significance(values, w, assumption=cfg.moran_assumption)
-        section = dataclasses.asdict(result)
-        section["weights"] = {
-            "scheme": cfg.moran_scheme,
-            "threshold": (
-                "auto" if cfg.moran_threshold is None else cfg.moran_threshold
-            ),
-            "threshold_used": w.threshold,
-            "row_standardized": cfg.moran_row_standardize,
-            "n": w.n,
-            "s0": w.s0,
-            "s1": w.s1,
-            "s2": w.s2,
-        }
-        if cfg.n_perm > 0:
-            perm = permutation_test(values, w, n_perm=cfg.n_perm, seed=cfg.seed)
-            section["permutation"] = dataclasses.asdict(perm)
-        return section
+def _moran_section(
+    cfg: AssessConfig, coords: list[tuple[float, float]], values: list[float]
+) -> dict:
+    """Moran's I of ``values`` under cfg's weights, with the weights echoed.
 
-    return _try_inference(compute)
+    Raises DegenerateDataError when the statistic is undefined.
+    """
+    w = build_weights(
+        coords,
+        scheme=cfg.moran_scheme,
+        threshold=cfg.moran_threshold,
+        row_standardize=cfg.moran_row_standardize,
+    )
+    result = morans_significance(values, w, assumption=cfg.moran_assumption)
+    section = dataclasses.asdict(result)
+    section["weights"] = {
+        "scheme": cfg.moran_scheme,
+        "threshold": cfg.echo()["moran_threshold"],
+        "threshold_used": w.threshold,
+        "row_standardized": cfg.moran_row_standardize,
+        "n": w.n,
+        "s0": w.s0,
+        "s1": w.s1,
+        "s2": w.s2,
+    }
+    if cfg.n_perm > 0:
+        perm = permutation_test(values, w, n_perm=cfg.n_perm, seed=cfg.seed)
+        section["permutation"] = dataclasses.asdict(perm)
+    return section
 
 
 def _hist_table(values: list[float], cfg: AssessConfig) -> list[dict]:
@@ -564,7 +543,7 @@ def _write_csv(path: Path, command: str, header: list[str], rows: list[list]) ->
 
 
 def write_assess_outputs(
-    report: AssessmentReport,
+    report: dict,
     tagged: list[tuple[SampleRecord, str]],
     out_dir: str | Path,
     legend: dict[int, str],
@@ -590,7 +569,7 @@ def write_assess_outputs(
 
 def _write_files(report, tagged, tmpdir: Path, legend: dict[int, str]) -> None:
     with open(tmpdir / REPORT_NAME, "w", encoding="utf-8", newline="") as f:
-        json.dump(_jsonable(report.to_dict()), f, indent=2, sort_keys=True)
+        json.dump(_jsonable(report), f, indent=2, sort_keys=True)
         f.write("\n")
 
     sample_rows = [
@@ -618,7 +597,7 @@ def _write_files(report, tagged, tmpdir: Path, legend: dict[int, str]) -> None:
     )
 
     stats_rows = []
-    for key, entry in report.stats.items():
+    for key, entry in report["stats"].items():
         if key == "total":
             label, code = "total", "total"
         else:
@@ -644,7 +623,7 @@ def _write_files(report, tagged, tmpdir: Path, legend: dict[int, str]) -> None:
     )
 
     hist_rows = []
-    for key, bins in report.histograms.items():
+    for key, bins in report["histograms"].items():
         for b in bins:
             hist_rows.append([key, b["lower"], b["count"]])
     _write_csv(
@@ -687,12 +666,10 @@ def _write_files(report, tagged, tmpdir: Path, legend: dict[int, str]) -> None:
 
 
 def cmd_assess(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config) if args.config else AssessConfig()
-    _apply_overrides(cfg, args)
-    report, tagged = run_assess(cfg)
-    legend = read_legend_csv(cfg.legend) if cfg.legend else {}
+    cfg = _config(args, OPTIONS)
+    report, tagged, legend = run_assess(cfg)
     written = write_assess_outputs(report, tagged, cfg.out_dir, legend)
-    total = report.stats["total"]
+    total = report["stats"]["total"]
     print(
         f"assessed {total['n']} points: mean {total['mean']:.4f} m, "
         f"sd {total['sd']:.4f} m, rmse {total['rmse']:.4f} m"
@@ -764,30 +741,10 @@ def _read_samples_csv(path: str, field_name: str) -> tuple[list[tuple[float, flo
 
 
 def cmd_moran(args: argparse.Namespace) -> int:
-    threshold = _parse_threshold(args.threshold)
-    if args.n_perm != 0 and args.n_perm < 99:
-        raise ConfigError("n_perm must be 0 (analytic only) or >= 99")
+    cfg = _config(args, MORAN_OPTIONS)
+    cfg.validate(MORAN_OPTIONS)
     coords, values = _read_samples_csv(args.samples, args.field)
-    w = build_weights(
-        coords,
-        scheme=args.scheme,
-        threshold=threshold,
-        row_standardize=args.row_standardize,
-    )
-    result = morans_significance(values, w, assumption=args.assumption)
-    out = dataclasses.asdict(result)
-    out["weights"] = {
-        "scheme": args.scheme,
-        "threshold": "auto" if threshold is None else threshold,
-        "threshold_used": w.threshold,
-        "row_standardized": args.row_standardize,
-        "n": w.n,
-        "s0": w.s0,
-    }
-    if args.n_perm > 0:
-        out["permutation"] = dataclasses.asdict(
-            permutation_test(values, w, n_perm=args.n_perm, seed=args.seed)
-        )
+    out = _moran_section(cfg, coords, values)
     out["provenance"] = _provenance_comment("moran").lstrip("# ") + f" samples={args.samples}"
     text = json.dumps(_jsonable(out), indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -800,21 +757,7 @@ def cmd_moran(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = SceneSpec(
-        kind=args.kind,
-        nrows=args.nrows,
-        ncols=args.ncols,
-        cellsize=args.cellsize,
-        xll=args.xll,
-        yll=args.yll,
-        a=args.a,
-        b=args.b,
-        c=args.c,
-        amplitude=args.amplitude,
-        sd=args.sd,
-        radius=args.radius,
-        seed=args.seed,
-    )
+    spec = SceneSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SceneSpec)})
     grid = spec.build()
     comment = _provenance_comment("synth").lstrip("# ") + f" kind={args.kind} seed={args.seed}"
     write_ascii_grid(grid, args.out, comment=comment)
@@ -851,26 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("assess", help="run the full assessment pipeline")
     p.add_argument("--config", help="INI config file; flags below override it")
-    p.add_argument("--dem", help="DEM ASCII grid")
-    p.add_argument("--gcps", help="control point CSV (id,x,y,h)")
-    p.add_argument("--classmap", help="land-cover class grid")
-    p.add_argument("--legend", help="class legend CSV (class_code,label)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--method", choices=EXTRACTION_METHODS, help="height extraction method")
-    p.add_argument("--exclude-classes", dest="exclude_classes",
-                   help="comma-separated class codes to drop")
-    p.add_argument("--min-h", dest="min_h", type=float, help="drop records with h_dem below this")
-    p.add_argument("--tukey-field", dest="tukey_field", choices=FILTER_FIELDS)
-    p.add_argument("--remap", help="class remap entries src:dst[,src:dst...]")
-    p.add_argument("--z-factor", dest="z_factor", type=float)
-    p.add_argument("--scheme", choices=WEIGHT_SCHEMES, help="Moran weights scheme")
-    p.add_argument("--threshold", help="Moran distance threshold or 'auto'")
-    p.add_argument("--row-standardize", dest="row_standardize", action="store_true")
-    p.add_argument("--assumption", choices=ASSUMPTIONS)
-    p.add_argument("--n-perm", dest="n_perm", type=int, help="permutations (0 = analytic only)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hist-width", dest="hist_width", type=float)
-    p.add_argument("--hist-origin", dest="hist_origin", type=float)
+    _add_flags(p, OPTIONS)
     p.set_defaults(func=cmd_assess)
 
     p = sub.add_parser("terrain", help="slope/aspect grids from a DEM")
@@ -890,12 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moran", help="Global Moran's I of a sample table")
     p.add_argument("--samples", required=True, help="CSV with x, y and the value field")
     p.add_argument("--field", default="delta_h")
-    p.add_argument("--scheme", choices=WEIGHT_SCHEMES, default="inverse_distance")
-    p.add_argument("--threshold", default="auto")
-    p.add_argument("--row-standardize", dest="row_standardize", action="store_true")
-    p.add_argument("--assumption", choices=ASSUMPTIONS, default="randomization")
-    p.add_argument("--n-perm", dest="n_perm", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, MORAN_OPTIONS)
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_moran)
 

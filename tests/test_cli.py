@@ -1,9 +1,13 @@
+import configparser
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from demqa.cli import main
+import demqa.cli
+from demqa.cli import OPTIONS, AssessConfig, _config, build_parser, load_config, main
 from demqa.raster import Grid, read_ascii_grid, write_ascii_grid
 from demqa.synth import make_plane, make_smoothed_noise, scatter_points
 
@@ -342,3 +346,130 @@ def test_assess_without_config_file(tmp_path):
     assert main(["assess", "--dem", str(dem), "--gcps", str(gcps),
                  "--out", str(out)]) == 0
     assert (out / "report.json").exists()
+
+
+def write_samples(path, n=60, seed=5):
+    rng = np.random.default_rng(seed)
+    with open(path, "w") as f:
+        f.write("x,y,delta_h\n")
+        for x, y, v in zip(rng.uniform(0, 20, n), rng.uniform(0, 20, n), rng.normal(0, 1, n)):
+            f.write(f"{float(x)!r},{float(y)!r},{float(v)!r}\n")
+
+
+HOSTILE = [
+    ("moran", ["--threshold", "0"], ""),
+    ("moran", ["--threshold", "-5"], ""),
+    ("moran", ["--seed", "-1", "--n-perm", "99"], ""),
+    ("assess", ["--seed", "-1", "--n-perm", "99"], ""),
+    ("assess", ["--z-factor", "nan"], ""),
+    ("assess", ["--hist-width", "nan"], ""),
+    ("assess", ["--hist-origin", "inf"], ""),
+    ("assess", ["--min-h", "nan"], ""),
+    ("assess", ["--threshold", "nan"], ""),
+    ("assess", [], "[moran]\nrow_standardize = maybe\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flags,ini", HOSTILE,
+    ids=[" ".join([c, *f]) if f else f"{c} ini" for c, f, _ in HOSTILE],
+)
+def test_hostile_option_values_exit_2(tmp_path, capsys, command, flags, ini):
+    dem, gcps = write_closure_scene(tmp_path)
+    out = tmp_path / "out"
+    if command == "moran":
+        write_samples(tmp_path / "s.csv")
+        argv = ["moran", "--samples", str(tmp_path / "s.csv"), "--out", str(out)]
+    else:
+        argv = ["assess", "--config", str(write_config(tmp_path, dem, gcps, out, extra=ini))]
+    assert main(argv + flags) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_moran_command_matches_assess_section(tmp_path):
+    write_classed_scene(tmp_path)
+    out = tmp_path / "out"
+    cfg = classed_config(tmp_path, out, extra="[screen]\nexclude_classes = 5\n")
+    assert main(["assess", "--config", str(cfg), "--n-perm", "999", "--seed", "7"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert main(["moran", "--samples", str(out / "samples.csv"), "--n-perm", "999",
+                 "--seed", "7", "--out", str(tmp_path / "m.json")]) == 0
+    moran = json.loads((tmp_path / "m.json").read_text())
+    del moran["provenance"]
+    assert {"s1", "s2"} <= set(moran["weights"])
+    assert moran == report["moran"]
+
+
+# A non-default value of every option: INI text, and the flag's arguments.
+NON_DEFAULT = {
+    "dem": ("d.asc", ["d.asc"]),
+    "gcps": ("g.csv", ["g.csv"]),
+    "classmap": ("c.asc", ["c.asc"]),
+    "legend": ("l.csv", ["l.csv"]),
+    "out_dir": ("elsewhere", ["elsewhere"]),
+    "method": ("bilinear", ["bilinear"]),
+    "exclude_classes": ("5, 0", ["5, 0"]),
+    "min_h": ("2.5", ["2.5"]),
+    "tukey_field": ("h_dem", ["h_dem"]),
+    "remap": ("4:3, 6:3", ["4:3, 6:3"]),
+    "z_factor": ("0.3048", ["0.3048"]),
+    "moran_scheme": ("fixed_band", ["fixed_band"]),
+    "moran_threshold": ("250", ["250"]),
+    "moran_row_standardize": ("true", []),
+    "moran_assumption": ("normality", ["normality"]),
+    "n_perm": ("999", ["999"]),
+    "seed": ("7", ["7"]),
+    "hist_width": ("0.5", ["0.5"]),
+    "hist_origin": ("0.25", ["0.25"]),
+}
+
+
+def test_non_default_values_cover_every_option():
+    assert set(NON_DEFAULT) == {row.field for row in OPTIONS}
+
+
+@pytest.mark.parametrize("row", OPTIONS, ids=lambda row: row.field)
+def test_ini_key_and_flag_are_equivalent(tmp_path, row):
+    text, flag_args = NON_DEFAULT[row.field]
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[{row.section}]\n{row.key} = {text}\n")
+    from_ini = load_config(ini)
+    from_flag = _config(build_parser().parse_args(["assess", row.flag, *flag_args]), OPTIONS)
+    assert from_ini.echo() == from_flag.echo() != AssessConfig().echo()
+
+
+def test_help_lists_every_flag_and_its_legal_values(capsys):
+    with pytest.raises(SystemExit):
+        main(["assess", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for row in OPTIONS:
+        assert row.flag in text
+        if row.check is not None:
+            assert row.check.legal in text
+
+
+def test_assess_reads_legend_once(tmp_path, monkeypatch):
+    write_classed_scene(tmp_path)
+    calls = []
+    read = demqa.cli.read_legend_csv
+
+    def counting(path):
+        calls.append(path)
+        return read(path)
+
+    monkeypatch.setattr(demqa.cli, "read_legend_csv", counting)
+    assert main(["assess", "--config", str(classed_config(tmp_path, tmp_path / "out"))]) == 0
+    assert len(calls) == 1
+
+
+def test_readme_config_block_names_every_option(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    ini = tmp_path / "readme.ini"
+    ini.write_text(block)
+    load_config(ini).validate()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.read_string(block)
+    for row in OPTIONS:
+        assert parser.has_option(row.section, row.key), row.name
