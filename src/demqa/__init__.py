@@ -13,6 +13,7 @@ from .errors import (
     DegenerateWeightsError,
     DemqaError,
     InsufficientDataError,
+    NonFiniteGridError,
     ParseError,
     ZeroVarianceError,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "InsufficientDataError",
     "MoranResult",
     "MultibandGrid",
+    "NonFiniteGridError",
     "ParseError",
     "PermutationResult",
     "SampleRecord",

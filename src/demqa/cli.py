@@ -245,15 +245,25 @@ def _set_from_text(
 
 
 def load_config(path: str | Path) -> AssessConfig:
-    """Read an INI config file into an AssessConfig (not yet validated)."""
+    """Read an INI config file into an AssessConfig (not yet validated).
+
+    Every (section, key), including keys a section inherits from
+    ``[DEFAULT]``, must be a row of ``OPTIONS``; a misspelt one is an error,
+    not a silent fallback to the default.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             parser.read_file(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"bad config file: {exc}") from None
+    known = {(row.section, row.key) for row in OPTIONS}
+    for section in parser.sections() or [parser.default_section]:
+        for key in parser[section]:
+            if (section, key) not in known:
+                raise ConfigError(f"unknown option [{section}] {key}")
     return _set_from_text(
         AssessConfig(), OPTIONS, lambda row: parser.get(row.section, row.key, fallback=None)
     )
@@ -715,7 +725,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _read_samples_csv(path: str, field_name: str) -> tuple[list[tuple[float, float]], list[float]]:
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with open(path, "r", encoding="utf-8-sig", newline="") as f:
         lines = [ln for ln in f if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ParseError("empty samples file")

@@ -39,3 +39,7 @@ class ZeroVarianceError(DegenerateDataError):
 
 class DegenerateWeightsError(DegenerateDataError):
     """Spatial weights are unusable (all zero, or duplicate coordinates)."""
+
+
+class NonFiniteGridError(DegenerateDataError):
+    """A grid to be written holds NaN or infinity, which ASCII grids cannot carry."""

@@ -174,7 +174,7 @@ def read_legend_csv(source: str | Path | TextIO) -> dict[int, str]:
 
 def _csv_rows(source) -> list[tuple[int, list[str]]]:
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as f:
+        with open(source, "r", encoding="utf-8-sig", newline="") as f:
             text = f.readlines()
     else:
         text = source.readlines()

@@ -14,13 +14,14 @@ Values are written with shortest round-trip precision, so
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NonFiniteGridError, ParseError
 
 DEFAULT_NODATA = -9999.0
 
@@ -241,8 +242,18 @@ def write_ascii_grid(grid: Grid, dest: str | Path | TextIO, comment: str | None 
     """Write a grid as ASCII text.
 
     ``comment`` (optional) is emitted as leading ``#`` lines; the reader
-    skips them, so round-tripping is unaffected.
+    skips them, so round-tripping is unaffected. A NaN or infinite value
+    raises NonFiniteGridError naming its row and column (0-based from the
+    top-left cell) before anything is written.
     """
+    if not np.isfinite(grid.values).all():
+        r, c = (int(k[0]) for k in np.nonzero(~np.isfinite(grid.values)))
+        raise NonFiniteGridError(
+            f"cannot write non-finite value {grid.values[r, c]} at row {r}, column {c}"
+        )
+    for name in ("xll", "yll", "cellsize", "nodata"):
+        if not math.isfinite(getattr(grid, name)):
+            raise NonFiniteGridError(f"cannot write non-finite {name} {getattr(grid, name)}")
     stream, owned = _open_text(dest, "w")
     try:
         if comment:

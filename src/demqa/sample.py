@@ -54,7 +54,7 @@ def read_gcp_csv(source: str | Path | TextIO) -> list[ControlPoint]:
     Lines starting with ``#`` are skipped. Point ids must be unique.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as f:
+        with open(source, "r", encoding="utf-8-sig", newline="") as f:
             return _read_gcp_stream(f)
     return _read_gcp_stream(source)
 

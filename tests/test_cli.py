@@ -8,6 +8,7 @@ import pytest
 
 import demqa.cli
 from demqa.cli import OPTIONS, AssessConfig, _config, build_parser, load_config, main
+from demqa.landcover import read_training_csv
 from demqa.raster import Grid, read_ascii_grid, write_ascii_grid
 from demqa.synth import make_plane, make_smoothed_noise, scatter_points
 
@@ -385,6 +386,42 @@ def test_hostile_option_values_exit_2(tmp_path, capsys, command, flags, ini):
     assert main(argv + flags) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "ini,bad",
+    [
+        ("[moran]\nn_perms = 999\n", "[moran] n_perms"),
+        ("[histgram]\nwidth = 0.1\n", "[histgram] width"),
+        ("[DEFAULT]\nseed = 3\n", "[input] seed"),
+    ],
+    ids=["misspelt key", "misspelt section", "inherited key"],
+)
+def test_unknown_ini_option_exit_2(tmp_path, capsys, ini, bad):
+    dem, gcps = write_closure_scene(tmp_path)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dem, gcps, out, extra=ini)
+    assert main(["assess", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"unknown option {bad}" in err
+    assert not out.exists()
+
+
+def test_inputs_with_utf8_bom(tmp_path):
+    """Excel's "CSV UTF-8" files start with a byte order mark."""
+    write_classed_scene(tmp_path)
+    out = tmp_path / "out"
+    cfg = classed_config(tmp_path, out, extra="[screen]\nexclude_classes = 5\n")
+    assert main(["assess", "--config", str(cfg)]) == 0
+    plain = (out / "report.json").read_bytes()
+    (tmp_path / "training.csv").write_text("x,y,class_code\n10,590,1\n30,570,2\n")
+    training = read_training_csv(tmp_path / "training.csv")
+    for name in ("cfg.ini", "gcps.csv", "legend.csv", "training.csv"):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert read_training_csv(tmp_path / "training.csv") == training
+    assert main(["assess", "--config", str(cfg)]) == 0
+    assert (out / "report.json").read_bytes() == plain
 
 
 def test_moran_command_matches_assess_section(tmp_path):

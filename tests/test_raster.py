@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from demqa.errors import ParseError
+from demqa.errors import DemqaError, NonFiniteGridError, ParseError
 from demqa.raster import (
     Grid,
     MultibandGrid,
@@ -110,6 +110,21 @@ def test_write_to_path(tmp_path):
     path = tmp_path / "g.asc"
     write_ascii_grid(g, path)
     assert read_ascii_grid(path) == g
+
+
+def test_write_non_finite_names_first_cell(tmp_path):
+    values = np.arange(12.0).reshape(3, 4)
+    values[2, 0] = np.inf
+    values[1, 2] = np.nan
+    g = Grid(ncols=4, nrows=3, xll=0, yll=0, cellsize=1, values=values)
+    path = tmp_path / "g.asc"
+    with pytest.raises(NonFiniteGridError, match=r"value nan at row 1, column 2$") as exc:
+        write_ascii_grid(g, path)
+    assert isinstance(exc.value, DemqaError)
+    assert not path.exists()
+    g = Grid(ncols=1, nrows=1, xll=0, yll=0, cellsize=1, nodata=float("nan"), values=[1.0])
+    with pytest.raises(NonFiniteGridError, match="nodata nan"):
+        dumps_ascii_grid(g)
 
 
 def test_cell_of_examples():

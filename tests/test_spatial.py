@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from demqa.errors import (
     ZeroVarianceError,
 )
 from demqa.spatial import (
+    WEIGHT_SCHEMES,
     WeightsMatrix,
     build_weights,
     morans_i,
@@ -17,6 +19,159 @@ from demqa.spatial import (
     permutation_test,
 )
 from demqa.synth import make_checkerboard, make_smoothed_noise, scatter_points
+
+
+def dense_weights(points, scheme="inverse_distance", threshold=None, row_standardize=False):
+    """The O(n^2) dense builder the cell-list search replaced, kept as an oracle.
+
+    Returns (entries, threshold); raises exactly as the library must.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    off_diag = ~np.eye(n, dtype=bool)
+    if np.any(dist[off_diag] == 0.0):
+        i, j = np.argwhere((dist == 0.0) & off_diag)[0]
+        raise DegenerateWeightsError(
+            f"duplicate coordinates at indices {i} and {j}: zero distance"
+        )
+    if threshold is None:
+        nn = np.where(off_diag, dist, np.inf).min(axis=1)
+        threshold = float(nn.max())
+    within = off_diag & (dist <= threshold)
+    if scheme == "inverse_distance":
+        w = np.where(within, 1.0, 0.0)
+        np.divide(w, dist, out=w, where=within)
+    else:
+        w = within.astype(np.float64)
+    if row_standardize:
+        row_sums = w.sum(axis=1, keepdims=True)
+        np.divide(w, row_sums, out=w, where=row_sums > 0)
+    ii, jj = np.nonzero(w)
+    entries = {(int(i), int(j)): float(w[i, j]) for i, j in zip(ii, jj)}
+    if not entries:
+        raise DegenerateWeightsError(
+            f"no pair within threshold {threshold}: all weights zero"
+        )
+    return entries, threshold
+
+
+def dense_sums(n, entries):
+    """S0, S1, S2 as the dict-based weights computed them."""
+    vals = np.array(list(entries.values()))
+    rows = np.array([i for i, _ in entries], dtype=np.intp)
+    cols = np.array([j for _, j in entries], dtype=np.intp)
+    row_sums = np.zeros(n)
+    col_sums = np.zeros(n)
+    np.add.at(row_sums, rows, vals)
+    np.add.at(col_sums, cols, vals)
+    sym = {}
+    for (i, j), v in entries.items():
+        key = (i, j) if i < j else (j, i)
+        sym[key] = sym.get(key, 0.0) + v
+    s1 = float(sum(t * t for t in sym.values()))
+    return float(vals.sum()), s1, float(np.sum((row_sums + col_sums) ** 2))
+
+
+def random_layout(rng, n):
+    kind = int(rng.integers(0, 5))
+    if kind == 0:  # uniform, at several scales
+        return rng.uniform(0, rng.choice([1.0, 100.0, 1e4]), (n, 2))
+    if kind == 1:  # a few tight clusters
+        k = int(rng.integers(1, 6))
+        centres = rng.uniform(0, 1000, (k, 2))
+        return centres[rng.integers(0, k, n)] + rng.normal(0, rng.choice([0.5, 5, 50]), (n, 2))
+    if kind == 2:  # lattice subset: many equal distances, offset far from 0
+        m = int(np.ceil(np.sqrt(n))) + int(rng.integers(0, 3))
+        lattice = np.array([(float(c), float(r)) for r in range(m) for c in range(m)])
+        pick = lattice[rng.choice(len(lattice), n, replace=False)]
+        return pick * rng.choice([1.0, 0.1, 30.0]) + rng.choice([0.0, 1e5])
+    if kind == 3:  # collinear
+        return np.c_[rng.uniform(0, 50, n), np.full(n, 3.0)]
+    return np.round(rng.uniform(0, 20, (n, 2)), 1)  # coarse: duplicates likely
+
+
+def outcome(build, *args, **kwargs):
+    try:
+        return build(*args, **kwargs)
+    except DegenerateWeightsError as exc:
+        return str(exc)
+
+
+def test_cell_list_weights_equal_dense_oracle():
+    rng = np.random.default_rng(2024)
+    errors, built = set(), set()
+    for case in range(160):
+        n = int(rng.integers(2, 300))
+        pts = random_layout(rng, n)
+        if n > 3 and rng.random() < 0.1:
+            pts[rng.integers(0, n)] = pts[rng.integers(0, n)]
+        scheme = str(rng.choice(["inverse_distance", "fixed_band"]))
+        threshold = None if rng.random() < 0.5 else float(rng.choice([0.05, 0.5, 3.0, 300.0]))
+        rs = bool(rng.random() < 0.4)
+        label = f"case {case}: n={n} {scheme} threshold={threshold} row_standardize={rs}"
+        want = outcome(dense_weights, pts, scheme, threshold, rs)
+        got = outcome(build_weights, pts, scheme, threshold, rs)
+        if isinstance(want, str):
+            assert got == want, label
+            errors.add(want.split()[0])
+            continue
+        entries, used = want
+        assert list(got.entries.items()) == list(entries.items()), label
+        assert (got.s0, got.s1, got.s2) == dense_sums(n, entries), label
+        assert got.threshold == used, label
+        assert got.nnz == len(entries), label
+        built.add((scheme, rs, len({i for i, _ in entries}) < n))
+    # the seed reaches both errors, every scheme/standardisation pair, and isolates
+    assert errors == {"duplicate", "no"}
+    assert {(s, r, False) for s in WEIGHT_SCHEMES for r in (False, True)} <= built
+    assert any(isolated for _, _, isolated in built)
+
+
+def test_duplicate_error_names_first_pair_like_dense():
+    pts = [(5.0, 5.0), (1.0, 1.0), (0.0, 0.0), (1.0, 1.0), (0.0, 0.0)]
+    for threshold in (None, 0.1, 100.0, float("nan")):
+        with pytest.raises(DegenerateWeightsError) as dense:
+            dense_weights(pts, threshold=threshold)
+        with pytest.raises(DegenerateWeightsError) as cells:
+            build_weights(pts, threshold=threshold)
+        assert str(cells.value) == str(dense.value) == (
+            "duplicate coordinates at indices 1 and 3: zero distance"
+        )
+
+
+def test_non_finite_coordinates_rejected():
+    with pytest.raises(DegenerateWeightsError, match="non-finite coordinates at index 1"):
+        build_weights([(0.0, 0.0), (float("nan"), 1.0), (2.0, 2.0)], threshold=5.0)
+
+
+def test_weights_memory_linear_at_20000_points():
+    rng = np.random.default_rng(20000)
+    pts = rng.uniform(0, 5000, (20000, 2))
+    tracemalloc.start()
+    try:
+        w = build_weights(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100e6
+    assert w.nnz < 20 * w.n
+    assert set(np.unique(w.rows).tolist()) == set(range(w.n))
+
+
+def test_csr_arrays_and_entries_view():
+    w = WeightsMatrix(n=4, entries={(2, 0): 1.0, (0, 3): 2.0, (0, 1): 0.5, (3, 0): 2.0})
+    assert list(w.entries.items()) == [((0, 1), 0.5), ((0, 3), 2.0), ((2, 0), 1.0), ((3, 0), 2.0)]
+    assert w.rows.tolist() == [0, 0, 2, 3]
+    assert w.cols.tolist() == [1, 3, 0, 0]
+    assert w.indptr.tolist() == [0, 2, 2, 3, 4]
+    assert w.nnz == 4
+    assert (w.s0, w.s1, w.s2) == dense_sums(4, {(0, 1): 0.5, (0, 3): 2.0, (2, 0): 1.0, (3, 0): 2.0})
+    with pytest.raises(TypeError):
+        w.entries[(1, 2)] = 1.0
+    with pytest.raises(ValueError):
+        w.vals[0] = 3.0
 
 
 def grid_points(n):
@@ -235,3 +390,8 @@ def test_weights_matrix_rejects_self_weight():
 def test_weights_matrix_rejects_out_of_range():
     with pytest.raises(ValueError):
         WeightsMatrix(n=2, entries={(0, 5): 1.0})
+
+
+def test_weights_matrix_rejects_negative_weight():
+    with pytest.raises(ValueError, match="negative weight at"):
+        WeightsMatrix(n=3, entries={(0, 1): 1.0, (1, 2): -0.5})
