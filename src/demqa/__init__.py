@@ -15,6 +15,7 @@ from .errors import (
     InsufficientDataError,
     NonFiniteGridError,
     ParseError,
+    TrainingPointError,
     ZeroVarianceError,
 )
 from .raster import Grid, MultibandGrid, cell_of, read_ascii_grid, write_ascii_grid
@@ -81,6 +82,7 @@ __all__ = [
     "SampleRecord",
     "SceneSpec",
     "SummaryStats",
+    "TrainingPointError",
     "TukeyFences",
     "WeightsMatrix",
     "ZeroVarianceError",

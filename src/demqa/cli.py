@@ -21,7 +21,6 @@ import argparse
 import configparser
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -41,7 +40,7 @@ from .errors import (
     ParseError,
 )
 from .landcover import read_legend_csv, read_training_csv, train_parallelepiped, classify
-from .raster import MultibandGrid, read_ascii_grid, write_ascii_grid
+from .raster import MultibandGrid, _csv_rows, _open_text, read_ascii_grid, write_ascii_grid
 from .sample import (
     EXTRACTION_METHODS,
     SampleRecord,
@@ -253,7 +252,7 @@ def load_config(path: str | Path) -> AssessConfig:
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        with open(path, "r", encoding="utf-8-sig") as f:
+        with _open_text(path, "r") as f:
             parser.read_file(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
@@ -725,28 +724,27 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _read_samples_csv(path: str, field_name: str) -> tuple[list[tuple[float, float]], list[float]]:
-    with open(path, "r", encoding="utf-8-sig", newline="") as f:
-        lines = [ln for ln in f if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise ParseError("empty samples file")
-    reader = csv.DictReader(io.StringIO("".join(lines)))
-    cols = [c.strip().lower() for c in reader.fieldnames or []]
+    rows = _csv_rows(path, "samples file")
+    cols = [c.strip().lower() for c in next(rows)[1]]
     for needed in ("x", "y", field_name):
         if needed not in cols:
             raise ParseError(f"samples file lacks column '{needed}'")
     coords, values = [], []
-    for lineno, row in enumerate(reader, start=2):
-        row = {k.strip().lower(): v for k, v in row.items() if k}
+    for lineno, fields in rows:
+        row = dict(zip(cols, fields))
         if (row.get("status") or "kept").strip() != "kept":
             continue
         raw = (row.get(field_name) or "").strip()
         if not raw:
             continue
         try:
-            coords.append((float(row["x"]), float(row["y"])))
-            values.append(float(raw))
-        except (TypeError, ValueError):
+            point = float(row["x"]), float(row["y"]), float(raw)
+        except (KeyError, ValueError):
             raise ParseError("bad numeric value in samples file", line=lineno) from None
+        if not all(map(math.isfinite, point)):
+            raise ParseError("non-finite value in samples file", line=lineno)
+        coords.append(point[:2])
+        values.append(point[2])
     return coords, values
 
 

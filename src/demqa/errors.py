@@ -25,6 +25,10 @@ class ParseError(DemqaError):
         self.column = column
 
 
+class TrainingPointError(ParseError, ValueError):
+    """A training point off the image or on nodata (a ValueError too, as before)."""
+
+
 class DegenerateDataError(DemqaError):
     """Data cannot support the requested statistic."""
 

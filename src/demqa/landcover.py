@@ -9,15 +9,15 @@ order classes were declared in.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParseError
-from .raster import Grid, MultibandGrid, cell_of
+from .errors import InsufficientDataError, ParseError, TrainingPointError
+from .raster import Grid, MultibandGrid, _csv_rows, cell_of
 
 UNCLASSIFIED = 0
 
@@ -54,7 +54,7 @@ def train_parallelepiped(
 
     ``labeled`` is (x, y, class_code) triples; every class needs at
     least two usable pixels. A training point off the grid or on nodata
-    is an error, not silently dropped.
+    is a TrainingPointError, not silently dropped.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -62,12 +62,12 @@ def train_parallelepiped(
     for x, y, code in labeled:
         rc = cell_of(image.bands[0], x, y)
         if rc is None:
-            raise ValueError(f"training point ({x}, {y}) is off the grid")
+            raise TrainingPointError(f"training point ({x}, {y}) is off the grid")
         pixel = []
         for band in image.bands:
             v = band.value_at(*rc)
             if v is None:
-                raise ValueError(f"training point ({x}, {y}) lies on nodata")
+                raise TrainingPointError(f"training point ({x}, {y}) lies on nodata")
             pixel.append(v)
         by_class.setdefault(int(code), []).append(pixel)
 
@@ -142,16 +142,17 @@ def classify(image: MultibandGrid, boxes: Sequence[ClassBox]) -> Grid:
 
 def read_training_csv(source: str | Path | TextIO) -> list[tuple[float, float, int]]:
     """Read labelled training points from CSV with header ``x,y,class_code``."""
-    rows = _csv_rows(source)
-    header = [h.strip().lower() for h in rows[0][1]]
-    if header[:3] != ["x", "y", "class_code"]:
-        raise ParseError(
-            "expected header 'x,y,class_code'", line=rows[0][0]
-        )
+    rows = _csv_rows(source, "CSV file")
+    header_line, header = next(rows)
+    if [h.strip().lower() for h in header][:3] != ["x", "y", "class_code"]:
+        raise ParseError("expected header 'x,y,class_code'", line=header_line)
     out = []
-    for lineno, fields in rows[1:]:
+    for lineno, fields in rows:
         try:
-            out.append((float(fields[0]), float(fields[1]), int(fields[2])))
+            x, y = float(fields[0]), float(fields[1])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError
+            out.append((x, y, int(fields[2])))
         except (ValueError, IndexError):
             raise ParseError("bad training row", line=lineno) from None
     return out
@@ -159,30 +160,14 @@ def read_training_csv(source: str | Path | TextIO) -> list[tuple[float, float, i
 
 def read_legend_csv(source: str | Path | TextIO) -> dict[int, str]:
     """Read class labels from CSV with header ``class_code,label``."""
-    rows = _csv_rows(source)
-    header = [h.strip().lower() for h in rows[0][1]]
-    if header[:2] != ["class_code", "label"]:
-        raise ParseError("expected header 'class_code,label'", line=rows[0][0])
+    rows = _csv_rows(source, "CSV file")
+    header_line, header = next(rows)
+    if [h.strip().lower() for h in header][:2] != ["class_code", "label"]:
+        raise ParseError("expected header 'class_code,label'", line=header_line)
     legend = {}
-    for lineno, fields in rows[1:]:
+    for lineno, fields in rows:
         try:
             legend[int(fields[0])] = fields[1].strip()
         except (ValueError, IndexError):
             raise ParseError("bad legend row", line=lineno) from None
     return legend
-
-
-def _csv_rows(source) -> list[tuple[int, list[str]]]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as f:
-            text = f.readlines()
-    else:
-        text = source.readlines()
-    rows = []
-    for lineno, line in enumerate(text, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        rows.append((lineno, next(csv.reader([line]))))
-    if not rows:
-        raise ParseError("empty CSV file")
-    return rows

@@ -5,7 +5,10 @@ keyword/value header lines (``ncols``, ``nrows``, ``xllcorner``,
 ``yllcorner``, ``cellsize``, optional ``NODATA_value``) followed by
 ``nrows * ncols`` whitespace-separated values, northernmost row first.
 Keywords are case-insensitive; LF and CRLF both accepted; lines starting
-with ``#`` before the header are skipped (provenance comments).
+with ``#`` before the header are skipped (provenance comments). A file may
+start with a UTF-8 byte order mark. Every value must be a finite number,
+``ncols``/``nrows`` positive integers and ``cellsize`` positive; the reader
+raises ParseError naming the line (and column) of the first that is not.
 
 Values are written with shortest round-trip precision, so
 ``read(write(g))`` reproduces ``g`` exactly.
@@ -13,11 +16,13 @@ Values are written with shortest round-trip precision, so
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -143,82 +148,82 @@ def cell_of(grid: Grid, x: float, y: float) -> tuple[int, int] | None:
     return row, col
 
 
-def _open_text(source, mode: str):
+def _open_text(source: str | Path | TextIO, mode: str):
+    """A ``with`` context giving ``source`` as a text stream: a path is opened
+    as UTF-8 (reading also drops a leading byte order mark) and closed on
+    exit; an open stream is used as it is and left open."""
     if isinstance(source, (str, Path)):
-        return open(source, mode, encoding="utf-8", newline=""), True
-    return source, False
+        return open(source, mode, encoding="utf-8-sig" if mode == "r" else "utf-8", newline="")
+    return contextlib.nullcontext(source)
+
+
+def _csv_rows(source: str | Path | TextIO, name: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(file line number, fields)`` for each CSV line that is not
+    blank or a ``#`` comment; with no such line, raise ParseError "empty
+    <name>". Each reader checks its own header and rows."""
+    with _open_text(source, "r") as stream:
+        empty = True
+        for lineno, line in enumerate(stream, start=1):
+            if line.strip() and not line.lstrip().startswith("#"):
+                empty = False
+                yield lineno, next(csv.reader([line]))
+        if empty:
+            raise ParseError(f"empty {name}")
 
 
 def read_ascii_grid(source: str | Path | TextIO) -> Grid:
     """Parse an ASCII grid from a path or open text stream."""
-    stream, owned = _open_text(source, "r")
-    try:
+    with _open_text(source, "r") as stream:
         return _read_stream(stream)
-    finally:
-        if owned:
-            stream.close()
 
 
 def _read_stream(stream: TextIO) -> Grid:
     header: dict[str, float] = {}
-    body_tokens: list[str] = []
-    body_positions: list[tuple[int, int]] = []
+    body: list[str] = []
+    lines = iter(stream)
     lineno = 0
-    in_header = True
-    for raw in stream:
+    for raw in lines:
         lineno += 1
-        line = raw.rstrip("\r\n")
-        if in_header and line.lstrip().startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
-        if not parts:
-            continue
-        if in_header:
-            key = parts[0].lower()
-            if key in _HEADER_KEYS:
-                if key in header:
-                    raise ParseError(f"duplicate header keyword '{parts[0]}'", line=lineno)
-                if len(parts) != 2:
-                    raise ParseError(
-                        f"header line '{parts[0]}' needs exactly one value", line=lineno
-                    )
-                try:
-                    header[key] = float(parts[1])
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric header value '{parts[1]}'", line=lineno, column=2
-                    ) from None
-                continue
-            missing = [k for k in _REQUIRED_KEYS if k not in header]
-            if missing:
-                raise ParseError(
-                    f"body starts before header keyword(s): {', '.join(missing)}",
-                    line=lineno,
-                )
-            in_header = False
-        for col, tok in enumerate(parts, start=1):
-            body_tokens.append(tok)
-            body_positions.append((lineno, col))
+        key = parts[0].lower()
+        if key not in _HEADER_KEYS:
+            body = [raw, *lines]  # the first value's line (``lineno``) and the rest
+            break
+        if key in header:
+            raise ParseError(f"duplicate header keyword '{parts[0]}'", line=lineno)
+        if len(parts) != 2:
+            raise ParseError(f"header line '{parts[0]}' needs exactly one value", line=lineno)
+        value = _number(parts[1], "header value", lineno, 2)
+        if key in ("ncols", "nrows") and (value < 1 or value != int(value)):
+            raise ParseError(f"{key} must be a positive integer", line=lineno, column=2)
+        if key == "cellsize" and value <= 0:
+            raise ParseError("cellsize must be positive", line=lineno, column=2)
+        header[key] = value
 
-    missing = [k for k in _REQUIRED_KEYS if k not in header]
+    missing = ", ".join(k for k in _REQUIRED_KEYS if k not in header)
+    if missing and body:
+        raise ParseError(f"body starts before header keyword(s): {missing}", line=lineno)
     if missing:
-        raise ParseError(f"missing header keyword(s): {', '.join(missing)}")
+        raise ParseError(f"missing header keyword(s): {missing}")
 
     ncols = int(header["ncols"])
     nrows = int(header["nrows"])
-    if ncols != header["ncols"] or nrows != header["nrows"]:
-        raise ParseError("ncols/nrows must be integers")
     expected = nrows * ncols
-    if len(body_tokens) != expected:
-        raise ParseError(f"expected {expected} values, got {len(body_tokens)}")
-
-    values = np.empty(expected, dtype=np.float64)
-    for i, tok in enumerate(body_tokens):
-        try:
-            values[i] = float(tok)
-        except ValueError:
-            line, col = body_positions[i]
-            raise ParseError(f"non-numeric token '{tok}'", line=line, column=col) from None
+    tokens = "".join(body).split()
+    if len(tokens) != expected:
+        raise ParseError(f"expected {expected} values, got {len(tokens)}")
+    # map(float) keeps Python's number syntax whatever the numpy version.
+    try:
+        values = np.fromiter(map(float, tokens), np.float64, count=expected)
+        finite = bool(np.isfinite(values).all())
+    except ValueError:
+        finite = False
+    if not finite:  # re-scan the body for the first bad token's position
+        for n, line in enumerate(body, start=lineno):
+            for col, tok in enumerate(line.split(), start=1):
+                _number(tok, "token", n, col)
 
     return Grid(
         ncols=ncols,
@@ -229,6 +234,17 @@ def _read_stream(stream: TextIO) -> Grid:
         nodata=header.get("nodata_value", DEFAULT_NODATA),
         values=values,
     )
+
+
+def _number(text: str, what: str, line: int, column: int) -> float:
+    """``float(text)``; a ParseError at (line, column) if it is not a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"non-numeric {what} '{text}'", line=line, column=column) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite {what} '{text}'", line=line, column=column)
+    return value
 
 
 def _fmt(v: float) -> str:
@@ -254,8 +270,7 @@ def write_ascii_grid(grid: Grid, dest: str | Path | TextIO, comment: str | None 
     for name in ("xll", "yll", "cellsize", "nodata"):
         if not math.isfinite(getattr(grid, name)):
             raise NonFiniteGridError(f"cannot write non-finite {name} {getattr(grid, name)}")
-    stream, owned = _open_text(dest, "w")
-    try:
+    with _open_text(dest, "w") as stream:
         if comment:
             for ln in comment.splitlines():
                 stream.write(f"# {ln}\n")
@@ -268,9 +283,6 @@ def write_ascii_grid(grid: Grid, dest: str | Path | TextIO, comment: str | None 
         for r in range(grid.nrows):
             stream.write(" ".join(_fmt(v) for v in grid.values[r]))
             stream.write("\n")
-    finally:
-        if owned:
-            stream.close()
 
 
 def dumps_ascii_grid(grid: Grid) -> str:

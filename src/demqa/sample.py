@@ -6,14 +6,13 @@ as sentinel numbers, so they cannot leak into downstream statistics.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence, TextIO
 
 from .errors import ConfigError, ParseError
-from .raster import Grid, cell_of
+from .raster import Grid, _csv_rows, cell_of
 
 EXTRACTION_METHODS = ("nearest", "bilinear")
 
@@ -51,32 +50,20 @@ class SampleRecord:
 def read_gcp_csv(source: str | Path | TextIO) -> list[ControlPoint]:
     """Read control points from CSV with header ``id,x,y,h``.
 
-    Lines starting with ``#`` are skipped. Point ids must be unique.
+    Lines starting with ``#`` are skipped. Point ids must be unique and
+    x, y and h finite numbers.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as f:
-            return _read_gcp_stream(f)
-    return _read_gcp_stream(source)
-
-
-def _read_gcp_stream(stream: TextIO) -> list[ControlPoint]:
-    rows = [
-        (lineno, line)
-        for lineno, line in enumerate(stream, start=1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not rows:
-        raise ParseError("empty control point file")
-    header_line, header_text = rows[0]
-    header = [h.strip().lower() for h in next(csv.reader([header_text]))]
+    rows = _csv_rows(source, "control point file")
+    header_line, header_fields = next(rows)
+    header = [h.strip().lower() for h in header_fields]
     if header[:4] != ["id", "x", "y", "h"]:
         raise ParseError(
-            f"expected header 'id,x,y,h', got '{header_text.strip()}'", line=header_line
+            f"expected header 'id,x,y,h', got '{','.join(header_fields).strip()}'",
+            line=header_line,
         )
     points: list[ControlPoint] = []
     seen: set[str] = set()
-    for lineno, text in rows[1:]:
-        fields = next(csv.reader([text]))
+    for lineno, fields in rows:
         if len(fields) < 4:
             raise ParseError(f"expected 4 columns, got {len(fields)}", line=lineno)
         pid = fields[0].strip()
@@ -87,6 +74,11 @@ def _read_gcp_stream(stream: TextIO) -> list[ControlPoint]:
             x, y, h = (float(fields[i]) for i in (1, 2, 3))
         except ValueError as exc:
             raise ParseError(f"non-numeric coordinate or height: {exc}", line=lineno) from None
+        for col, value in enumerate((x, y, h), start=2):
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"non-finite value '{fields[col - 1].strip()}'", line=lineno, column=col
+                )
         points.append(ControlPoint(id=pid, x=x, y=y, h_ref=h))
     return points
 

@@ -510,3 +510,89 @@ def test_readme_config_block_names_every_option(tmp_path):
     parser.read_string(block)
     for row in OPTIONS:
         assert parser.has_option(row.section, row.key), row.name
+
+
+# ---------------------------------------------------------------------------
+# input readers: messages, line numbers and exit codes on bad input
+
+SAMPLES_HEAD = "# generated by demqa 0.1.0 (assess)\n\nx,y,delta_h,status\n"
+
+CSV_ERRORS = [
+    # (flag, file text, message); lines count every line, comments and blanks included
+    ("--gcps", "", "empty control point file"),
+    ("--gcps", "# only a comment\n\n", "empty control point file"),
+    ("--gcps", "# c\nx,y,h\n1,2,3\n", "expected header 'id,x,y,h', got 'x,y,h' (line 2)"),
+    ("--gcps", "id,x,y,h\n\na,1,2\n", "expected 4 columns, got 3 (line 3)"),
+    ("--gcps", "id,x,y,h\na,1,2,3\n# c\na,4,5,6\n", "duplicate point id 'a' (line 4)"),
+    ("--gcps", "id,x,y,h\na,one,2,3\n",
+     "non-numeric coordinate or height: could not convert string to float: 'one' (line 2)"),
+    ("--gcps", "id,x,y,h\na,1,2,nan\n", "non-finite value 'nan' (line 2, column 4)"),
+    ("--gcps", "id,x,y,h\na,1,2,3\nb,inf,2,3\n", "non-finite value 'inf' (line 3, column 2)"),
+    ("--gcps", "id,x,y,h\na,1,1e400,3\n", "non-finite value '1e400' (line 2, column 3)"),
+    ("--legend", "", "empty CSV file"),
+    ("--legend", "# c\ncode,label\n", "expected header 'class_code,label' (line 2)"),
+    ("--legend", "class_code,label\n1,a\n\nx,oops\n", "bad legend row (line 4)"),
+    ("--legend", "class_code,label\n1\n", "bad legend row (line 2)"),
+    ("--training", "\n", "empty CSV file"),
+    ("--training", "x,y\n1,2\n", "expected header 'x,y,class_code' (line 1)"),
+    ("--training", "x,y,class_code\n# c\n1,2,z\n", "bad training row (line 3)"),
+    ("--training", "x,y,class_code\n1,nan,1\n", "bad training row (line 2)"),
+    ("--samples", "", "empty samples file"),
+    ("--samples", "x,z,delta_h\n1,2,3\n", "samples file lacks column 'y'"),
+    ("--samples", SAMPLES_HEAD + "1,2,0.5,kept\n3,4,oops,kept\n",
+     "bad numeric value in samples file (line 5)"),
+    ("--samples", SAMPLES_HEAD + "1,2,0.5,kept\n3,4,nan,kept\n",
+     "non-finite value in samples file (line 5)"),
+]
+
+
+def _run_reader(tmp_path, flag, path):
+    if flag == "--samples":
+        return ["moran", "--samples", str(path)]
+    dem, gcps = write_closure_scene(tmp_path)
+    if flag == "--training":
+        return ["classify", "--image", str(dem), "--training", str(path),
+                "--out", str(tmp_path / "c.asc")]
+    if flag == "--legend":
+        return ["classify", "--image", str(dem), "--training", str(tmp_path / "t.csv"),
+                "--legend", str(path), "--out", str(tmp_path / "c.asc")]
+    return ["assess", "--dem", str(dem), "--gcps", str(path), "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
+@pytest.mark.parametrize("flag, text, message", CSV_ERRORS,
+                         ids=[f"{flag[2:]}{i}" for i, (flag, _, _) in enumerate(CSV_ERRORS)])
+def test_csv_reader_errors(tmp_path, capsys, flag, text, message, bom):
+    (tmp_path / "t.csv").write_text("x,y,class_code\n1.5,1.5,1\n4.5,4.5,1\n")
+    path = tmp_path / "input.csv"
+    path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode())
+    assert main(_run_reader(tmp_path, flag, path)) == 3
+    command = "assess" if flag == "--gcps" else "moran" if flag == "--samples" else "classify"
+    assert capsys.readouterr().err == f"parse error [{command}]: {message}\n"
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+def test_terrain_rejects_non_finite_cell(tmp_path, capsys, token):
+    # a nan centre cell used to get a finite slope from its neighbours
+    path = tmp_path / "dem.asc"
+    path.write_text("ncols 3\nnrows 3\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+                    f"1 2 3\n4 {token} 6\n7 8 9\n")
+    assert main(["terrain", str(path), "--out-prefix", str(tmp_path / "d")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"parse error [terrain]: non-finite token '{token}' (line 7, column 2)\n"
+    assert not (tmp_path / "d_slope.asc").exists()
+
+
+@pytest.mark.parametrize("point, problem", [("9.5,0.5", "is off the grid"),
+                                            ("0.5,1.5", "lies on nodata")])
+def test_classify_bad_training_point_exit_3(tmp_path, capsys, point, problem):
+    band = Grid(ncols=3, nrows=3, xll=0, yll=0, cellsize=1,
+                values=[1, 2, 3, -9999, 5, 6, 7, 8, 9])
+    write_ascii_grid(band, tmp_path / "b.asc")
+    (tmp_path / "t.csv").write_text(f"x,y,class_code\n0.5,0.5,1\n{point},1\n")
+    assert main(["classify", "--image", str(tmp_path / "b.asc"), "--training",
+                 str(tmp_path / "t.csv"), "--out", str(tmp_path / "c.asc")]) == 3
+    x, y = point.split(",")
+    assert capsys.readouterr().err == (
+        f"parse error [classify]: training point ({float(x)}, {float(y)}) {problem}\n"
+    )

@@ -5,6 +5,9 @@ import pytest
 
 from demqa.errors import DemqaError, NonFiniteGridError, ParseError
 from demqa.raster import (
+    _HEADER_KEYS,
+    _REQUIRED_KEYS,
+    DEFAULT_NODATA,
     Grid,
     MultibandGrid,
     cell_of,
@@ -179,3 +182,239 @@ def test_multiband_georef_check():
     with pytest.raises(ValueError, match="band 2"):
         MultibandGrid(bands=[a, b])
     assert MultibandGrid(bands=[a, a]).n_bands == 2
+
+
+# ---------------------------------------------------------------------------
+# The token-loop reader the bulk reader replaced, kept as the oracle: every
+# grid text it accepts (with finite values and a valid header) must read to
+# the same Grid, and every text it rejects must give the same error.
+
+
+def token_loop_read(stream):
+    header = {}
+    body_tokens = []
+    body_positions = []
+    lineno = 0
+    in_header = True
+    for raw in stream:
+        lineno += 1
+        line = raw.rstrip("\r\n")
+        if in_header and line.lstrip().startswith("#"):
+            continue
+        parts = line.split()
+        if not parts:
+            continue
+        if in_header:
+            key = parts[0].lower()
+            if key in _HEADER_KEYS:
+                if key in header:
+                    raise ParseError(f"duplicate header keyword '{parts[0]}'", line=lineno)
+                if len(parts) != 2:
+                    raise ParseError(
+                        f"header line '{parts[0]}' needs exactly one value", line=lineno
+                    )
+                try:
+                    header[key] = float(parts[1])
+                except ValueError:
+                    raise ParseError(
+                        f"non-numeric header value '{parts[1]}'", line=lineno, column=2
+                    ) from None
+                continue
+            missing = [k for k in _REQUIRED_KEYS if k not in header]
+            if missing:
+                raise ParseError(
+                    f"body starts before header keyword(s): {', '.join(missing)}",
+                    line=lineno,
+                )
+            in_header = False
+        for col, tok in enumerate(parts, start=1):
+            body_tokens.append(tok)
+            body_positions.append((lineno, col))
+
+    missing = [k for k in _REQUIRED_KEYS if k not in header]
+    if missing:
+        raise ParseError(f"missing header keyword(s): {', '.join(missing)}")
+
+    ncols = int(header["ncols"])
+    nrows = int(header["nrows"])
+    if ncols != header["ncols"] or nrows != header["nrows"]:
+        raise ParseError("ncols/nrows must be integers")
+    expected = nrows * ncols
+    if len(body_tokens) != expected:
+        raise ParseError(f"expected {expected} values, got {len(body_tokens)}")
+
+    values = np.empty(expected, dtype=np.float64)
+    for i, tok in enumerate(body_tokens):
+        try:
+            values[i] = float(tok)
+        except ValueError:
+            line, col = body_positions[i]
+            raise ParseError(f"non-numeric token '{tok}'", line=line, column=col) from None
+
+    return Grid(
+        ncols=ncols,
+        nrows=nrows,
+        xll=header["xllcorner"],
+        yll=header["yllcorner"],
+        cellsize=header["cellsize"],
+        nodata=header.get("nodata_value", DEFAULT_NODATA),
+        values=values,
+    )
+
+
+def _number_text(rng):
+    v = float(rng.normal() * 10.0 ** int(rng.integers(-6, 7)))
+    form = int(rng.integers(0, 6))
+    if form == 0:
+        return str(int(v))
+    if form == 1:
+        return f"{v:.3e}"
+    if form == 2:
+        return "+" + repr(abs(v))
+    if form == 3:
+        return "-9999"
+    return repr(v)
+
+
+def random_grid_text(rng):
+    """A small grid text with random layout and, often, one defect."""
+    nrows, ncols = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    header = [
+        ("ncols", str(ncols) if rng.random() < 0.9 else f"{ncols}.0"),
+        ("nrows", str(nrows)),
+        ("xllcorner", _number_text(rng)),
+        ("yllcorner", _number_text(rng)),
+        ("cellsize", repr(float(rng.uniform(0.01, 50)))),
+    ]
+    if rng.random() < 0.6:
+        header.append(("NODATA_value", "-9999"))
+    rng.shuffle(header)
+    header = [(k.upper() if rng.random() < 0.2 else k, v) for k, v in header]
+    defect = int(rng.integers(0, 13))  # 8 and up: no defect
+    i = int(rng.integers(len(header)))
+    k, v = header[i]
+    if defect in (0, 6):  # a missing keyword (with or without a body)
+        del header[i]
+    elif defect == 1:  # a duplicate keyword
+        header.insert(int(rng.integers(len(header) + 1)), (k, v))
+    elif defect == 2:  # a keyword with no value or two
+        header[i] = (k, "" if rng.random() < 0.5 else f"{v} {v}")
+    elif defect == 3:  # a non-numeric header value
+        header[i] = (k, "x1")
+    tokens = [_number_text(rng) for _ in range(nrows * ncols)]
+    if defect in (6, 7):  # no body at all
+        tokens = []
+    elif defect == 4:  # a wrong count
+        if rng.random() < 0.5 and len(tokens) > 1:
+            tokens.pop()
+        else:
+            tokens.append("7")
+    elif defect == 5:  # one corrupted token
+        bad = ("abc", "1.2.3", "--1", "1e", "0x10", "NA", "#", "1,5")[int(rng.integers(8))]
+        tokens[int(rng.integers(len(tokens)))] = bad
+
+    def sep():
+        return ("\t", " ", "  ", " \t ")[int(rng.integers(4))]
+
+    lines = [f"# comment {i}" for i in range(int(rng.integers(0, 3)))]
+    lines += [f"{k}{sep()}{v}".rstrip() for k, v in header]
+    per_line = ncols if rng.random() < 0.7 else int(rng.integers(1, 2 * ncols + 2))
+    for j in range(0, len(tokens), per_line):
+        lines.append(sep().join(tokens[j : j + per_line]))
+    for _ in range(int(rng.integers(0, 3))):  # blank or comment lines anywhere
+        extra = "" if rng.random() < 0.5 else ("   " if rng.random() < 0.5 else "# note")
+        lines.insert(int(rng.integers(len(lines) + 1)), extra)
+    end = ("\n", "\r\n")[int(rng.integers(2))]
+    return end.join(lines) + (end if rng.random() < 0.8 else "")
+
+
+def _outcome(read, text):
+    try:
+        return read(io.StringIO(text))
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+ORACLE_ERRORS = (
+    "non-numeric token",
+    "non-numeric header value",
+    "expected ",
+    "duplicate header keyword",
+    "header line",
+    "missing header keyword",
+    "body starts before",
+)
+
+
+def test_bulk_reader_matches_token_loop_oracle():
+    rng = np.random.default_rng(20240615)
+    seen = set()
+    for _ in range(2500):
+        text = random_grid_text(rng)
+        got, want = _outcome(read_ascii_grid, text), _outcome(token_loop_read, text)
+        if isinstance(want, str):
+            assert got == want, text
+            seen.update(e for e in ORACLE_ERRORS if want.startswith("ParseError: " + e))
+            continue
+        assert isinstance(got, Grid), (got, text)
+        for name in ("ncols", "nrows", "xll", "yll", "cellsize", "nodata"):
+            assert getattr(got, name) == getattr(want, name), text
+        assert got.values.tobytes() == want.values.tobytes(), text
+        seen.add("ok")
+    assert seen == {"ok", *ORACLE_ERRORS}
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e400", "-1e999"])
+def test_non_finite_body_token_names_position(token):
+    text = make_text("1 2\n3 4\n")[: -len("3 4\n")] + f"3 {token}\n"
+    with pytest.raises(ParseError, match=rf"non-finite token '{token}' \(line 8, column 2\)$"):
+        read_ascii_grid(io.StringIO(text))
+
+
+def test_first_bad_token_in_file_order():
+    # a non-finite token before a non-numeric one is the one reported
+    with pytest.raises(ParseError, match=r"non-finite token 'inf' \(line 7, column 2\)$"):
+        read_ascii_grid(io.StringIO(make_text("1 inf\noops 4\n")))
+    with pytest.raises(ParseError, match=r"non-numeric token 'oops' \(line 7, column 1\)$"):
+        read_ascii_grid(io.StringIO(make_text("oops inf\n3 4\n")))
+
+
+@pytest.mark.parametrize(
+    "line, value, message",
+    [
+        (1, "nan", "non-finite header value 'nan'"),
+        (1, "inf", "non-finite header value 'inf'"),
+        (1, "0", "ncols must be a positive integer"),
+        (1, "-2", "ncols must be a positive integer"),
+        (1, "2.5", "ncols must be a positive integer"),
+        (2, "1e400", "non-finite header value '1e400'"),
+        (2, "0", "nrows must be a positive integer"),
+        (3, "nan", "non-finite header value 'nan'"),
+        (4, "-inf", "non-finite header value '-inf'"),
+        (5, "0", "cellsize must be positive"),
+        (5, "-2", "cellsize must be positive"),
+        (5, "nan", "non-finite header value 'nan'"),
+        (5, "1e400", "non-finite header value '1e400'"),
+        (6, "nan", "non-finite header value 'nan'"),
+    ],
+)
+def test_bad_header_value_names_line(line, value, message):
+    lines = make_text("1 2\n3 4\n").splitlines()
+    key = lines[line - 1].split()[0]
+    lines[line - 1] = f"{key} {value}"
+    with pytest.raises(ParseError) as exc:
+        read_ascii_grid(io.StringIO("\n".join(lines) + "\n"))
+    assert str(exc.value) == f"{message} (line {line}, column 2)"
+
+
+def test_grid_with_utf8_bom(tmp_path):
+    g = Grid(ncols=2, nrows=2, xll=0, yll=0, cellsize=1, values=[1, 2, 3, 4])
+    path = tmp_path / "g.asc"
+    path.write_bytes(b"\xef\xbb\xbf" + dumps_ascii_grid(g).encode())
+    assert read_ascii_grid(path) == g
+    path.write_bytes(b"\xef\xbb\xbf" + make_text("1 2\n3 x\n").encode())
+    with pytest.raises(ParseError) as exc:
+        read_ascii_grid(path)
+    assert str(exc.value) == "non-numeric token 'x' (line 8, column 2)"
+    write_ascii_grid(g, path)
+    assert not path.read_bytes().startswith(b"\xef\xbb\xbf")
