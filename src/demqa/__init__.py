@@ -50,7 +50,7 @@ from .stats import (
     summarize,
     two_tailed_p,
 )
-from .terrain import DerivativePair, slope_aspect
+from .terrain import CellDerivatives, DerivativePair, slope_aspect, slope_aspect_at
 from .landcover import ClassBox, classify, train_parallelepiped
 from .synth import (
     SceneSpec,
@@ -64,6 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnovaTable",
+    "CellDerivatives",
     "ClassBox",
     "ConfigError",
     "ControlPoint",
@@ -109,6 +110,7 @@ __all__ = [
     "read_gcp_csv",
     "scatter_points",
     "slope_aspect",
+    "slope_aspect_at",
     "summarize",
     "train_parallelepiped",
     "tukey_filter",

@@ -226,6 +226,7 @@ OPTIONS = (
            "a histogram bin edge", FINITE),
 )
 MORAN_OPTIONS = tuple(row for row in OPTIONS if row.section == "moran")
+HIST_WIDTH = next(row for row in OPTIONS if row.field == "hist_width")
 
 
 def _set_from_text(
@@ -357,8 +358,7 @@ def run_assess(
                 else r
                 for r in records
             ]
-    derivs = slope_aspect(dem, z_factor=cfg.z_factor)
-    records = attach_derivatives(derivs.slope, derivs.aspect, records, reference=dem)
+    records = attach_derivatives(dem, records, z_factor=cfg.z_factor)
 
     stages = [
         {"stage": "extracted", "before": len(records), "kept": len(records), "removed": 0}
@@ -412,6 +412,12 @@ def run_assess(
             entry.update({"n": len(values), "skipped": "fewer than 2 values"})
         stats_section[str(code)] = entry
 
+    hist_section: dict = {
+        "total": _hist_table(deltas, cfg),
+    }
+    for code in sorted(by_class):
+        hist_section[str(code)] = _hist_table(_values(by_class[code], "delta_h"), cfg)
+
     anova_section = _try_inference(
         lambda: dataclasses.asdict(
             f_test(*anova_decompose([_values(g, "delta_h") for g in _anova_groups(by_class)]))
@@ -427,12 +433,6 @@ def run_assess(
 
     coords = [(r.x, r.y) for r in kept if r.delta_h is not None]
     moran_section = _try_inference(lambda: _moran_section(cfg, coords, deltas))
-
-    hist_section: dict = {
-        "total": _hist_table(deltas, cfg),
-    }
-    for code in sorted(by_class):
-        hist_section[str(code)] = _hist_table(_values(by_class[code], "delta_h"), cfg)
 
     provenance = {
         "tool": "demqa",
@@ -520,10 +520,11 @@ def _moran_section(
 
 
 def _hist_table(values: list[float], cfg: AssessConfig) -> list[dict]:
-    return [
-        {"lower": lower, "count": count}
-        for lower, count in histogram(values, bin_width=cfg.hist_width, origin=cfg.hist_origin)
-    ]
+    try:
+        bins = histogram(values, bin_width=cfg.hist_width, origin=cfg.hist_origin)
+    except ConfigError as exc:  # too many bins
+        raise ConfigError(f"{HIST_WIDTH.name}: {exc}") from None
+    return [{"lower": lower, "count": count} for lower, count in bins]
 
 
 # ---------------------------------------------------------------------------

@@ -138,11 +138,15 @@ def cell_of(grid: Grid, x: float, y: float) -> tuple[int, int] | None:
     """Return the (row, col) of the cell whose footprint contains (x, y).
 
     Footprints are half-open: a point exactly on the north or east outer
-    boundary is outside. Returns None for points off the grid.
+    boundary is outside. Returns None for points off the grid, and for a
+    NaN or infinite x or y.
     """
-    col = int(np.floor((x - grid.xll) / grid.cellsize))
-    row_from_south = int(np.floor((y - grid.yll) / grid.cellsize))
-    row = grid.nrows - 1 - row_from_south
+    u = (x - grid.xll) / grid.cellsize
+    v = (y - grid.yll) / grid.cellsize
+    if not (math.isfinite(u) and math.isfinite(v)):
+        return None
+    col = math.floor(u)
+    row = grid.nrows - 1 - math.floor(v)
     if col < 0 or col >= grid.ncols or row < 0 or row >= grid.nrows:
         return None
     return row, col
@@ -280,9 +284,11 @@ def write_ascii_grid(grid: Grid, dest: str | Path | TextIO, comment: str | None 
         stream.write(f"yllcorner {_fmt(grid.yll)}\n")
         stream.write(f"cellsize {_fmt(grid.cellsize)}\n")
         stream.write(f"NODATA_value {_fmt(grid.nodata)}\n")
-        for r in range(grid.nrows):
-            stream.write(" ".join(_fmt(v) for v in grid.values[r]))
-            stream.write("\n")
+        for row in grid.values:
+            # Adding 0.0 turns -0.0 into 0.0; dropping the ".0" that repr()
+            # leaves on integral values below 1e16 gives _fmt's text per cell.
+            line = " ".join(map(repr, (row + 0.0).tolist())) + "\n"
+            stream.write(line.replace(".0 ", " ").replace(".0\n", "\n"))
 
 
 def dumps_ascii_grid(grid: Grid) -> str:

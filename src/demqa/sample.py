@@ -13,6 +13,7 @@ from typing import Sequence, TextIO
 
 from .errors import ConfigError, ParseError
 from .raster import Grid, _csv_rows, cell_of
+from .terrain import slope_aspect_at
 
 EXTRACTION_METHODS = ("nearest", "bilinear")
 
@@ -148,34 +149,33 @@ def _sample_bilinear(grid: Grid, x: float, y: float) -> float | None:
 def attach_class(classmap: Grid, records: Sequence[SampleRecord]) -> list[SampleRecord]:
     """Set each record's land-cover code from the containing cell.
 
-    Points off the map or on nodata keep class_code None.
+    Points off the map or on nodata keep class_code None. A cell value
+    that is not an integer raises ParseError naming the point.
     """
     out = []
     for r in records:
         v = _sample_nearest(classmap, r.x, r.y)
+        if v is not None and not v.is_integer():
+            raise ParseError(f"class map value {v!r} at point '{r.id}' is not an integer code")
         out.append(replace(r, class_code=None if v is None else int(v)))
     return out
 
 
 def attach_derivatives(
-    slope: Grid,
-    aspect: Grid,
-    records: Sequence[SampleRecord],
-    reference: Grid | None = None,
+    dem: Grid, records: Sequence[SampleRecord], z_factor: float = 1.0
 ) -> list[SampleRecord]:
-    """Set slope and aspect by nearest-cell lookup.
+    """Set slope and aspect from the DEM cell containing each record.
 
-    The slope and aspect grids must share georeferencing (and match
-    ``reference`` when given, normally the source DEM); a mismatch is a
-    configuration error.
+    Horn's kernel runs only at those cells (``slope_aspect_at``), with the
+    values ``slope_aspect`` gives them. Points off the grid or on a nodata
+    cell keep None.
     """
-    if not slope.same_georef(aspect):
-        raise ConfigError("slope and aspect grids have different georeferencing")
-    if reference is not None and not slope.same_georef(reference):
-        raise ConfigError("derivative grids do not match the DEM georeferencing")
+    cells = [cell_of(dem, r.x, r.y) for r in records]
+    on_grid = [rc for rc in cells if rc is not None]
+    derivs = slope_aspect_at(dem, [r for r, _ in on_grid], [c for _, c in on_grid], z_factor)
+    values = zip(derivs.slope.tolist(), derivs.aspect.tolist())
     out = []
-    for r in records:
-        s = _sample_nearest(slope, r.x, r.y)
-        a = _sample_nearest(aspect, r.x, r.y)
+    for r, rc in zip(records, cells):
+        s, a = (None, None) if rc is None else next(values)
         out.append(replace(r, slope_deg=s, aspect_deg=a))
     return out

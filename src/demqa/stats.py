@@ -16,7 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, ZeroVarianceError
+from .errors import ConfigError, InsufficientDataError, ZeroVarianceError
+
+# More bins than a plot or a CSV table can use; reached only by a bin width
+# far below the spread of the values.
+MAX_HISTOGRAM_BINS = 100_000
 
 
 @dataclass(frozen=True)
@@ -258,14 +262,22 @@ def histogram(
 
     Bins are anchored at ``origin`` and returned contiguously from the
     lowest to the highest occupied bin (zero-count bins in between kept,
-    so the output plots directly). Empty input yields an empty list.
+    so the output plots directly). Empty input yields an empty list. More
+    than MAX_HISTOGRAM_BINS bins raise ConfigError with the count needed.
     """
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         return []
-    idx = np.floor((v - origin) / bin_width).astype(np.int64)
+    lows = np.floor((v - origin) / bin_width)
+    n_bins = lows.max() - lows.min() + 1.0
+    if not n_bins <= MAX_HISTOGRAM_BINS:
+        raise ConfigError(
+            f"bin width {bin_width!r} would need {n_bins:.12g} bins; "
+            f"the limit is {MAX_HISTOGRAM_BINS}"
+        )
+    idx = lows.astype(np.int64)
     counts: dict[int, int] = {}
     for k in idx:
         counts[int(k)] = counts.get(int(k), 0) + 1

@@ -596,3 +596,30 @@ def test_classify_bad_training_point_exit_3(tmp_path, capsys, point, problem):
     assert capsys.readouterr().err == (
         f"parse error [classify]: training point ({float(x)}, {float(y)}) {problem}\n"
     )
+
+
+def test_histogram_bin_limit_exit_2(tmp_path, capsys):
+    write_classed_scene(tmp_path)
+    out = tmp_path / "out"
+    cfg = classed_config(tmp_path, out, extra="[histogram]\nwidth = 0.00005\n")
+    assert main(["assess", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    match = re.fullmatch(
+        r"config error \[assess\]: \[histogram\] width \(--hist-width\): "
+        r"bin width 5e-05 would need (\d+) bins; the limit is 100000\n", err)
+    assert match and int(match.group(1)) > 100_000, err
+    assert not out.exists()
+
+
+def test_non_integral_class_code_exit_3(tmp_path, capsys):
+    write_classed_scene(tmp_path)
+    codes = np.full((30, 30), 2.0)
+    codes[5:, :] = 2.7
+    write_ascii_grid(Grid(ncols=30, nrows=30, xll=0, yll=0, cellsize=20.0, values=codes),
+                     tmp_path / "classes.asc")
+    out = tmp_path / "out"
+    assert main(["assess", "--config", str(classed_config(tmp_path, out))]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"parse error \[assess\]: class map value 2\.7 at point '[^']+' "
+                        r"is not an integer code\n", err), err
+    assert not out.exists()

@@ -161,6 +161,15 @@ def test_cell_of_matches_footprint_scan():
         assert cell_of(g, x, y) == hit
 
 
+@pytest.mark.parametrize("x, y", [
+    (float("nan"), 0.5), (0.5, float("nan")), (float("inf"), 0.5), (0.5, -float("inf")),
+    (np.float64("nan"), np.float64(0.5)), (1e308, 0.5), (0.5, -1e308),
+])
+def test_cell_of_non_finite_or_huge_point_is_off_grid(x, y):
+    g = Grid(ncols=2, nrows=2, xll=-1e308, yll=0, cellsize=1, values=[0, 0, 0, 0])
+    assert cell_of(g, x, y) is None
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(ncols=0, nrows=2, xll=0, yll=0, cellsize=1, values=[])
@@ -418,3 +427,71 @@ def test_grid_with_utf8_bom(tmp_path):
     assert str(exc.value) == "non-numeric token 'x' (line 8, column 2)"
     write_ascii_grid(g, path)
     assert not path.read_bytes().startswith(b"\xef\xbb\xbf")
+
+
+# ---------------------------------------------------------------------------
+# The per-cell writer the row-at-a-time writer replaced, kept as the oracle:
+# every finite grid must be written to the same bytes.
+
+
+def per_cell_fmt(v):
+    if v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(float(v))
+
+
+def per_cell_write(grid, comment=None):
+    out = []
+    if comment:
+        out.extend(f"# {ln}\n" for ln in comment.splitlines())
+    out.append(f"ncols {grid.ncols}\nnrows {grid.nrows}\n")
+    out.append(f"xllcorner {per_cell_fmt(grid.xll)}\nyllcorner {per_cell_fmt(grid.yll)}\n")
+    out.append(f"cellsize {per_cell_fmt(grid.cellsize)}\n")
+    out.append(f"NODATA_value {per_cell_fmt(grid.nodata)}\n")
+    for r in range(grid.nrows):
+        out.append(" ".join(per_cell_fmt(v) for v in grid.values[r]) + "\n")
+    return "".join(out)
+
+
+SPECIAL_VALUES = np.array([
+    0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 2.0**53, -(2.0**53), 2.0**53 + 2, 9999999999999998.0,
+    1e15, 1e16 + 2, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e-5, 1e300, -1e300,
+    0.1, 0.5, 10.05, 100.0, 1.0e-7, 123456.78, -9999.0, 1.7976931348623157e308,
+])
+
+
+def random_written_grid(rng):
+    nrows, ncols = (int(k) for k in rng.integers(1, 9, 2))
+    n = nrows * ncols
+    kind = rng.choice(["special", "integral", "two_decimal", "float", "mixed"])
+    if kind == "special":
+        vals = rng.choice(SPECIAL_VALUES, n)
+    elif kind == "integral":
+        vals = np.round(rng.normal(0, 10.0 ** rng.integers(0, 17), n))
+    elif kind == "two_decimal":
+        vals = np.round(rng.normal(100, 50, n), 2)
+    elif kind == "float":
+        vals = rng.normal(0, 1, n) * 10.0 ** rng.integers(-320, 300, n).astype(float)
+    else:  # rows mixing every kind above
+        vals = np.concatenate([
+            rng.choice(SPECIAL_VALUES, n), np.round(rng.normal(0, 1e6, n)),
+            np.round(rng.normal(0, 5, n), 2), rng.normal(0, 1, n),
+        ])
+        vals = rng.permutation(vals)[:n]
+    header = rng.choice(SPECIAL_VALUES, 4)
+    return Grid(ncols=ncols, nrows=nrows, xll=float(header[0]), yll=float(header[1]),
+                cellsize=abs(float(header[2])) or 1.0, nodata=float(header[3]), values=vals)
+
+
+def test_row_writer_matches_per_cell_oracle():
+    rng = np.random.default_rng(1981)
+    for k in range(1500):
+        grid = random_written_grid(rng)
+        comment = "made by a test\nsecond line" if k % 7 == 0 else None
+        buf = io.StringIO()
+        write_ascii_grid(grid, buf, comment=comment)
+        assert buf.getvalue() == per_cell_write(grid, comment), grid.values
+    every = Grid(ncols=SPECIAL_VALUES.size, nrows=1, xll=0, yll=0, cellsize=1,
+                 values=SPECIAL_VALUES)
+    assert dumps_ascii_grid(every) == per_cell_write(every)
+    assert dumps_ascii_grid(every).splitlines()[-1].split()[:3] == ["0", "0", "1"]

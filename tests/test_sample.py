@@ -136,20 +136,25 @@ def test_attach_class_boundary_matches_cell_of():
         assert r.class_code == int(cm.values[rc])
 
 
+def test_attach_class_rejects_non_integral_code():
+    cm = Grid(ncols=2, nrows=1, xll=0, yll=0, cellsize=1, values=[2.0, 2.7])
+    recs = extract_coincident(flat_grid(n=2), [pt(0.5, 0.5, pid="a"), pt(1.5, 0.5, pid="b")])
+    with pytest.raises(ParseError, match=r"class map value 2\.7 at point 'b'"):
+        attach_class(cm, recs)
+
+
 def test_attach_derivatives_flat_dem():
     dem = flat_grid(5.0, n=3)
-    pair = slope_aspect(dem)
     recs = extract_coincident(dem, [pt(1.5, 1.5)])
-    out = attach_derivatives(pair.slope, pair.aspect, recs, reference=dem)
+    out = attach_derivatives(dem, recs)
     assert out[0].slope_deg == 0.0
     assert out[0].aspect_deg == -1.0
 
 
 def test_attach_derivatives_ramp_slope_45():
     dem = make_plane(1.0, 0.0, 0.0, 5, 5)
-    pair = slope_aspect(dem)
     recs = extract_coincident(dem, [pt(2.5, 2.5)])
-    out = attach_derivatives(pair.slope, pair.aspect, recs, reference=dem)
+    out = attach_derivatives(dem, recs)
     assert out[0].slope_deg == pytest.approx(45.0, abs=1e-9)
     assert out[0].aspect_deg == pytest.approx(270.0, abs=1e-9)
 
@@ -158,23 +163,45 @@ def test_attach_derivatives_nodata_gives_none():
     vals = np.ones(9)
     vals[4] = -9999.0
     dem = Grid(ncols=3, nrows=3, xll=0, yll=0, cellsize=1, values=vals)
-    pair = slope_aspect(dem)
     recs = extract_coincident(dem, [pt(1.5, 1.5)])  # centre cell is the hole
-    out = attach_derivatives(pair.slope, pair.aspect, recs)
+    out = attach_derivatives(dem, recs)
     assert out[0].slope_deg is None
     assert out[0].aspect_deg is None
 
 
-def test_attach_derivatives_mismatch_errors():
-    dem = flat_grid(5.0, n=3)
-    pair = slope_aspect(dem)
-    other = Grid(ncols=3, nrows=3, xll=0, yll=0, cellsize=2,
-                 values=np.zeros(9))
-    recs = extract_coincident(dem, [pt(1.5, 1.5)])
-    with pytest.raises(ConfigError):
-        attach_derivatives(pair.slope, other, recs)
-    with pytest.raises(ConfigError):
-        attach_derivatives(pair.slope, pair.aspect, recs, reference=other)
+def test_attach_derivatives_equals_full_grid_lookup():
+    # every record gets the full-grid value of its cell; off-grid points get None
+    rng = np.random.default_rng(17)
+    vals = rng.normal(20, 6, 7 * 9)
+    vals[rng.random(vals.size) < 0.15] = -9999.0
+    dem = Grid(ncols=9, nrows=7, xll=100, yll=50, cellsize=2.5, values=vals)
+    xy = np.column_stack([rng.uniform(95, 130, 200), rng.uniform(45, 72, 200)])
+    recs = extract_coincident(dem, [pt(float(x), float(y), pid=f"p{k}")
+                                    for k, (x, y) in enumerate(xy)])
+    pair = slope_aspect(dem, z_factor=1.7)
+    out = attach_derivatives(dem, recs, z_factor=1.7)
+    assert [r.id for r in out] == [r.id for r in recs]
+    assert any(r.slope_deg is None for r in out)
+    for r in out:
+        rc = cell_of(dem, r.x, r.y)
+        want_s = None if rc is None else pair.slope.value_at(*rc)
+        want_a = None if rc is None else pair.aspect.value_at(*rc)
+        assert (r.slope_deg, r.aspect_deg) == (want_s, want_a)
+        assert r.slope_deg is None or type(r.slope_deg) is float
+
+
+def test_attach_derivatives_keeps_values_equal_to_nodata():
+    # a flat cell's slope 0 and aspect -1 are values even when NODATA_value
+    # is 0 or -1 (a lookup in the full-grid results would read them as holes)
+    for nodata in (0.0, -1.0):
+        dem = Grid(ncols=3, nrows=3, xll=0, yll=0, cellsize=1,
+                   values=np.full(9, 5.0), nodata=nodata)
+        out = attach_derivatives(dem, extract_coincident(dem, [pt(1.5, 1.5)]))
+        assert (out[0].slope_deg, out[0].aspect_deg) == (0.0, -1.0)
+
+
+def test_attach_derivatives_no_points():
+    assert attach_derivatives(flat_grid(), []) == []
 
 
 def test_read_gcp_csv():

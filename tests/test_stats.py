@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from demqa.errors import InsufficientDataError, ZeroVarianceError
+from demqa.errors import ConfigError, InsufficientDataError, ZeroVarianceError
 from demqa.stats import (
+    MAX_HISTOGRAM_BINS,
     anova_decompose,
     f_cdf,
     f_test,
@@ -250,3 +251,17 @@ def test_histogram_gap_bins_kept_and_counts_sum():
 def test_histogram_bad_width():
     with pytest.raises(ValueError):
         histogram([1.0], 0.0, 0.0)
+
+
+def test_histogram_bin_limit():
+    # 100,000 bins are built; one more is a ConfigError naming the count,
+    # raised before any row is built
+    bins = histogram([0.0, 99999.5], 1.0, 0.0)
+    assert len(bins) == MAX_HISTOGRAM_BINS == 100_000
+    with pytest.raises(ConfigError, match=r"bin width 1\.0 would need 100001 bins; "
+                                          r"the limit is 100000"):
+        histogram([0.0, 100000.0], 1.0, 0.0)
+    with pytest.raises(ConfigError, match="would need 131073 bins"):
+        histogram([-1.0, 0.3, 1.0], 2.0**-16, 0.0)
+    with pytest.raises(ConfigError, match=r"would need 1e\+300 bins"):
+        histogram([0.0, 1.0], 1e-300, 0.0)

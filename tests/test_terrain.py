@@ -5,7 +5,7 @@ import pytest
 
 from demqa.raster import Grid
 from demqa.synth import make_plane
-from demqa.terrain import slope_aspect
+from demqa.terrain import slope_aspect, slope_aspect_at
 
 
 def analytic_slope(a, b):
@@ -175,3 +175,70 @@ def test_output_georef_matches_input():
     pair = slope_aspect(dem)
     assert pair.slope.same_georef(dem)
     assert pair.aspect.same_georef(dem)
+
+
+def seeded_dem(rng):
+    """A small DEM with the shapes and values the windowed kernel must handle:
+    1-row and 1-column grids, nodata holes, flat patches, integral heights."""
+    shape = rng.choice(["one_row", "one_col", "tiny", "small"])
+    nrows = 1 if shape == "one_row" else int(rng.integers(1, 4 if shape == "tiny" else 12))
+    ncols = 1 if shape == "one_col" else int(rng.integers(1, 4 if shape == "tiny" else 12))
+    n = nrows * ncols
+    vals = rng.normal(100.0, rng.choice([0.01, 1.0, 50.0]), n)
+    if rng.random() < 0.3:
+        vals = np.round(vals)
+    flat = rng.random(n) < rng.choice([0.0, 0.3, 0.8])
+    vals[flat] = 100.0
+    nodata = float(rng.choice([-9999.0, 0.0, 100.0]))
+    vals[rng.random(n) < rng.choice([0.0, 0.1, 0.4])] = nodata
+    return Grid(ncols=ncols, nrows=nrows, xll=float(rng.uniform(-1e3, 1e3)),
+                yll=float(rng.uniform(-1e3, 1e3)),
+                cellsize=float(rng.choice([0.5, 1.0, 2.0, 30.0, 0.1])),
+                values=vals, nodata=nodata)
+
+
+def test_windowed_equals_full_grid_bitwise():
+    rng = np.random.default_rng(2026)
+    n_holes = 0
+    for _ in range(1200):
+        dem = seeded_dem(rng)
+        z = float(rng.choice([1.0, 0.3, 2.5, 1e-5]))
+        full = slope_aspect(dem, z_factor=z)
+        rows, cols = np.divmod(np.arange(dem.nrows * dem.ncols), dem.ncols)
+        order = rng.permutation(rows.size)  # any order, and each cell once more
+        rows = np.concatenate([rows[order], rows[:3]])
+        cols = np.concatenate([cols[order], cols[:3]])
+        got = slope_aspect_at(dem, rows.tolist(), cols.tolist(), z_factor=z)
+        assert len(got.slope) == len(got.aspect) == rows.size
+        for r, c, s, a in zip(rows, cols, got.slope, got.aspect):
+            if dem.values[r, c] == dem.nodata:
+                n_holes += 1
+                assert s is None and a is None
+            else:
+                assert type(s) is float and type(a) is float
+                assert np.float64(s).tobytes() == full.slope.values[r, c].tobytes()
+                assert np.float64(a).tobytes() == full.aspect.values[r, c].tobytes()
+    assert n_holes > 0
+
+
+def test_windowed_edge_neighbours_take_centre_value():
+    # the NW corner of a 2x2 grid: five off-grid neighbours and one nodata
+    # neighbour take the centre value
+    dem = Grid(ncols=2, nrows=2, xll=0, yll=0, cellsize=1,
+               values=[1.0, 3.0, -9999.0, 5.0])
+    got = slope_aspect_at(dem, [0], [0])
+    # dz/dx = ((1 + 2*3 + 5) - 4*1) / 8, dz/dy = ((1 + 2*1 + 5) - 4*1) / 8
+    assert got.slope[0] == pytest.approx(analytic_slope(8 / 8, 4 / 8), abs=1e-12)
+
+
+def test_windowed_rejects_bad_cells_and_z_factor():
+    dem = make_plane(1.0, 0.0, 0.0, 3, 4)
+    for rows, cols in (([3], [0]), ([0], [4]), ([-1], [0]), ([0], [-1])):
+        with pytest.raises(ValueError, match="off the grid"):
+            slope_aspect_at(dem, rows, cols)
+    with pytest.raises(ValueError, match="same length"):
+        slope_aspect_at(dem, [0, 1], [0])
+    with pytest.raises(ValueError):
+        slope_aspect_at(dem, [0], [0], z_factor=0.0)
+    empty = slope_aspect_at(dem, [], [])
+    assert len(empty.slope) == len(empty.aspect) == 0
