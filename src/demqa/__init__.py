@@ -18,10 +18,11 @@ from .errors import (
     TrainingPointError,
     ZeroVarianceError,
 )
-from .raster import Grid, MultibandGrid, cell_of, read_ascii_grid, write_ascii_grid
+from .raster import Grid, MultibandGrid, cell_of, cells_of, read_ascii_grid, write_ascii_grid
 from .sample import (
     ControlPoint,
     SampleRecord,
+    SampleTable,
     attach_class,
     attach_derivatives,
     extract_coincident,
@@ -81,6 +82,7 @@ __all__ = [
     "ParseError",
     "PermutationResult",
     "SampleRecord",
+    "SampleTable",
     "SceneSpec",
     "SummaryStats",
     "TrainingPointError",
@@ -92,6 +94,7 @@ __all__ = [
     "attach_derivatives",
     "build_weights",
     "cell_of",
+    "cells_of",
     "classify",
     "extract_coincident",
     "f_cdf",

@@ -1,9 +1,10 @@
-"""Pipeline orchestration, configuration and report emission.
+"""Command line: configuration, subcommands and the ``assess`` output files.
 
-One command = one process. ``assess`` runs the whole chain (extract ->
-validity screen -> Tukey screen -> per-class summaries -> ANOVA ->
-correlations -> Moran's I) and emits ``report.json`` plus plot-ready CSV
-tables. The other subcommands are thin wrappers over single modules.
+One command = one process. ``assess`` runs the pipeline of
+:mod:`demqa.pipeline` (extract -> validity screen -> Tukey screen ->
+per-class summaries -> ANOVA -> correlations -> Moran's I) and writes
+``report.json`` plus plot-ready CSV tables. The other subcommands are
+thin wrappers over single modules.
 
 Configuration is a flat INI file; command-line flags override it. Each
 option is one row of ``OPTIONS``: its INI key, flag, text parser and legal
@@ -32,36 +33,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from . import __version__
-from .errors import (
-    ConfigError,
-    DegenerateDataError,
-    InsufficientDataError,
-    ParseError,
-)
+from .errors import ConfigError, DegenerateDataError, ParseError
 from .landcover import read_legend_csv, read_training_csv, train_parallelepiped, classify
+from .pipeline import moran_section, run_assess
 from .raster import MultibandGrid, _csv_rows, _open_text, read_ascii_grid, write_ascii_grid
-from .sample import (
-    EXTRACTION_METHODS,
-    SampleRecord,
-    attach_class,
-    attach_derivatives,
-    extract_coincident,
-    read_gcp_csv,
-)
-from .screen import FILTER_FIELDS, tukey_filter, validity_filter
-from .spatial import (
-    ASSUMPTIONS,
-    WEIGHT_SCHEMES,
-    build_weights,
-    morans_significance,
-    permutation_test,
-)
-from .stats import histogram, pearson_r, anova_decompose, f_test, summarize
+from .sample import EXTRACTION_METHODS, SampleTable
+from .screen import FILTER_FIELDS
+from .spatial import ASSUMPTIONS, WEIGHT_SCHEMES
 from .synth import SCENE_KINDS, SceneSpec, scatter_points
 from .terrain import FLAT_ASPECT, slope_aspect
-
-QUANTILE_CONVENTION = "linear interpolation between order statistics (inclusive)"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,15 +59,6 @@ CSV_NAMES = (
     "scatter_dh_vs_h.csv",
     "scatter_dh_vs_slope.csv",
     "scatter_dh_vs_aspect.csv",
-)
-
-CORRELATION_PAIRS = (
-    ("dh_vs_slope", "delta_h", "slope_deg"),
-    ("dh_vs_aspect", "delta_h", "aspect_deg"),
-    ("h_dem_vs_slope", "h_dem", "slope_deg"),
-    ("h_ref_vs_slope", "h_ref", "slope_deg"),
-    ("h_dem_vs_aspect", "h_dem", "aspect_deg"),
-    ("h_ref_vs_aspect", "h_ref", "aspect_deg"),
 )
 
 
@@ -115,9 +89,13 @@ class AssessConfig:
     def validate(self, rows: Sequence[Option] | None = None) -> None:
         """Raise ConfigError naming the first of ``rows`` (default: all) with an illegal value."""
         for row in OPTIONS if rows is None else rows:
-            value = getattr(self, row.field)
-            if row.check is not None and not row.check.ok(value):
-                raise ConfigError(f"{row.name} must be {row.check.legal}, got {value!r}")
+            if row.check is not None:
+                _check(row.name, getattr(self, row.field), row.check)
+
+    @staticmethod
+    def option_name(field_name: str) -> str:
+        """The name of the option that sets ``field_name``, as messages give it."""
+        return next(row.name for row in OPTIONS if row.field == field_name)
 
     def echo(self) -> dict:
         d = dataclasses.asdict(self)
@@ -136,6 +114,12 @@ class AssessConfig:
 class Check(NamedTuple):
     ok: Callable[[object], bool]
     legal: str  # completes "<option> must be ..."
+
+
+def _check(name: str, value, check: Check) -> None:
+    """Raise ConfigError naming option ``name`` unless ``value`` passes ``check``."""
+    if not check.ok(value):
+        raise ConfigError(f"{name} must be {check.legal}, got {value!r}")
 
 
 REQUIRED = Check(bool, "non-empty")
@@ -226,7 +210,6 @@ OPTIONS = (
            "a histogram bin edge", FINITE),
 )
 MORAN_OPTIONS = tuple(row for row in OPTIONS if row.section == "moran")
-HIST_WIDTH = next(row for row in OPTIONS if row.field == "hist_width")
 
 
 def _set_from_text(
@@ -286,7 +269,7 @@ def _add_flags(parser: argparse.ArgumentParser, rows: Sequence[Option]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# assess pipeline
+# output files
 
 
 def _jsonable(obj):
@@ -307,230 +290,6 @@ def _jsonable(obj):
     return obj
 
 
-def _values(records: list[SampleRecord], field_name: str) -> list[float]:
-    return [getattr(r, field_name) for r in records if getattr(r, field_name) is not None]
-
-
-def _pairs(records, fx, fy):
-    xs, ys = [], []
-    for r in records:
-        vx = getattr(r, fx)
-        vy = getattr(r, fy)
-        if vx is None or vy is None:
-            continue
-        if (fx == "aspect_deg" and vx == FLAT_ASPECT) or (
-            fy == "aspect_deg" and vy == FLAT_ASPECT
-        ):
-            continue
-        xs.append(vx)
-        ys.append(vy)
-    return xs, ys
-
-
-def run_assess(
-    cfg: AssessConfig,
-) -> tuple[dict, list[tuple[SampleRecord, str]], dict[int, str]]:
-    """Run the full assessment pipeline.
-
-    Returns the report, every record tagged with its screening fate
-    (kept / removed_validity / removed_outlier) for the samples table, and
-    the class legend (empty without one).
-    Degenerate inference on a particular statistic (constant errors, too
-    few strata) is recorded in the report as a skip, not raised: a
-    perfectly flat error field is a legitimate assessment outcome.
-    """
-    cfg.validate()
-
-    dem = read_ascii_grid(cfg.dem)
-    points = read_gcp_csv(cfg.gcps)
-    classmap = read_ascii_grid(cfg.classmap) if cfg.classmap else None
-    legend = read_legend_csv(cfg.legend) if cfg.legend else {}
-
-    records = extract_coincident(dem, points, method=cfg.method)
-    if classmap is not None:
-        records = attach_class(classmap, records)
-        if cfg.remap:
-            records = [
-                dataclasses.replace(
-                    r, class_code=cfg.remap.get(r.class_code, r.class_code)
-                )
-                if r.class_code is not None
-                else r
-                for r in records
-            ]
-    records = attach_derivatives(dem, records, z_factor=cfg.z_factor)
-
-    stages = [
-        {"stage": "extracted", "before": len(records), "kept": len(records), "removed": 0}
-    ]
-    kept, removed_validity = validity_filter(
-        records,
-        exclude_classes=cfg.exclude_classes,
-        min_h=cfg.min_h,
-        require_class=classmap is not None,
-    )
-    stages.append(
-        {
-            "stage": "validity",
-            "before": len(records),
-            "kept": len(kept),
-            "removed": len(removed_validity),
-        }
-    )
-    n_before_tukey = len(kept)
-    kept, removed_outlier, fences = tukey_filter(kept, field=cfg.tukey_field)
-    stages.append(
-        {
-            "stage": "tukey",
-            "before": n_before_tukey,
-            "kept": len(kept),
-            "removed": len(removed_outlier),
-        }
-    )
-
-    deltas = _values(kept, "delta_h")
-    if len(deltas) < 2:
-        raise InsufficientDataError(
-            f"only {len(deltas)} usable records after screening; need >= 2"
-        )
-
-    def class_label(code: int) -> str:
-        return legend.get(code, str(code))
-
-    by_class: dict[int, list[SampleRecord]] = {}
-    for r in kept:
-        if r.class_code is not None:
-            by_class.setdefault(r.class_code, []).append(r)
-
-    stats_section: dict = {"total": dataclasses.asdict(summarize(deltas))}
-    for code in sorted(by_class):
-        values = _values(by_class[code], "delta_h")
-        entry: dict = {"label": class_label(code)}
-        if len(values) >= 2:
-            entry.update(dataclasses.asdict(summarize(values)))
-        else:
-            entry.update({"n": len(values), "skipped": "fewer than 2 values"})
-        stats_section[str(code)] = entry
-
-    hist_section: dict = {
-        "total": _hist_table(deltas, cfg),
-    }
-    for code in sorted(by_class):
-        hist_section[str(code)] = _hist_table(_values(by_class[code], "delta_h"), cfg)
-
-    anova_section = _try_inference(
-        lambda: dataclasses.asdict(
-            f_test(*anova_decompose([_values(g, "delta_h") for g in _anova_groups(by_class)]))
-        )
-    )
-
-    correlations = {}
-    for key, height_field, deriv_field in CORRELATION_PAIRS:
-        xs, ys = _pairs(kept, height_field, deriv_field)
-        correlations[key] = _try_inference(
-            lambda xs=xs, ys=ys: dataclasses.asdict(pearson_r(xs, ys))
-        )
-
-    coords = [(r.x, r.y) for r in kept if r.delta_h is not None]
-    moran_section = _try_inference(lambda: _moran_section(cfg, coords, deltas))
-
-    provenance = {
-        "tool": "demqa",
-        "version": __version__,
-        "command": "assess",
-        "inputs": {
-            "dem": cfg.dem,
-            "gcps": cfg.gcps,
-            "classmap": cfg.classmap,
-            "legend": cfg.legend,
-        },
-        "config": cfg.echo(),
-        "seed": cfg.seed,
-        "extraction_method": cfg.method,
-        "quantile_convention": QUANTILE_CONVENTION,
-    }
-    report = {
-        "provenance": provenance,
-        "screening": {
-            "stages": stages,
-            "tukey_field": cfg.tukey_field,
-            "tukey_fences": dataclasses.asdict(fences),
-        },
-        "stats": stats_section,
-        "anova": anova_section,
-        "moran": moran_section,
-        "correlations": correlations,
-        "histograms": hist_section,
-    }
-
-    tagged = (
-        [(r, "kept") for r in kept]
-        + [(r, "removed_validity") for r in removed_validity]
-        + [(r, "removed_outlier") for r in removed_outlier]
-    )
-    tagged.sort(key=lambda t: t[0].id)
-    return report, tagged, legend
-
-
-def _anova_groups(by_class: dict[int, list[SampleRecord]]) -> list[list[SampleRecord]]:
-    groups = [g for _, g in sorted(by_class.items()) if _values(g, "delta_h")]
-    if len(groups) < 2:
-        raise InsufficientDataError(
-            f"ANOVA needs >= 2 land-cover strata, got {len(groups)}"
-        )
-    return groups
-
-
-def _try_inference(thunk) -> dict:
-    try:
-        return thunk()
-    except DegenerateDataError as exc:
-        return {"skipped": str(exc)}
-
-
-def _moran_section(
-    cfg: AssessConfig, coords: list[tuple[float, float]], values: list[float]
-) -> dict:
-    """Moran's I of ``values`` under cfg's weights, with the weights echoed.
-
-    Raises DegenerateDataError when the statistic is undefined.
-    """
-    w = build_weights(
-        coords,
-        scheme=cfg.moran_scheme,
-        threshold=cfg.moran_threshold,
-        row_standardize=cfg.moran_row_standardize,
-    )
-    result = morans_significance(values, w, assumption=cfg.moran_assumption)
-    section = dataclasses.asdict(result)
-    section["weights"] = {
-        "scheme": cfg.moran_scheme,
-        "threshold": cfg.echo()["moran_threshold"],
-        "threshold_used": w.threshold,
-        "row_standardized": cfg.moran_row_standardize,
-        "n": w.n,
-        "s0": w.s0,
-        "s1": w.s1,
-        "s2": w.s2,
-    }
-    if cfg.n_perm > 0:
-        perm = permutation_test(values, w, n_perm=cfg.n_perm, seed=cfg.seed)
-        section["permutation"] = dataclasses.asdict(perm)
-    return section
-
-
-def _hist_table(values: list[float], cfg: AssessConfig) -> list[dict]:
-    try:
-        bins = histogram(values, bin_width=cfg.hist_width, origin=cfg.hist_origin)
-    except ConfigError as exc:  # too many bins
-        raise ConfigError(f"{HIST_WIDTH.name}: {exc}") from None
-    return [{"lower": lower, "count": count} for lower, count in bins]
-
-
-# ---------------------------------------------------------------------------
-# output files
-
-
 def _fmt_cell(v) -> str:
     if v is None:
         return ""
@@ -539,35 +298,40 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+def _floats(column: np.ndarray) -> list[str]:
+    """CSV text of a table column: repr per float, "" where missing (NaN)."""
+    return [repr(v) if v == v else "" for v in column.tolist()]
+
+
 def _provenance_comment(command: str) -> str:
     return f"# generated by demqa {__version__} ({command})"
 
 
-def _write_csv(path: Path, command: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], columns: Sequence[Sequence[str]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(_provenance_comment(command) + "\n")
+        f.write(_provenance_comment("assess") + "\n")
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        writer.writerows(zip(*columns))
 
 
 def write_assess_outputs(
     report: dict,
-    tagged: list[tuple[SampleRecord, str]],
+    samples: SampleTable,
     out_dir: str | Path,
     legend: dict[int, str],
 ) -> list[Path]:
     """Write report.json and the CSV tables atomically.
 
-    All files land in a temp directory first and are renamed into place
-    only after every one of them has been produced.
+    ``samples`` is every row with its screening status, in the order of
+    ``samples.csv``. All files land in a temp directory first and are
+    renamed into place only after every one of them has been produced.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tmpdir = Path(tempfile.mkdtemp(prefix=".demqa-tmp-", dir=out))
     try:
-        _write_files(report, tagged, tmpdir, legend)
+        _write_files(report, samples, tmpdir, legend)
         written = []
         for name in (REPORT_NAME, *CSV_NAMES):
             os.replace(tmpdir / name, out / name)
@@ -577,98 +341,64 @@ def write_assess_outputs(
         shutil.rmtree(tmpdir, ignore_errors=True)
 
 
-def _write_files(report, tagged, tmpdir: Path, legend: dict[int, str]) -> None:
+def _write_files(report: dict, samples: SampleTable, tmpdir: Path, legend: dict[int, str]) -> None:
     with open(tmpdir / REPORT_NAME, "w", encoding="utf-8", newline="") as f:
-        json.dump(_jsonable(report), f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
 
-    sample_rows = [
-        [
-            r.id,
-            r.x,
-            r.y,
-            r.h_ref,
-            r.h_dem,
-            r.delta_h,
-            r.class_code,
-            None if r.class_code is None else legend.get(r.class_code, str(r.class_code)),
-            r.slope_deg,
-            r.aspect_deg,
-            status,
-        ]
-        for r, status in tagged
-    ]
+    floats = ("x", "y", "h_ref", "h_dem", "delta_h", "slope_deg", "aspect_deg")
+    text = {c: _floats(getattr(samples, c)) for c in floats}
+    codes = [None if c != c else int(c) for c in samples.class_code.tolist()]
     _write_csv(
         tmpdir / "samples.csv",
-        "assess",
         ["id", "x", "y", "h_ref", "h_dem", "delta_h", "class_code", "class_label",
          "slope_deg", "aspect_deg", "status"],
-        sample_rows,
+        [
+            samples.ids,
+            *(text[c] for c in ("x", "y", "h_ref", "h_dem", "delta_h")),
+            ["" if c is None else str(c) for c in codes],
+            ["" if c is None else legend.get(c, str(c)) for c in codes],
+            text["slope_deg"],
+            text["aspect_deg"],
+            samples.status.tolist(),
+        ],
     )
 
     stats_rows = []
     for key, entry in report["stats"].items():
-        if key == "total":
-            label, code = "total", "total"
-        else:
-            label, code = entry.get("label", key), key
-        stats_rows.append(
-            [
-                code,
-                label,
-                entry.get("n"),
-                entry.get("mean"),
-                entry.get("sd"),
-                entry.get("rmse"),
-                entry.get("min"),
-                entry.get("max"),
-                entry.get("range"),
-            ]
-        )
+        label, code = ("total", "total") if key == "total" else (entry.get("label", key), key)
+        stats_rows.append([code, label] + [
+            entry.get(k) for k in ("n", "mean", "sd", "rmse", "min", "max", "range")
+        ])
     _write_csv(
         tmpdir / "stats_by_class.csv",
-        "assess",
         ["class_code", "label", "n", "mean", "sd", "rmse", "min", "max", "range"],
-        stats_rows,
+        [list(map(_fmt_cell, column)) for column in zip(*stats_rows)],
     )
 
-    hist_rows = []
-    for key, bins in report["histograms"].items():
-        for b in bins:
-            hist_rows.append([key, b["lower"], b["count"]])
+    hist_rows = [
+        (key, b["lower"], b["count"]) for key, bins in report["histograms"].items() for b in bins
+    ]
     _write_csv(
-        tmpdir / "histogram.csv", "assess", ["class", "bin_lower", "count"], hist_rows
+        tmpdir / "histogram.csv",
+        ["class", "bin_lower", "count"],
+        [list(map(_fmt_cell, column)) for column in zip(*hist_rows)],
     )
 
-    kept = [r for r, status in tagged if status == "kept"]
-    _write_csv(
-        tmpdir / "scatter_dh_vs_h.csv",
-        "assess",
-        ["id", "h_dem", "delta_h"],
-        [[r.id, r.h_dem, r.delta_h] for r in kept if r.h_dem is not None],
-    )
-    _write_csv(
-        tmpdir / "scatter_dh_vs_slope.csv",
-        "assess",
-        ["id", "slope_deg", "delta_h"],
-        [
-            [r.id, r.slope_deg, r.delta_h]
-            for r in kept
-            if r.slope_deg is not None and r.delta_h is not None
-        ],
-    )
-    _write_csv(
-        tmpdir / "scatter_dh_vs_aspect.csv",
-        "assess",
-        ["id", "aspect_deg", "delta_h"],
-        [
-            [r.id, r.aspect_deg, r.delta_h]
-            for r in kept
-            if r.aspect_deg is not None
-            and r.aspect_deg != FLAT_ASPECT
-            and r.delta_h is not None
-        ],
-    )
+    # the scatter tables are kept rows of samples.csv: reuse its cell text
+    usable = (samples.status == "kept") & ~np.isnan(samples.delta_h)
+    aspect = samples.aspect_deg
+    for name, field_name, use in (
+        ("scatter_dh_vs_h.csv", "h_dem", samples.status == "kept"),
+        ("scatter_dh_vs_slope.csv", "slope_deg", usable),
+        ("scatter_dh_vs_aspect.csv", "aspect_deg", usable & (aspect != FLAT_ASPECT)),
+    ):
+        rows = np.flatnonzero(use & ~np.isnan(getattr(samples, field_name))).tolist()
+        _write_csv(
+            tmpdir / name,
+            ["id", field_name, "delta_h"],
+            [[column[k] for k in rows] for column in
+             (samples.ids, text[field_name], text["delta_h"])],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +407,8 @@ def _write_files(report, tagged, tmpdir: Path, legend: dict[int, str]) -> None:
 
 def cmd_assess(args: argparse.Namespace) -> int:
     cfg = _config(args, OPTIONS)
-    report, tagged, legend = run_assess(cfg)
-    written = write_assess_outputs(report, tagged, cfg.out_dir, legend)
+    report, samples, legend = run_assess(cfg)
+    written = write_assess_outputs(report, samples, cfg.out_dir, legend)
     total = report["stats"]["total"]
     print(
         f"assessed {total['n']} points: mean {total['mean']:.4f} m, "
@@ -690,6 +420,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
 
 
 def cmd_terrain(args: argparse.Namespace) -> int:
+    _check("--z-factor", args.z_factor, POSITIVE)
     dem = read_ascii_grid(args.dem)
     pair = slope_aspect(dem, z_factor=args.z_factor)
     comment = _provenance_comment("terrain").lstrip("# ") + f" from {args.dem}"
@@ -703,7 +434,14 @@ def cmd_terrain(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    image = MultibandGrid(bands=[read_ascii_grid(p) for p in args.image])
+    _check("--k", args.k, POSITIVE)
+    bands = [read_ascii_grid(p) for p in args.image]
+    for k, (path, band) in enumerate(zip(args.image, bands), start=1):
+        if not band.same_georef(bands[0]):
+            raise ParseError(
+                f"band {k} ({path}) georeferencing differs from band 1 ({args.image[0]})"
+            )
+    image = MultibandGrid(bands=bands)
     training = read_training_csv(args.training)
     legend = read_legend_csv(args.legend) if args.legend else None
     boxes = train_parallelepiped(image, training, k=args.k, labels=legend)
@@ -753,7 +491,7 @@ def cmd_moran(args: argparse.Namespace) -> int:
     cfg = _config(args, MORAN_OPTIONS)
     cfg.validate(MORAN_OPTIONS)
     coords, values = _read_samples_csv(args.samples, args.field)
-    out = _moran_section(cfg, coords, values)
+    out = moran_section(cfg, coords, values)
     out["provenance"] = _provenance_comment("moran").lstrip("# ") + f" samples={args.samples}"
     text = json.dumps(_jsonable(out), indent=2, sort_keys=True) + "\n"
     if args.out:

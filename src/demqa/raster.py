@@ -134,22 +134,40 @@ class MultibandGrid:
         return self.bands[0].nrows
 
 
+def _cell_units(grid: Grid, x, y):
+    """Position of (x, y) in cells from the south-west corner, as floats or arrays."""
+    return (x - grid.xll) / grid.cellsize, (y - grid.yll) / grid.cellsize
+
+
+def _on_grid(grid: Grid, u, v):
+    """Whether positions (u, v) in cell units lie on the grid. Tested in float
+    space, before any integer cast: NaN, infinite and overflowing positions
+    fail these comparisons, and ``int(u)`` of a position that passes is its
+    floor."""
+    return (u >= 0) & (u < grid.ncols) & (v >= 0) & (v < grid.nrows)
+
+
+def cells_of(grid: Grid, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array form of ``cell_of``: ``(inside, rows, cols)`` for points (x[k], y[k]).
+
+    ``inside`` flags the points on the grid; ``rows`` and ``cols`` hold the
+    cells of those points, in point order.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v = _cell_units(grid, np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    inside = _on_grid(grid, u, v)
+    return inside, grid.nrows - 1 - v[inside].astype(np.int64), u[inside].astype(np.int64)
+
+
 def cell_of(grid: Grid, x: float, y: float) -> tuple[int, int] | None:
     """Return the (row, col) of the cell whose footprint contains (x, y).
 
     Footprints are half-open: a point exactly on the north or east outer
     boundary is outside. Returns None for points off the grid, and for a
-    NaN or infinite x or y.
+    NaN, infinite or overflowing x or y.
     """
-    u = (x - grid.xll) / grid.cellsize
-    v = (y - grid.yll) / grid.cellsize
-    if not (math.isfinite(u) and math.isfinite(v)):
-        return None
-    col = math.floor(u)
-    row = grid.nrows - 1 - math.floor(v)
-    if col < 0 or col >= grid.ncols or row < 0 or row >= grid.nrows:
-        return None
-    return row, col
+    u, v = _cell_units(grid, float(x), float(y))
+    return (grid.nrows - 1 - int(v), int(u)) if _on_grid(grid, u, v) else None
 
 
 def _open_text(source: str | Path | TextIO, mode: str):

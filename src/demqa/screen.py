@@ -1,4 +1,8 @@
-"""Validity screening and Tukey fence outlier removal.
+"""Validity screening and Tukey fence outlier removal over a SampleTable.
+
+Both screens compute one boolean mask over the table's columns and split
+the table by it; removed rows carry their screening status
+(``removed_validity`` or ``removed_outlier``).
 
 Quartiles use linear interpolation between order statistics (the
 inclusive spreadsheet convention): with sorted values v[0..n-1] the
@@ -14,8 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InsufficientDataError
-from .sample import SampleRecord
+from .sample import SampleRecord, SampleTable
 
 FENCE_MULTIPLIER = 1.5
 
@@ -41,7 +47,7 @@ def quartiles(values: Sequence[float]) -> tuple[float, float]:
     n = len(values)
     if n < 2:
         raise InsufficientDataError(f"need at least 2 values for quartiles, got {n}")
-    v = sorted(float(x) for x in values)
+    v = np.sort(np.asarray(values, dtype=np.float64), kind="stable").tolist()
     return _quantile_sorted(v, 0.25), _quantile_sorted(v, 0.75)
 
 
@@ -68,57 +74,48 @@ def fences_of(values: Sequence[float]) -> TukeyFences:
 
 
 def tukey_filter(
-    records: Sequence[SampleRecord], field: str = "delta_h"
-) -> tuple[list[SampleRecord], list[SampleRecord], TukeyFences]:
-    """Split records into (kept, removed) by Tukey fences on ``field``.
+    samples: SampleTable | Sequence[SampleRecord], field: str = "delta_h"
+) -> tuple[SampleTable, SampleTable, TukeyFences]:
+    """Split rows into (kept, removed) by Tukey fences on ``field``.
 
     Only values strictly outside [lower, upper] are outliers; a value
-    exactly on a fence is kept. Fences come from the records where the
-    field is present; records missing the field are kept (they are not
-    outside the fences). Single pass: fences are computed once, so
-    re-filtering the kept set with the same fences removes nothing.
+    exactly on a fence is kept. Fences come from the rows where the field
+    is present; rows missing the field are kept (they are not outside the
+    fences). Single pass: fences are computed once, so re-filtering the
+    kept set with the same fences removes nothing.
     """
     if field not in FILTER_FIELDS:
         raise ValueError(f"filter field must be one of {FILTER_FIELDS}, got '{field}'")
-    present = [getattr(r, field) for r in records if getattr(r, field) is not None]
-    if len(present) < 2:
+    table = SampleTable.of(samples)
+    v = getattr(table, field)
+    present = v[~np.isnan(v)]
+    if present.size < 2:
         raise InsufficientDataError(
-            f"need at least 2 records with '{field}' present, got {len(present)}"
+            f"need at least 2 records with '{field}' present, got {present.size}"
         )
     fences = fences_of(present)
-    kept: list[SampleRecord] = []
-    removed: list[SampleRecord] = []
-    for r in records:
-        v = getattr(r, field)
-        if v is not None and (v < fences.lower or v > fences.upper):
-            removed.append(r)
-        else:
-            kept.append(r)
+    kept, removed = table.split((v < fences.lower) | (v > fences.upper), "removed_outlier")
     return kept, removed, fences
 
 
 def validity_filter(
-    records: Sequence[SampleRecord],
+    samples: SampleTable | Sequence[SampleRecord],
     exclude_classes: Iterable[int] = (),
     min_h: float | None = None,
     require_class: bool = True,
-) -> tuple[list[SampleRecord], list[SampleRecord]]:
-    """Drop records that cannot enter the accuracy assessment.
+) -> tuple[SampleTable, SampleTable]:
+    """Split rows into (kept, removed) by whether they can enter the assessment.
 
-    Removed: records with no extracted height, records on excluded
-    land-cover classes (water bodies, etc.), unclassified records
-    (unless ``require_class`` is False for runs without a class map),
-    and records with h_dem below ``min_h`` when given.
+    Removed: rows with no extracted height, rows on excluded land-cover
+    classes (water bodies, etc.), unclassified rows (unless
+    ``require_class`` is False for runs without a class map), and rows
+    with h_dem below ``min_h`` when given.
     """
-    excluded = set(exclude_classes)
-    kept: list[SampleRecord] = []
-    removed: list[SampleRecord] = []
-    for r in records:
-        bad = (
-            r.h_dem is None
-            or (require_class and r.class_code is None)
-            or (r.class_code is not None and r.class_code in excluded)
-            or (min_h is not None and r.h_dem is not None and r.h_dem < min_h)
-        )
-        (removed if bad else kept).append(r)
-    return kept, removed
+    table = SampleTable.of(samples)
+    codes = table.class_code
+    bad = np.isnan(table.h_dem) | np.isin(codes, list(set(exclude_classes)))
+    if require_class:
+        bad |= np.isnan(codes)
+    if min_h is not None:
+        bad |= table.h_dem < min_h  # NaN compares False
+    return table.split(bad, "removed_validity")

@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateWeightsError,
     InsufficientDataError,
     ZeroVarianceError,
@@ -37,6 +38,11 @@ from .stats import two_tailed_p
 
 WEIGHT_SCHEMES = ("inverse_distance", "fixed_band")
 ASSUMPTIONS = ("randomization", "normality")
+
+# More weights than an assessment needs (about 10 per point in practice);
+# reached when one outlying point makes the ``auto`` band span a cluster.
+# At 3.5 million weights the build peaked at about 400 MB.
+MAX_WEIGHTS = 5_000_000
 
 
 class WeightsMatrix:
@@ -258,12 +264,20 @@ def _max_nearest_distance(pts: np.ndarray) -> float:
 
 def _pairs_within(pts: np.ndarray, threshold: float) -> tuple[np.ndarray, ...]:
     """(i, j, d_ij) of every pair with d_ij <= threshold, sorted by (i, j);
-    raises on duplicate coordinates."""
+    raises on duplicate coordinates, and ConfigError once more than
+    MAX_WEIGHTS pairs are found."""
     keys, _ = _cell_keys(pts, threshold * _CELL_MARGIN)
     parts = []
+    count = 0
     for i, j, d in _candidates(pts, keys, np.arange(len(pts))):
         _check_duplicates(i, j, d)
         keep = d <= threshold
+        count += int(np.count_nonzero(keep))
+        if count > MAX_WEIGHTS:
+            raise ConfigError(
+                f"threshold {threshold!r} would need at least {count} weights; "
+                f"the limit is {MAX_WEIGHTS}"
+            )
         i, j, d = i[keep], j[keep], d[keep]
         order = np.lexsort((j, i))
         parts.append((i[order], j[order], d[order]))

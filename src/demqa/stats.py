@@ -277,9 +277,6 @@ def histogram(
             f"bin width {bin_width!r} would need {n_bins:.12g} bins; "
             f"the limit is {MAX_HISTOGRAM_BINS}"
         )
-    idx = lows.astype(np.int64)
-    counts: dict[int, int] = {}
-    for k in idx:
-        counts[int(k)] = counts.get(int(k), 0) + 1
-    k_lo, k_hi = min(counts), max(counts)
-    return [(origin + k * bin_width, counts.get(k, 0)) for k in range(k_lo, k_hi + 1)]
+    lo = lows.min()
+    counts = np.bincount((lows - lo).astype(np.int64)).tolist()
+    return [(origin + k * bin_width, c) for k, c in enumerate(counts, start=int(lo))]

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import demqa.cli
+import demqa.pipeline
+import demqa.spatial
 from demqa.cli import OPTIONS, AssessConfig, _config, build_parser, load_config, main
 from demqa.landcover import read_training_csv
 from demqa.raster import Grid, read_ascii_grid, write_ascii_grid
@@ -489,13 +491,13 @@ def test_help_lists_every_flag_and_its_legal_values(capsys):
 def test_assess_reads_legend_once(tmp_path, monkeypatch):
     write_classed_scene(tmp_path)
     calls = []
-    read = demqa.cli.read_legend_csv
+    read = demqa.pipeline.read_legend_csv
 
     def counting(path):
         calls.append(path)
         return read(path)
 
-    monkeypatch.setattr(demqa.cli, "read_legend_csv", counting)
+    monkeypatch.setattr(demqa.pipeline, "read_legend_csv", counting)
     assert main(["assess", "--config", str(classed_config(tmp_path, tmp_path / "out"))]) == 0
     assert len(calls) == 1
 
@@ -609,6 +611,71 @@ def test_histogram_bin_limit_exit_2(tmp_path, capsys):
         r"bin width 5e-05 would need (\d+) bins; the limit is 100000\n", err)
     assert match and int(match.group(1)) > 100_000, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["assess", "moran"])
+def test_weights_limit_exit_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(demqa.spatial, "MAX_WEIGHTS", 10)
+    dem, gcps = write_closure_scene(tmp_path)
+    out = tmp_path / "out"
+    if command == "moran":
+        write_samples(tmp_path / "s.csv")
+        argv = ["moran", "--samples", str(tmp_path / "s.csv"), "--out", str(out)]
+    else:
+        argv = ["assess", "--config", str(write_config(tmp_path, dem, gcps, out))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    match = re.fullmatch(
+        rf"config error \[{command}\]: \[moran\] threshold \(--threshold\): "
+        r"threshold \S+ would need at least (\d+) weights; the limit is 10\n", err)
+    assert match and int(match.group(1)) > 10, err
+    assert not out.exists()
+
+
+TERRAIN_CLASSIFY_HOSTILE = [
+    ("terrain", "--z-factor", "0"),
+    ("terrain", "--z-factor", "-1"),
+    ("terrain", "--z-factor", "nan"),
+    ("terrain", "--z-factor", "inf"),
+    ("classify", "--k", "0"),
+    ("classify", "--k", "-2"),
+    ("classify", "--k", "nan"),
+    ("classify", "--k", "inf"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", TERRAIN_CLASSIFY_HOSTILE,
+                         ids=[f"{c} {f} {v}" for c, f, v in TERRAIN_CLASSIFY_HOSTILE])
+def test_terrain_and_classify_hostile_values_exit_2(tmp_path, capsys, command, flag, value):
+    # these used to end in a traceback (0, -1), a late exit 4 (nan) or a
+    # silently degenerate output (inf; nan for --k)
+    dem, _ = write_closure_scene(tmp_path)
+    if command == "terrain":
+        argv = ["terrain", str(dem), "--out-prefix", str(tmp_path / "d")]
+    else:
+        (tmp_path / "t.csv").write_text("x,y,class_code\n1.5,1.5,1\n4.5,4.5,1\n")
+        argv = ["classify", "--image", str(dem), "--training", str(tmp_path / "t.csv"),
+                "--out", str(tmp_path / "c.asc")]
+    assert main(argv + [flag, value]) == 2
+    assert capsys.readouterr().err == (
+        f"config error [{command}]: {flag} must be finite and > 0, got {float(value)!r}\n"
+    )
+    assert not any(tmp_path.glob("d_*.asc")) and not (tmp_path / "c.asc").exists()
+
+
+def test_classify_band_georeferencing_mismatch_exit_3(tmp_path, capsys):
+    for name, xll in (("b1.asc", 0.0), ("b2.asc", 0.0), ("b3.asc", 0.5)):
+        write_ascii_grid(Grid(ncols=3, nrows=3, xll=xll, yll=0, cellsize=1,
+                              values=np.arange(9.0)), tmp_path / name)
+    (tmp_path / "t.csv").write_text("x,y,class_code\n0.7,0.5,1\n1.7,1.5,1\n")
+    bands = [str(tmp_path / n) for n in ("b1.asc", "b2.asc", "b3.asc")]
+    assert main(["classify", "--image", *bands, "--training", str(tmp_path / "t.csv"),
+                 "--out", str(tmp_path / "c.asc")]) == 3
+    assert capsys.readouterr().err == (
+        f"parse error [classify]: band 3 ({bands[2]}) georeferencing differs "
+        f"from band 1 ({bands[0]})\n"
+    )
+    assert not (tmp_path / "c.asc").exists()
 
 
 def test_non_integral_class_code_exit_3(tmp_path, capsys):

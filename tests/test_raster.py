@@ -11,6 +11,7 @@ from demqa.raster import (
     Grid,
     MultibandGrid,
     cell_of,
+    cells_of,
     dumps_ascii_grid,
     read_ascii_grid,
     write_ascii_grid,
@@ -159,6 +160,20 @@ def test_cell_of_matches_footprint_scan():
                 if x0 <= x < x0 + g.cellsize and y0 <= y < y0 + g.cellsize:
                     hit = (r, c)
         assert cell_of(g, x, y) == hit
+
+
+def test_cells_of_matches_cell_of():
+    rng = np.random.default_rng(8)
+    g = Grid(ncols=5, nrows=4, xll=-3.5, yll=12.25, cellsize=2.5, values=np.zeros(20))
+    xs = np.concatenate([rng.uniform(-7, 13, 400), g.xll + 2.5 * np.arange(-1, 7),
+                         [np.nan, np.inf, -np.inf, 1e300, -1e308]])
+    ys = np.concatenate([rng.uniform(8, 26, 400), g.yll + 2.5 * np.arange(-2, 6),
+                         [0.5, 13.0, 13.0, 13.0, 13.0]])
+    inside, rows, cols = cells_of(g, xs, ys)
+    want = [cell_of(g, float(x), float(y)) for x, y in zip(xs, ys)]
+    assert [rc is not None for rc in want] == inside.tolist()
+    assert [rc for rc in want if rc is not None] == list(zip(rows.tolist(), cols.tolist()))
+    assert 0 < inside.sum() < len(xs)
 
 
 @pytest.mark.parametrize("x, y", [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from demqa.errors import InsufficientDataError
-from demqa.sample import SampleRecord
+from demqa.sample import SampleRecord, SampleTable
 from demqa.screen import fences_of, quartiles, tukey_filter, validity_filter
 
 
@@ -15,7 +15,7 @@ def rec(delta, code=1, h_dem=None, rid=None):
 
 
 def recs(deltas):
-    return [rec(d, rid=f"r{i}") for i, d in enumerate(deltas)]
+    return SampleTable.of(rec(d, rid=f"r{i}") for i, d in enumerate(deltas))
 
 
 def test_quartiles_hand_case():
@@ -58,7 +58,7 @@ def test_tukey_zero_iqr_removes_spike():
 
 def test_tukey_symmetric_keeps_all():
     kept, removed, _ = tukey_filter(recs([-2, -1, 0, 1, 2]))
-    assert removed == []
+    assert list(removed) == []
     assert len(kept) == 5
 
 
@@ -74,7 +74,7 @@ def test_tukey_value_on_fence_is_kept():
 def test_tukey_partition_preserves_input():
     data = recs([3, -8, 0, 1, 2, 50, -1])
     kept, removed, _ = tukey_filter(data)
-    assert sorted(r.id for r in kept + removed) == sorted(r.id for r in data)
+    assert sorted(r.id for r in [*kept, *removed]) == sorted(r.id for r in data)
 
 
 def test_tukey_insufficient_data():
@@ -83,10 +83,10 @@ def test_tukey_insufficient_data():
 
 
 def test_tukey_field_choice():
-    records = [
+    records = SampleTable.of(
         SampleRecord(id=i, x=0, y=0, h_ref=0, h_dem=h, delta_h=0.0, class_code=1)
         for i, h in zip("abcd", [5.0, 5.0, 5.0, 500.0])
-    ]
+    )
     kept, removed, _ = tukey_filter(records, field="h_dem")
     assert [r.id for r in removed] == ["d"]
     with pytest.raises(ValueError):
@@ -130,7 +130,7 @@ def test_tukey_matches_brute_force_oracle():
 def test_validity_filter_excluded_class():
     water = rec(1.0, code=5, rid="w")
     ok = rec(1.0, code=1, rid="ok")
-    kept, removed = validity_filter([water, ok], exclude_classes={5})
+    kept, removed = validity_filter(SampleTable.of([water, ok]), exclude_classes={5})
     assert [r.id for r in kept] == ["ok"]
     assert [r.id for r in removed] == ["w"]
 
@@ -138,23 +138,23 @@ def test_validity_filter_excluded_class():
 def test_validity_filter_min_h():
     low = SampleRecord(id="low", x=0, y=0, h_ref=0, h_dem=-1.0, delta_h=-1.0, class_code=1)
     ok = SampleRecord(id="ok", x=0, y=0, h_ref=0, h_dem=3.0, delta_h=3.0, class_code=1)
-    kept, removed = validity_filter([low, ok], min_h=0.0)
+    kept, removed = validity_filter(SampleTable.of([low, ok]), min_h=0.0)
     assert [r.id for r in removed] == ["low"]
     # without min_h the record stays
-    kept, removed = validity_filter([low, ok])
-    assert removed == []
+    kept, removed = validity_filter(SampleTable.of([low, ok]))
+    assert list(removed) == []
 
 
 def test_validity_filter_missing_values():
     no_dem = SampleRecord(id="nd", x=0, y=0, h_ref=0, h_dem=None, delta_h=None, class_code=1)
     no_class = SampleRecord(id="nc", x=0, y=0, h_ref=0, h_dem=1.0, delta_h=1.0, class_code=None)
-    kept, removed = validity_filter([no_dem, no_class])
-    assert kept == []
-    kept, removed = validity_filter([no_class], require_class=False)
+    kept, removed = validity_filter(SampleTable.of([no_dem, no_class]))
+    assert list(kept) == []
+    kept, removed = validity_filter(SampleTable.of([no_class]), require_class=False)
     assert [r.id for r in kept] == ["nc"]
 
 
 def test_validity_filter_keeps_fully_valid():
     ok = rec(0.5, code=2, rid="ok")
-    kept, removed = validity_filter([ok], exclude_classes={5}, min_h=0.0)
+    kept, removed = validity_filter(SampleTable.of([ok]), exclude_classes={5}, min_h=0.0)
     assert [r.id for r in kept] == ["ok"]

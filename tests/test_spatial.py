@@ -1,11 +1,14 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import demqa.spatial
 from demqa.errors import (
+    ConfigError,
     DegenerateWeightsError,
     InsufficientDataError,
     ZeroVarianceError,
@@ -158,6 +161,30 @@ def test_weights_memory_linear_at_20000_points():
     assert peak <= 100e6
     assert w.nnz < 20 * w.n
     assert set(np.unique(w.rows).tolist()) == set(range(w.n))
+
+
+def clusters_and_outlier(seed=3554, n_per=200):
+    """Five tight clusters over 2 km, and one point 3 km beyond them."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0, 2000, (5, 2))
+    pts = np.vstack([c + rng.normal(0, 5, (n_per, 2)) for c in centres])
+    return pts, np.vstack([pts, [[5000.0, 5000.0]]])
+
+
+def test_weights_limit_stops_an_auto_band_made_dense_by_one_outlier(monkeypatch):
+    clustered, with_outlier = clusters_and_outlier()
+    nnz = build_weights(clustered).nnz
+    monkeypatch.setattr(demqa.spatial, "MAX_WEIGHTS", nnz)
+    assert build_weights(clustered).nnz == nnz  # exactly at the limit is allowed
+    # the outlier's nearest neighbour sets the band: nearly every pair is in it
+    with pytest.raises(ConfigError) as exc:
+        build_weights(with_outlier)
+    found = re.fullmatch(r"threshold \S+ would need at least (\d+) weights; "
+                         rf"the limit is {nnz}", str(exc.value))
+    assert found and int(found.group(1)) > nnz
+    monkeypatch.setattr(demqa.spatial, "MAX_WEIGHTS", nnz - 1)
+    with pytest.raises(ConfigError, match=f"the limit is {nnz - 1}"):
+        build_weights(clustered)
 
 
 def test_csr_arrays_and_entries_view():
