@@ -505,11 +505,8 @@ def cmd_moran(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = SceneSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SceneSpec)})
-    grid = spec.build()
-    comment = _provenance_comment("synth").lstrip("# ") + f" kind={args.kind} seed={args.seed}"
-    write_ascii_grid(grid, args.out, comment=comment)
-    print(f"wrote {args.out}")
-    if args.gcps_out:
+    try:  # a scene or point parameter out of range raises ValueError
+        grid = spec.build()
         pts = scatter_points(
             grid,
             args.n_points,
@@ -517,7 +514,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
             min_separation=args.min_separation,
             snap_to_centres=args.snap_centres,
             error_sd=args.error_sd,
-        )
+        ) if args.gcps_out else None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    comment = _provenance_comment("synth").lstrip("# ") + f" kind={args.kind} seed={args.seed}"
+    write_ascii_grid(grid, args.out, comment=comment)
+    print(f"wrote {args.out}")
+    if pts is not None:
         with open(args.gcps_out, "w", encoding="utf-8", newline="") as f:
             f.write(_provenance_comment("synth") + "\n")
             f.write("id,x,y,h\n")

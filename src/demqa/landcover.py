@@ -56,7 +56,7 @@ def train_parallelepiped(
     least two usable pixels. A training point off the grid or on nodata
     is a TrainingPointError, not silently dropped.
     """
-    if k <= 0:
+    if not k > 0:
         raise ValueError("k must be positive")
     by_class: dict[int, list[list[float]]] = {}
     for x, y, code in labeled:

@@ -10,6 +10,10 @@ start with a UTF-8 byte order mark. Every value must be a finite number,
 ``ncols``/``nrows`` positive integers and ``cellsize`` positive; the reader
 raises ParseError naming the line (and column) of the first that is not.
 
+The reader streams the body in blocks of whole lines (about 1 MiB of text
+each) into one preallocated array, so it holds that array plus one block,
+not the whole text and a token list.
+
 Values are written with shortest round-trip precision, so
 ``read(write(g))`` reproduces ``g`` exactly.
 """
@@ -32,6 +36,8 @@ DEFAULT_NODATA = -9999.0
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 _REQUIRED_KEYS = _HEADER_KEYS[:5]
+# Characters of grid body text converted at a time (rounded up to whole lines).
+_BLOCK_CHARS = 1 << 20
 
 
 @dataclass(eq=False)
@@ -55,8 +61,10 @@ class Grid:
     def __post_init__(self):
         if self.ncols < 1 or self.nrows < 1:
             raise ValueError("grid must have at least one row and one column")
-        if self.cellsize <= 0:
+        if not self.cellsize > 0:
             raise ValueError("cellsize must be positive")
+        if not all(map(math.isfinite, (self.xll, self.yll, self.cellsize))):
+            raise ValueError("xll, yll and cellsize must be finite")
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.size != self.nrows * self.ncols:
             raise ValueError(
@@ -182,13 +190,27 @@ def _open_text(source: str | Path | TextIO, mode: str):
 def _csv_rows(source: str | Path | TextIO, name: str) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(file line number, fields)`` for each CSV line that is not
     blank or a ``#`` comment; with no such line, raise ParseError "empty
-    <name>". Each reader checks its own header and rows."""
+    <name>". Each reader checks its own header and rows.
+
+    A line is parsed on its own, so an unbalanced quote never joins it to
+    the next. Most lines hold nothing the ``csv`` module treats specially
+    (a quote, NUL, a line end before the last, a field over its size
+    limit) and are split on commas, which gives the fields ``csv.reader``
+    would; any other line goes through ``csv.reader``."""
+    limit = csv.field_size_limit()
     with _open_text(source, "r") as stream:
         empty = True
         for lineno, line in enumerate(stream, start=1):
             if line.strip() and not line.lstrip().startswith("#"):
                 empty = False
-                yield lineno, next(csv.reader([line]))
+                text = line.rstrip("\r\n")
+                if (
+                    '"' in text or "\0" in text or "\r" in text or "\n" in text
+                    or len(text) > limit
+                ):
+                    yield lineno, next(csv.reader([line]))
+                else:
+                    yield lineno, text.split(",")
         if empty:
             raise ParseError(f"empty {name}")
 
@@ -201,17 +223,16 @@ def read_ascii_grid(source: str | Path | TextIO) -> Grid:
 
 def _read_stream(stream: TextIO) -> Grid:
     header: dict[str, float] = {}
-    body: list[str] = []
-    lines = iter(stream)
+    first = None  # the first value's line
     lineno = 0
-    for raw in lines:
+    for raw in stream:
         lineno += 1
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
             continue
         key = parts[0].lower()
         if key not in _HEADER_KEYS:
-            body = [raw, *lines]  # the first value's line (``lineno``) and the rest
+            first = raw
             break
         if key in header:
             raise ParseError(f"duplicate header keyword '{parts[0]}'", line=lineno)
@@ -225,28 +246,14 @@ def _read_stream(stream: TextIO) -> Grid:
         header[key] = value
 
     missing = ", ".join(k for k in _REQUIRED_KEYS if k not in header)
-    if missing and body:
+    if missing and first is not None:
         raise ParseError(f"body starts before header keyword(s): {missing}", line=lineno)
     if missing:
         raise ParseError(f"missing header keyword(s): {missing}")
 
     ncols = int(header["ncols"])
     nrows = int(header["nrows"])
-    expected = nrows * ncols
-    tokens = "".join(body).split()
-    if len(tokens) != expected:
-        raise ParseError(f"expected {expected} values, got {len(tokens)}")
-    # map(float) keeps Python's number syntax whatever the numpy version.
-    try:
-        values = np.fromiter(map(float, tokens), np.float64, count=expected)
-        finite = bool(np.isfinite(values).all())
-    except ValueError:
-        finite = False
-    if not finite:  # re-scan the body for the first bad token's position
-        for n, line in enumerate(body, start=lineno):
-            for col, tok in enumerate(line.split(), start=1):
-                _number(tok, "token", n, col)
-
+    block = [] if first is None else [first, *stream.readlines(_BLOCK_CHARS)]
     return Grid(
         ncols=ncols,
         nrows=nrows,
@@ -254,8 +261,47 @@ def _read_stream(stream: TextIO) -> Grid:
         yll=header["yllcorner"],
         cellsize=header["cellsize"],
         nodata=header.get("nodata_value", DEFAULT_NODATA),
-        values=values,
+        values=_read_body(stream, block, lineno, nrows * ncols),
     )
+
+
+def _read_body(stream: TextIO, block: list[str], lineno: int, expected: int) -> np.ndarray:
+    """Convert the grid body into an array of ``expected`` values.
+
+    ``block`` holds the body's first lines, from file line ``lineno``; the
+    rest is read from ``stream`` one block of whole lines at a time. Every
+    block is counted, also after a bad one, so a wrong count is reported
+    before a bad token; the first bad token's position comes from
+    re-scanning only the block that holds it.
+    """
+    values = np.empty(expected, dtype=np.float64)
+    got = 0
+    bad = None  # (first line number, lines) of the first block with a bad token
+    while block:
+        tokens = "".join(block).split()
+        n = len(tokens)
+        if bad is None and got + n <= expected:
+            out = values[got : got + n]
+            # map(float) keeps Python's number syntax whatever the numpy version.
+            try:
+                out[:] = np.fromiter(map(float, tokens), np.float64, count=n)
+                finite = bool(np.isfinite(out).all())
+            except ValueError:
+                finite = False
+            if not finite:
+                bad = (lineno, block)
+        del tokens  # before the next block is read: one token list at a time
+        got += n
+        lineno += len(block)
+        block = stream.readlines(_BLOCK_CHARS)
+    if got != expected:
+        raise ParseError(f"expected {expected} values, got {got}")
+    if bad is not None:
+        start, lines = bad
+        for n, line in enumerate(lines, start=start):
+            for col, tok in enumerate(line.split(), start=1):
+                _number(tok, "token", n, col)
+    return values
 
 
 def _number(text: str, what: str, line: int, column: int) -> float:
@@ -289,9 +335,8 @@ def write_ascii_grid(grid: Grid, dest: str | Path | TextIO, comment: str | None 
         raise NonFiniteGridError(
             f"cannot write non-finite value {grid.values[r, c]} at row {r}, column {c}"
         )
-    for name in ("xll", "yll", "cellsize", "nodata"):
-        if not math.isfinite(getattr(grid, name)):
-            raise NonFiniteGridError(f"cannot write non-finite {name} {getattr(grid, name)}")
+    if not math.isfinite(grid.nodata):
+        raise NonFiniteGridError(f"cannot write non-finite nodata {grid.nodata}")
     with _open_text(dest, "w") as stream:
         if comment:
             for ln in comment.splitlines():

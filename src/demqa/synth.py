@@ -8,6 +8,7 @@ deterministic given (parameters, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +138,17 @@ def scatter_points(
     rng = np.random.default_rng(seed)
     width = grid.ncols * grid.cellsize
     height = grid.nrows * grid.cellsize
-    placed: list[tuple[float, float]] = []
+    placed: set[tuple[float, float]] = set()
+    # Placed points by cell of side ``min_separation``. ``x // side`` is the
+    # exact floor of x / side while that stays below about 2**51 in
+    # magnitude, so a point closer than ``min_separation`` lies in one of
+    # the 3x3 cells around the candidate's. Past that, an infinite side puts
+    # every point in cells 0 and -1, which are neighbours.
+    side = min_separation
+    reach = max(abs(grid.xll), abs(grid.yll), abs(grid.xll + width), abs(grid.yll + height))
+    if min_separation > 0 and not reach / min_separation < 2.0**50:
+        side = math.inf
+    buckets: dict[tuple[float, float], list[tuple[float, float]]] = {}
     points: list[ControlPoint] = []
     max_attempts = 1000 * n
     attempts = 0
@@ -156,17 +167,24 @@ def scatter_points(
         if snap_to_centres:
             x, y = grid.cell_center(*rc)
         # Exact duplicates would give degenerate spatial weights downstream.
-        if any(x == px and y == py for px, py in placed):
+        if (x, y) in placed:
             continue
-        if min_separation > 0 and any(
-            (x - px) ** 2 + (y - py) ** 2 < min_separation**2 for px, py in placed
-        ):
-            continue
+        if min_separation > 0:
+            kx, ky = x // side, y // side
+            if any(
+                (x - px) ** 2 + (y - py) ** 2 < min_separation**2
+                for i in (kx - 1, kx, kx + 1)
+                for j in (ky - 1, ky, ky + 1)
+                for px, py in buckets.get((i, j), ())
+            ):
+                continue
         h = grid.value_at(*rc)
         if h is None:
             continue
         if error_sd > 0:
             h += rng.normal(0.0, error_sd)
-        placed.append((x, y))
+        placed.add((x, y))
+        if min_separation > 0:
+            buckets.setdefault((kx, ky), []).append((x, y))
         points.append(ControlPoint(id=f"{id_prefix}{len(points):04d}", x=x, y=y, h_ref=h))
     return points

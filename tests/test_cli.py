@@ -332,6 +332,24 @@ def test_synth_command_writes_gcps(tmp_path):
     assert len(text.splitlines()) == 12
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--cellsize", "nan"], "cellsize must be positive"),
+        (["--cellsize", "0"], "cellsize must be positive"),
+        (["--nrows", "0"], "grid must have at least one row and one column"),
+        (["--gcps-out", "g.csv", "--n-points", "0"], "n must be at least 1"),
+    ],
+)
+def test_synth_bad_value_exit_2(tmp_path, capsys, flags, message):
+    argv = ["synth", "--kind", "plane", "--nrows", "4", "--ncols", "4",
+            "--out", str(tmp_path / "p.asc")]
+    flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+    assert main(argv + flags) == 2
+    assert capsys.readouterr().err == f"config error [synth]: {message}\n"
+    assert not (tmp_path / "p.asc").exists()
+
+
 def test_flag_overrides_config(tmp_path):
     dem, gcps = write_closure_scene(tmp_path)
     out1 = tmp_path / "o1"

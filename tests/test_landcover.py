@@ -38,6 +38,13 @@ def test_train_hand_case():
     assert b.highs[0] == pytest.approx(11 + 2 * math.sqrt(2), abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [0.0, -1.0, float("nan")])
+def test_train_rejects_k_not_positive(k):
+    img = one_band_image([10.0, 12.0], 2, 1)
+    with pytest.raises(ValueError, match="^k must be positive$"):
+        train_parallelepiped(img, [(0.5, 0.5, 1), (1.5, 0.5, 1)], k=k)
+
+
 def test_train_identical_pixels_zero_width():
     img = one_band_image([7.0, 7.0], 2, 1)
     boxes = train_parallelepiped(img, [(0.5, 0.5, 3), (1.5, 0.5, 3)])

@@ -1,8 +1,11 @@
+import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from demqa import raster
 from demqa.errors import DemqaError, NonFiniteGridError, ParseError
 from demqa.raster import (
     _HEADER_KEYS,
@@ -10,6 +13,8 @@ from demqa.raster import (
     DEFAULT_NODATA,
     Grid,
     MultibandGrid,
+    _csv_rows,
+    _open_text,
     cell_of,
     cells_of,
     dumps_ascii_grid,
@@ -194,6 +199,22 @@ def test_grid_validation():
         Grid(ncols=2, nrows=2, xll=0, yll=0, cellsize=1, values=[1, 2, 3])
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("cellsize", float("nan"), "cellsize must be positive"),
+        ("cellsize", float("inf"), "xll, yll and cellsize must be finite"),
+        ("xll", float("nan"), "xll, yll and cellsize must be finite"),
+        ("yll", float("nan"), "xll, yll and cellsize must be finite"),
+        ("xll", -float("inf"), "xll, yll and cellsize must be finite"),
+    ],
+)
+def test_grid_rejects_non_finite_georeferencing(field, value, message):
+    kwargs = dict(ncols=1, nrows=1, xll=0.0, yll=0.0, cellsize=1.0, values=[1.0])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Grid(**{**kwargs, field: value})
+
+
 def test_grid_values_read_only():
     g = Grid(ncols=2, nrows=1, xll=0, yll=0, cellsize=1, values=[1, 2])
     with pytest.raises(ValueError):
@@ -371,6 +392,18 @@ ORACLE_ERRORS = (
 
 
 def test_bulk_reader_matches_token_loop_oracle():
+    check_against_token_loop_oracle()
+
+
+def test_one_line_blocks_match_token_loop_oracle(monkeypatch):
+    # with one character per block every block after the first is one line
+    # (two when a line is a lone line end): every seeded text with more than
+    # one body line goes through the multi-block path
+    monkeypatch.setattr(raster, "_BLOCK_CHARS", 1)
+    check_against_token_loop_oracle()
+
+
+def check_against_token_loop_oracle():
     rng = np.random.default_rng(20240615)
     seen = set()
     for _ in range(2500):
@@ -442,6 +475,193 @@ def test_grid_with_utf8_bom(tmp_path):
     assert str(exc.value) == "non-numeric token 'x' (line 8, column 2)"
     write_ascii_grid(g, path)
     assert not path.read_bytes().startswith(b"\xef\xbb\xbf")
+
+
+# ---------------------------------------------------------------------------
+# The body is converted one block of whole lines at a time. A small block
+# constant makes small texts span blocks.
+
+
+class BlockLog(io.StringIO):
+    """A text stream that records how many lines each ``readlines`` returned."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.blocks = []
+
+    def readlines(self, hint=-1):
+        lines = super().readlines(hint)
+        self.blocks.append(len(lines))
+        return lines
+
+
+def body_text(nrows):
+    """Body lines "11 12 13", "21 22 23", ... of 9 characters each, from file line 7."""
+    return make_text("".join(f"{r}1 {r}2 {r}3\n" for r in range(1, nrows + 1)),
+                     ncols=3, nrows=nrows)
+
+
+def replace_token(text, line, column, token):
+    lines = text.split("\n")
+    parts = lines[line - 1].split()
+    parts[column - 1] = token
+    lines[line - 1] = " ".join(parts)
+    return "\n".join(lines)
+
+
+def test_blocks_are_whole_lines_of_about_the_block_size(monkeypatch):
+    # a block takes lines until it holds more than _BLOCK_CHARS characters;
+    # the first block also holds the first body line
+    monkeypatch.setattr(raster, "_BLOCK_CHARS", 9)
+    stream = BlockLog(body_text(7))
+    values = read_ascii_grid(stream).values.ravel().tolist()
+    assert values == [10 * r + c for r in range(1, 8) for c in (1, 2, 3)]
+    assert stream.blocks == [2, 2, 2, 0]  # blocks: lines 7-9, 10-11, 12-13
+
+
+@pytest.mark.parametrize("block_chars", [1, 9, 20])
+def test_bad_token_at_block_edges_names_position(monkeypatch, block_chars):
+    monkeypatch.setattr(raster, "_BLOCK_CHARS", block_chars)
+    text = body_text(7)  # body on file lines 7..13
+    for line in range(7, 14):
+        for column in (1, 3):
+            for token, kind in (("x", "non-numeric"), ("inf", "non-finite")):
+                bad = replace_token(text, line, column, token)
+                with pytest.raises(ParseError) as exc:
+                    read_ascii_grid(io.StringIO(bad))
+                assert str(exc.value) == f"{kind} token '{token}' (line {line}, column {column})"
+        # a bad token on this line and on the next: the first is reported,
+        # wherever the block edge falls
+        if line < 13:
+            bad = replace_token(replace_token(text, line, 3, "y"), line + 1, 1, "z")
+            with pytest.raises(ParseError, match=rf"'y' \(line {line}, column 3\)$"):
+                read_ascii_grid(io.StringIO(bad))
+
+
+def test_last_and_first_line_of_adjacent_blocks(monkeypatch):
+    monkeypatch.setattr(raster, "_BLOCK_CHARS", 9)  # blocks: lines 7-9, 10-11, 12-13
+    text = body_text(7)
+    for line in (9, 10, 11, 12):
+        stream = BlockLog(replace_token(text, line, 2, "1x"))  # same width
+        with pytest.raises(ParseError) as exc:
+            read_ascii_grid(stream)
+        assert str(exc.value) == f"non-numeric token '1x' (line {line}, column 2)"
+        assert stream.blocks == [2, 2, 2, 0]  # counting went on to the end
+
+
+@pytest.mark.parametrize("block_chars", [1, 9, 1 << 20])
+@pytest.mark.parametrize("extra, got", [(" 7 8\n", 23), ("", 20)])
+def test_count_error_wins_over_earlier_bad_token(monkeypatch, block_chars, extra, got):
+    monkeypatch.setattr(raster, "_BLOCK_CHARS", block_chars)
+    text = replace_token(body_text(7), 7, 2, "bad")  # a bad token in the first block
+    if extra:  # too many tokens, in the last block
+        text = text[:-1] + extra
+    else:  # one token too few, in the last block
+        text = text[: text.rindex(" ")] + "\n"
+    with pytest.raises(ParseError) as exc:
+        read_ascii_grid(io.StringIO(text))
+    assert str(exc.value) == f"expected 21 values, got {got}"
+
+
+def test_crlf_bom_and_open_stream_span_blocks(monkeypatch, tmp_path):
+    g = Grid(ncols=3, nrows=9, xll=0, yll=0, cellsize=1, values=np.arange(27.0) / 7)
+    crlf = dumps_ascii_grid(g).replace("\n", "\r\n")
+    path = tmp_path / "g.asc"
+    path.write_bytes(b"\xef\xbb\xbf" + crlf.encode())
+    bad = replace_token(crlf, 11, 3, "nan")  # "\r" stays on the line's last token
+    monkeypatch.setattr(raster, "_BLOCK_CHARS", 20)
+    stream = BlockLog(crlf)
+    assert read_ascii_grid(stream) == g
+    assert len(stream.blocks) > 3
+    assert read_ascii_grid(path) == g
+    with open(path, encoding="utf-8-sig", newline="") as f:  # an open stream
+        assert read_ascii_grid(f) == g
+    path.write_bytes(b"\xef\xbb\xbf" + bad.encode())
+    for source in (io.StringIO(bad), path):
+        with pytest.raises(ParseError) as exc:
+            read_ascii_grid(source)
+        assert str(exc.value) == "non-finite token 'nan' (line 11, column 3)"
+
+
+def test_read_holds_one_array_and_one_block(tmp_path):
+    # 600x600 values of 17 significant digits: the array is 2.9 MB and the
+    # text 6.8 MB; the one-pass reader that held every token peaked at 38 MB
+    rng = np.random.default_rng(3)
+    g = Grid(ncols=600, nrows=600, xll=0, yll=0, cellsize=1,
+             values=rng.uniform(100.0, 999.0, 360_000))
+    path = tmp_path / "big.asc"
+    write_ascii_grid(g, path)
+    tracemalloc.start()
+    try:
+        got = read_ascii_grid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == g
+    assert peak < 16e6, peak
+
+
+# ---------------------------------------------------------------------------
+# The CSV row reader splits plain lines on commas; the reader it replaced,
+# one csv.reader per line, is the oracle for every line.
+
+
+def per_line_csv_rows(source, name):
+    with _open_text(source, "r") as stream:
+        empty = True
+        for lineno, line in enumerate(stream, start=1):
+            if line.strip() and not line.lstrip().startswith("#"):
+                empty = False
+                yield lineno, next(csv.reader([line]))
+        if empty:
+            raise ParseError(f"empty {name}")
+
+
+CSV_PIECES = ("a", "7", "-1.5", ",", ",", ",", " ", "\t", '"', '""', "\r", "\0", "#",
+              "\x0b", "\x1c", "\u2028", "é", "\\")
+
+
+def random_csv_text(rng):
+    lines = []
+    for _ in range(int(rng.integers(0, 5))):
+        k = int(rng.integers(0, 9))
+        body = "".join(CSV_PIECES[int(i)] for i in rng.integers(len(CSV_PIECES), size=k))
+        lines.append(body + ("\n", "\r\n", "\r", "", ",\n")[int(rng.integers(5))])
+    return "".join(lines)
+
+
+def csv_outcome(rows, source):
+    try:
+        return list(rows(source, "table"))
+    except (csv.Error, ParseError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_csv_rows_match_per_line_reader(tmp_path):
+    rng = np.random.default_rng(77)
+    path = tmp_path / "t.csv"
+    seen = set()
+    for _ in range(3000):
+        text = random_csv_text(rng)
+        got = csv_outcome(_csv_rows, io.StringIO(text))
+        assert got == csv_outcome(per_line_csv_rows, io.StringIO(text)), repr(text)
+        # a path opens with newline="", where a lone "\r" ends a line
+        path.write_text(text, encoding="utf-8", newline="")
+        assert csv_outcome(_csv_rows, path) == csv_outcome(per_line_csv_rows, path), repr(text)
+        seen.add("rows" if isinstance(got, list) else got.split(":")[0])
+        seen.update(c for c in '"\0\r' if c in text.rstrip("\r\n"))
+    assert seen == {"rows", "Error", "ParseError", '"', "\0", "\r"}
+    # an unbalanced quote takes the line end into the field, not the next line
+    assert list(_csv_rows(io.StringIO('a,"b\nc,d\n'), "t")) == [(1, ["a", "b\n"]), (2, ["c", "d"])]
+    assert list(_csv_rows(io.StringIO("x,,\r\n,y,\n"), "t")) == [(1, ["x", "", ""]),
+                                                                  (2, ["", "y", ""])]
+
+
+def test_csv_rows_field_size_limit():
+    text = "id," + "9" * (csv.field_size_limit() + 1) + "\n"
+    for rows in (_csv_rows, per_line_csv_rows):
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            list(rows(io.StringIO(text), "t"))
 
 
 # ---------------------------------------------------------------------------
