@@ -36,7 +36,7 @@ class ClassBox:
         if len(self.lows) != len(self.highs) or len(self.lows) != len(self.means):
             raise ValueError("lows/highs/means must have one entry per band")
         for lo, hi in zip(self.lows, self.highs):
-            if lo > hi:
+            if not lo <= hi:  # also a NaN bound
                 raise ValueError(f"class {self.class_code}: lo > hi")
 
     @property

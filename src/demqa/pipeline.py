@@ -22,6 +22,8 @@ from .sample import (
     SampleTable,
     attach_class,
     attach_derivatives,
+    class_cells,
+    dem_cells,
     extract_coincident,
     read_gcp_csv,
 )
@@ -46,11 +48,24 @@ CORRELATION_PAIRS = (
 
 
 def read_inputs(cfg: AssessConfig) -> tuple[Grid, SampleTable, Grid | None, dict[int, str]]:
-    """The DEM, the control points, the class map (or None) and the legend (or {})."""
+    """The DEM, the control points, the class map (or None) and the legend (or {}).
+
+    Only the grid cells the later stages read are converted (``dem_cells``,
+    ``class_cells``); the other cells are NaN. The control points, which
+    name those cells, are read first, but an error is reported in the
+    order DEM, control points, class map, legend: when the control points
+    fail, the DEM is checked before their error is raised.
+    """
+    try:
+        points = read_gcp_csv(cfg.gcps)
+    except Exception:  # whatever it is, a DEM error is reported first
+        read_ascii_grid(cfg.dem, cells=lambda dem: ())
+        raise
     return (
-        read_ascii_grid(cfg.dem),
-        read_gcp_csv(cfg.gcps),
-        read_ascii_grid(cfg.classmap) if cfg.classmap else None,
+        read_ascii_grid(cfg.dem, cells=lambda dem: dem_cells(dem, points.x, points.y)),
+        points,
+        read_ascii_grid(cfg.classmap, cells=lambda cm: class_cells(cm, points.x, points.y))
+        if cfg.classmap else None,
         read_legend_csv(cfg.legend) if cfg.legend else {},
     )
 

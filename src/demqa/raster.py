@@ -12,7 +12,17 @@ raises ParseError naming the line (and column) of the first that is not.
 
 The reader streams the body in blocks of whole lines (about 1 MiB of text
 each) into one preallocated array, so it holds that array plus one block,
-not the whole text and a token list.
+not the whole text and a token list; a line longer than a block is
+converted in pieces cut at whitespace.
+
+A caller that reads only some cells (``assess`` reads the cells under its
+control points and their 3x3 windows) can name them: ``read_ascii_grid``
+then converts only those, and every other cell holds NaN, a value no full
+read gives. Every token is still checked. A block whose tokens are all
+plain decimals (``[+-]?(D+(.D*)?|.D+)``, at most 300 characters, so
+``float()`` gives each a finite value) is checked with array operations on
+its bytes; any other block is converted in full as before, so a bad token
+gives the same error, line and column whichever cells were named.
 
 Values are written with shortest round-trip precision, so
 ``read(write(g))`` reproduces ``g`` exactly.
@@ -24,9 +34,10 @@ import contextlib
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -38,6 +49,22 @@ _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_
 _REQUIRED_KEYS = _HEADER_KEYS[:5]
 # Characters of grid body text converted at a time (rounded up to whole lines).
 _BLOCK_CHARS = 1 << 20
+# Characters a windowed read converts at a time (a slice of a block): the
+# scanner's index arrays take up to 8 bytes per character.
+_SCAN_CHARS = 1 << 17
+# Byte classes of the body scanner, for bytes.translate: a block holding
+# only these (no other byte) may be plain decimals.
+_WS, _DIGIT, _DOT, _SIGN, _OTHER = range(5)
+_CLASSES = bytes(
+    _WS if b in b" \t\n\r" else _DIGIT if b in b"0123456789" else _DOT if b == ord(".")
+    else _SIGN if b in b"+-" else _OTHER
+    for b in range(256)
+)
+# Longest token the scanner accepts: a plain decimal of 300 characters is
+# below 1e300, so float() gives it a finite value.
+_MAX_TOKEN = 300
+# A read that names more than this share of the cells converts them all.
+_DENSE_FRACTION = 1 / 8
 
 
 @dataclass(eq=False)
@@ -59,12 +86,7 @@ class Grid:
     nodata: float = DEFAULT_NODATA
 
     def __post_init__(self):
-        if self.ncols < 1 or self.nrows < 1:
-            raise ValueError("grid must have at least one row and one column")
-        if not self.cellsize > 0:
-            raise ValueError("cellsize must be positive")
-        if not all(map(math.isfinite, (self.xll, self.yll, self.cellsize))):
-            raise ValueError("xll, yll and cellsize must be finite")
+        _check_georef(self.ncols, self.nrows, self.xll, self.yll, self.cellsize)
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.size != self.nrows * self.ncols:
             raise ValueError(
@@ -113,6 +135,16 @@ class Grid:
     def mask(self) -> np.ndarray:
         """Boolean array, True where data is valid."""
         return self.values != self.nodata
+
+
+def _check_georef(ncols: int, nrows: int, xll: float, yll: float, cellsize: float) -> None:
+    """Raise ValueError unless a grid of this shape and origin can exist."""
+    if ncols < 1 or nrows < 1:
+        raise ValueError("grid must have at least one row and one column")
+    if not cellsize > 0:
+        raise ValueError("cellsize must be positive")
+    if not all(map(math.isfinite, (xll, yll, cellsize))):
+        raise ValueError("xll, yll and cellsize must be finite")
 
 
 @dataclass
@@ -215,25 +247,35 @@ def _csv_rows(source: str | Path | TextIO, name: str) -> Iterator[tuple[int, lis
             raise ParseError(f"empty {name}")
 
 
-def read_ascii_grid(source: str | Path | TextIO) -> Grid:
-    """Parse an ASCII grid from a path or open text stream."""
+def read_ascii_grid(
+    source: str | Path | TextIO, cells: Callable[[Grid], Sequence[int]] | None = None
+) -> Grid:
+    """Parse an ASCII grid from a path or open text stream.
+
+    ``cells``, when given, is called after the header with a grid of the
+    file's georeferencing whose values are all NaN, and returns the sorted
+    flat indices of the cells the caller will read. Only those are
+    converted; every other cell stays NaN. Every token is still checked,
+    and a list longer than a fixed share of the grid reads every cell.
+    """
     with _open_text(source, "r") as stream:
-        return _read_stream(stream)
+        return _read_stream(stream, cells)
 
 
-def _read_stream(stream: TextIO) -> Grid:
+def _read_stream(stream: TextIO, cells: Callable[[Grid], Sequence[int]] | None) -> Grid:
     header: dict[str, float] = {}
     first = None  # the first value's line
     lineno = 0
     for raw in stream:
         lineno += 1
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
+        word = re.search(r"\S+", raw)  # not raw.split(): a body line may be long
+        if word is None or word.group().startswith("#"):
             continue
-        key = parts[0].lower()
+        key = word.group().lower()
         if key not in _HEADER_KEYS:
             first = raw
             break
+        parts = raw.split()
         if key in header:
             raise ParseError(f"duplicate header keyword '{parts[0]}'", line=lineno)
         if len(parts) != 2:
@@ -253,45 +295,69 @@ def _read_stream(stream: TextIO) -> Grid:
 
     ncols = int(header["ncols"])
     nrows = int(header["nrows"])
-    block = [] if first is None else [first, *stream.readlines(_BLOCK_CHARS)]
-    return Grid(
+    georef = dict(
         ncols=ncols,
         nrows=nrows,
         xll=header["xllcorner"],
         yll=header["yllcorner"],
         cellsize=header["cellsize"],
         nodata=header.get("nodata_value", DEFAULT_NODATA),
-        values=_read_body(stream, block, lineno, nrows * ncols),
     )
+    expected = nrows * ncols
+    index, size = None, _BLOCK_CHARS
+    if cells is not None:
+        unread = Grid(**georef, values=np.broadcast_to(np.nan, expected))
+        index = np.asarray(cells(unread), dtype=np.int64)
+        # slices even when every cell is converted: the caller's data (the
+        # control points, for assess) is alive beside the token lists, and
+        # small lists keep the peak at that of a full read
+        size = _SCAN_CHARS
+        if index.size > _DENSE_FRACTION * expected:
+            index = None
+    block = [] if first is None else [first, *stream.readlines(_BLOCK_CHARS)]
+    return Grid(**georef, values=_read_body(stream, block, lineno, expected, index, size))
 
 
-def _read_body(stream: TextIO, block: list[str], lineno: int, expected: int) -> np.ndarray:
+def _read_body(
+    stream: TextIO,
+    block: list[str],
+    lineno: int,
+    expected: int,
+    cells: np.ndarray | None,
+    size: int,
+) -> np.ndarray:
     """Convert the grid body into an array of ``expected`` values.
 
     ``block`` holds the body's first lines, from file line ``lineno``; the
-    rest is read from ``stream`` one block of whole lines at a time. Every
-    block is counted, also after a bad one, so a wrong count is reported
-    before a bad token; the first bad token's position comes from
-    re-scanning only the block that holds it.
+    rest is read from ``stream`` one block of whole lines at a time, and
+    each block is converted in pieces of about ``size`` characters. With
+    ``cells`` (sorted flat indices) only those cells are converted and the
+    rest are NaN; a piece that ``_scan`` accepts is checked without
+    ``float()``, and any other piece is converted in full. Every block is
+    counted, also after a bad one, so a wrong count is reported before a
+    bad token; the first bad token's position comes from re-scanning only
+    the block that holds it.
     """
-    values = np.empty(expected, dtype=np.float64)
+    values = np.empty(expected) if cells is None else np.full(expected, np.nan)
     got = 0
     bad = None  # (first line number, lines) of the first block with a bad token
     while block:
-        tokens = "".join(block).split()
-        n = len(tokens)
-        if bad is None and got + n <= expected:
-            out = values[got : got + n]
-            # map(float) keeps Python's number syntax whatever the numpy version.
-            try:
-                out[:] = np.fromiter(map(float, tokens), np.float64, count=n)
-                finite = bool(np.isfinite(out).all())
-            except ValueError:
-                finite = False
-            if not finite:
-                bad = (lineno, block)
-        del tokens  # before the next block is read: one token list at a time
-        got += n
+        for piece in _pieces("".join(block), size):
+            spans = None if cells is None else _scan(piece)
+            if spans is not None:  # plain decimals: convert only the named cells
+                starts, ends = spans
+                n = starts.size
+                k = _between(cells, got, got + n) - got
+                at = zip(starts[k].tolist(), ends[k].tolist())
+                values[k + got] = [float(piece[a:b]) for a, b in at]
+            else:
+                tokens = piece.split()
+                n = len(tokens)
+                if bad is None and got + n <= expected:
+                    if not _convert(tokens, values, got, cells):
+                        bad = (lineno, block)
+                del tokens  # before the next piece: one token list at a time
+            got += n
         lineno += len(block)
         block = stream.readlines(_BLOCK_CHARS)
     if got != expected:
@@ -299,9 +365,81 @@ def _read_body(stream: TextIO, block: list[str], lineno: int, expected: int) -> 
     if bad is not None:
         start, lines = bad
         for n, line in enumerate(lines, start=start):
-            for col, tok in enumerate(line.split(), start=1):
-                _number(tok, "token", n, col)
+            for col, tok in enumerate(re.finditer(r"\S+", line), start=1):
+                _number(tok.group(), "token", n, col)
     return values
+
+
+def _pieces(text: str, size: int) -> Iterator[str]:
+    """``text`` cut after whitespace into pieces of ``size`` to ``2 * size``
+    characters (the last may be shorter). A cut at a space, tab or line end
+    leaves every token whole."""
+    start = 0
+    while len(text) - start > 2 * size:
+        end = start + size
+        cut = max(text.rfind(c, start, end) for c in " \t\n\r")
+        if cut < start:  # a token longer than a piece: cut after it
+            found = [k for k in (text.find(c, end) for c in " \t\n\r") if k >= 0]
+            cut = min(found, default=len(text))
+        yield text[start : cut + 1]
+        start = cut + 1
+    yield text[start:] if start else text
+
+
+def _scan(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """Start and end offsets of the tokens of ``text`` when every token is
+    a plain decimal ``[+-]?(D+(.D*)?|.D+)`` of at most ``_MAX_TOKEN``
+    characters, which ``float()`` turns into a finite value; None when
+    some token may not be (the caller then converts the text in full)."""
+    if not text.isascii():
+        return None
+    # one whitespace byte on each side, so each byte has two neighbours
+    c = np.frombuffer(f" {text} ".encode("ascii").translate(_CLASSES), dtype=np.uint8)
+    if c.max() == _OTHER:
+        return None
+    ws = c == _WS
+    sign = c == _SIGN
+    dot = c == _DOT
+    digit = c == _DIGIT
+    if (
+        (sign[1:] & ~ws[:-1]).any()  # a sign not at a token's start
+        or (sign[:-1] & ws[1:]).any()  # a sign alone
+        or (dot[1:-1] & ~digit[:-2] & ~digit[2:]).any()  # a dot with no digit next to it
+    ):
+        return None
+    # edge k lies between padded bytes k and k+1, that is before text[k]
+    edges = np.flatnonzero(ws[:-1] != ws[1:])
+    starts, ends = edges[0::2], edges[1::2]
+    if starts.size and (ends - starts).max() > _MAX_TOKEN:
+        return None
+    token_of_dot = np.searchsorted(starts, np.flatnonzero(dot), side="right")
+    if (token_of_dot[1:] == token_of_dot[:-1]).any():  # two dots in one token
+        return None
+    return starts, ends
+
+
+def _convert(tokens: list[str], values: np.ndarray, at: int, cells: np.ndarray | None) -> bool:
+    """Convert ``tokens``, the values of cells ``at``, ``at + 1``, ...; store
+    all of them, or only ``cells`` when given. False if one is not a
+    finite number."""
+    # map(float) keeps Python's number syntax whatever the numpy version.
+    try:
+        parsed = np.fromiter(map(float, tokens), np.float64, count=len(tokens))
+    except ValueError:
+        return False
+    if not np.isfinite(parsed).all():
+        return False
+    if cells is None:
+        values[at : at + parsed.size] = parsed
+    else:
+        k = _between(cells, at, at + parsed.size)
+        values[k] = parsed[k - at]
+    return True
+
+
+def _between(cells: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The entries of sorted ``cells`` in [lo, hi)."""
+    return cells[np.searchsorted(cells, lo) : np.searchsorted(cells, hi)]
 
 
 def _number(text: str, what: str, line: int, column: int) -> float:

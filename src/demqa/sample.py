@@ -247,6 +247,15 @@ def _sample_bilinear(grid: Grid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(ok, total, np.nan)
 
 
+def class_cells(classmap: Grid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sorted flat indices of the class-map cells ``attach_class`` reads for
+    points (x, y): the cell of each point on the map."""
+    _, rows, cols = cells_of(classmap, x, y)
+    read = np.zeros((classmap.nrows, classmap.ncols), dtype=bool)
+    read[rows, cols] = True
+    return np.flatnonzero(read)
+
+
 def attach_class(
     classmap: Grid,
     samples: SampleTable | Sequence[SampleRecord],
@@ -273,6 +282,20 @@ def attach_class(
         for src, dst in remap.items():
             codes[found == src] = dst
     return dataclasses.replace(table, class_code=codes)
+
+
+def dem_cells(dem: Grid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sorted flat indices of the DEM cells ``extract_coincident`` and
+    ``attach_derivatives`` read for points (x, y): the 3x3 window, clipped
+    to the grid, around the cell of each point on the grid. The bilinear
+    corners of such a point lie in it, and a point off the grid gets no
+    height whatever its corners on the grid hold."""
+    _, rows, cols = cells_of(dem, x, y)
+    read = np.zeros((dem.nrows, dem.ncols), dtype=bool)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            read[np.clip(rows + dr, 0, dem.nrows - 1), np.clip(cols + dc, 0, dem.ncols - 1)] = True
+    return np.flatnonzero(read)
 
 
 def attach_derivatives(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError
-from .raster import Grid, cell_of
+from .raster import Grid, _check_georef, cell_of
 from .sample import ControlPoint
 
 SCENE_KINDS = ("plane", "checkerboard", "smoothed_noise")
@@ -71,6 +71,7 @@ def make_plane(
     cellsize: float = 1.0, xll: float = 0.0, yll: float = 0.0,
 ) -> Grid:
     """Grid sampling the plane z = a*x + b*y + c at cell centres."""
+    _check_georef(ncols, nrows, xll, yll, cellsize)
     xx, yy = _cell_centres(nrows, ncols, cellsize, xll, yll)
     return Grid(
         ncols=ncols, nrows=nrows, xll=xll, yll=yll, cellsize=cellsize,
@@ -83,6 +84,7 @@ def make_checkerboard(
     cellsize: float = 1.0, xll: float = 0.0, yll: float = 0.0,
 ) -> Grid:
     """Grid alternating +/- amplitude on adjacent cells."""
+    _check_georef(ncols, nrows, xll, yll, cellsize)
     r, c = np.indices((nrows, ncols))
     values = np.where((r + c) % 2 == 0, amplitude, -amplitude).astype(np.float64)
     return Grid(
@@ -103,6 +105,7 @@ def make_smoothed_noise(
         raise ValueError("sd must be positive")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    _check_georef(ncols, nrows, xll, yll, cellsize)
     rng = np.random.default_rng(seed)
     field = rng.normal(0.0, sd, size=(nrows, ncols))
     for _ in range(radius):

@@ -1,6 +1,7 @@
 import configparser
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -347,6 +348,22 @@ def test_synth_bad_value_exit_2(tmp_path, capsys, flags, message):
     flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
     assert main(argv + flags) == 2
     assert capsys.readouterr().err == f"config error [synth]: {message}\n"
+    assert not (tmp_path / "p.asc").exists()
+
+
+@pytest.mark.parametrize("kind", ["plane", "checkerboard", "smoothed_noise"])
+@pytest.mark.parametrize(
+    "flags", [["--xll", "inf"], ["--yll=-inf"], ["--xll", "nan"], ["--cellsize", "inf"]]
+)
+def test_synth_non_finite_origin_exit_2_without_warning(tmp_path, capsys, kind, flags):
+    # the origin is checked before any cell value is computed: a plane at
+    # x = inf would otherwise warn (0 * inf) before the grid rejects it
+    argv = ["synth", "--kind", kind, "--nrows", "4", "--ncols", "4",
+            "--out", str(tmp_path / "p.asc")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + flags) == 2
+    assert capsys.readouterr().err == "config error [synth]: xll, yll and cellsize must be finite\n"
     assert not (tmp_path / "p.asc").exists()
 
 

@@ -117,6 +117,14 @@ def test_classbox_validation():
         ClassBox(class_code=1, label="bad", lows=(0.0,), highs=(1.0, 2.0), means=(0.5,))
 
 
+@pytest.mark.parametrize("lows, highs", [((math.nan,), (1.0,)), ((0.0,), (math.nan,)),
+                                          ((0.0, math.nan), (1.0, math.nan))])
+def test_classbox_rejects_nan_bound(lows, highs):
+    # "lo > hi" is False for NaN; such a box would silently hold no pixel
+    with pytest.raises(ValueError, match=r"^class 1: lo > hi$"):
+        ClassBox(class_code=1, label="a", lows=lows, highs=highs, means=(0.5,) * len(lows))
+
+
 def synthetic_scene(seed=0):
     """Three classes with disjoint bounded spectra, plus the truth map.
 
