@@ -42,7 +42,7 @@ from .pipeline import moran_section, run_assess
 from .raster import MultibandGrid, _csv_rows, _open_text, read_ascii_grid, write_ascii_grid
 from .sample import EXTRACTION_METHODS, SampleTable
 from .screen import FILTER_FIELDS
-from .spatial import ASSUMPTIONS, WEIGHT_SCHEMES
+from .spatial import ASSUMPTIONS, MAX_PERMUTATIONS, WEIGHT_SCHEMES
 from .synth import SCENE_KINDS, SceneSpec, scatter_points
 from .terrain import FLAT_ASPECT, slope_aspect
 
@@ -201,7 +201,8 @@ OPTIONS = (
     Option("moran_assumption", "moran", "assumption", "--assumption", str,
            "Moran significance assumption", _one_of(ASSUMPTIONS)),
     Option("n_perm", "moran", "n_perm", "--n-perm", int, "permutations (0 = analytic only)",
-           Check(lambda v: v == 0 or v >= 99, "0 or >= 99")),
+           Check(lambda v: v == 0 or 99 <= v <= MAX_PERMUTATIONS,
+                 f"0 or 99 to {MAX_PERMUTATIONS}")),
     Option("seed", "moran", "seed", "--seed", int, "permutation seed",
            Check(lambda v: v >= 0, ">= 0")),
     Option("hist_width", "histogram", "width", "--hist-width", float, "histogram bin width",

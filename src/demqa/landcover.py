@@ -10,7 +10,7 @@ order classes were declared in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -129,15 +129,7 @@ def classify(image: MultibandGrid, boxes: Sequence[ClassBox]) -> Grid:
     codes = np.array([b.class_code for b in ordered])
     out = np.where(any_inside, codes[best], UNCLASSIFIED).astype(np.float64)
     out[nodata_mask] = ref.nodata
-    return Grid(
-        ncols=ref.ncols,
-        nrows=ref.nrows,
-        xll=ref.xll,
-        yll=ref.yll,
-        cellsize=ref.cellsize,
-        nodata=ref.nodata,
-        values=out,
-    )
+    return replace(ref, values=out)
 
 
 def read_training_csv(source: str | Path | TextIO) -> list[tuple[float, float, int]]:

@@ -10,10 +10,10 @@ start with a UTF-8 byte order mark. Every value must be a finite number,
 ``ncols``/``nrows`` positive integers and ``cellsize`` positive; the reader
 raises ParseError naming the line (and column) of the first that is not.
 
-The reader streams the body in blocks of whole lines (about 1 MiB of text
-each) into one preallocated array, so it holds that array plus one block,
-not the whole text and a token list; a line longer than a block is
-converted in pieces cut at whitespace.
+The reader streams the body in blocks of whole lines (about 128 Ki
+characters each) into one preallocated array, so it holds that array plus
+one block, not the whole text and a token list; a line longer than a block
+is converted in pieces cut at whitespace.
 
 A caller that reads only some cells (``assess`` reads the cells under its
 control points and their 3x3 windows) can name them: ``read_ascii_grid``
@@ -47,11 +47,11 @@ DEFAULT_NODATA = -9999.0
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 _REQUIRED_KEYS = _HEADER_KEYS[:5]
-# Characters of grid body text converted at a time (rounded up to whole lines).
-_BLOCK_CHARS = 1 << 20
-# Characters a windowed read converts at a time (a slice of a block): the
-# scanner's index arrays take up to 8 bytes per character.
-_SCAN_CHARS = 1 << 17
+# Characters of grid body text converted at a time (rounded up to whole
+# lines; a longer line is cut into pieces). A block's token list and the
+# scanner's index arrays (up to 8 bytes per character) are alive beside the
+# value array, so a small block keeps the peak near the array's size.
+_BLOCK_CHARS = 1 << 17
 # Byte classes of the body scanner, for bytes.translate: a block holding
 # only these (no other byte) may be plain decimals.
 _WS, _DIGIT, _DOT, _SIGN, _OTHER = range(5)
@@ -100,11 +100,7 @@ class Grid:
         if not isinstance(other, Grid):
             return NotImplemented
         return (
-            self.ncols == other.ncols
-            and self.nrows == other.nrows
-            and self.xll == other.xll
-            and self.yll == other.yll
-            and self.cellsize == other.cellsize
+            self.same_georef(other)
             and self.nodata == other.nodata
             and np.array_equal(self.values, other.values)
         )
@@ -304,33 +300,24 @@ def _read_stream(stream: TextIO, cells: Callable[[Grid], Sequence[int]] | None) 
         nodata=header.get("nodata_value", DEFAULT_NODATA),
     )
     expected = nrows * ncols
-    index, size = None, _BLOCK_CHARS
+    index = None
     if cells is not None:
         unread = Grid(**georef, values=np.broadcast_to(np.nan, expected))
         index = np.asarray(cells(unread), dtype=np.int64)
-        # slices even when every cell is converted: the caller's data (the
-        # control points, for assess) is alive beside the token lists, and
-        # small lists keep the peak at that of a full read
-        size = _SCAN_CHARS
         if index.size > _DENSE_FRACTION * expected:
             index = None
     block = [] if first is None else [first, *stream.readlines(_BLOCK_CHARS)]
-    return Grid(**georef, values=_read_body(stream, block, lineno, expected, index, size))
+    return Grid(**georef, values=_read_body(stream, block, lineno, expected, index))
 
 
 def _read_body(
-    stream: TextIO,
-    block: list[str],
-    lineno: int,
-    expected: int,
-    cells: np.ndarray | None,
-    size: int,
+    stream: TextIO, block: list[str], lineno: int, expected: int, cells: np.ndarray | None
 ) -> np.ndarray:
     """Convert the grid body into an array of ``expected`` values.
 
     ``block`` holds the body's first lines, from file line ``lineno``; the
-    rest is read from ``stream`` one block of whole lines at a time, and
-    each block is converted in pieces of about ``size`` characters. With
+    rest is read from ``stream`` one block of whole lines at a time, and a
+    line longer than a block is converted in pieces of about a block. With
     ``cells`` (sorted flat indices) only those cells are converted and the
     rest are NaN; a piece that ``_scan`` accepts is checked without
     ``float()``, and any other piece is converted in full. Every block is
@@ -342,7 +329,7 @@ def _read_body(
     got = 0
     bad = None  # (first line number, lines) of the first block with a bad token
     while block:
-        for piece in _pieces("".join(block), size):
+        for piece in _pieces("".join(block)):
             spans = None if cells is None else _scan(piece)
             if spans is not None:  # plain decimals: convert only the named cells
                 starts, ends = spans
@@ -370,10 +357,11 @@ def _read_body(
     return values
 
 
-def _pieces(text: str, size: int) -> Iterator[str]:
-    """``text`` cut after whitespace into pieces of ``size`` to ``2 * size``
-    characters (the last may be shorter). A cut at a space, tab or line end
-    leaves every token whole."""
+def _pieces(text: str) -> Iterator[str]:
+    """``text`` cut after whitespace into pieces of ``_BLOCK_CHARS`` to
+    ``2 * _BLOCK_CHARS`` characters (the last may be shorter). A cut at a
+    space, tab or line end leaves every token whole."""
+    size = _BLOCK_CHARS
     start = 0
     while len(text) - start > 2 * size:
         end = start + size

@@ -43,6 +43,9 @@ ASSUMPTIONS = ("randomization", "normality")
 # reached when one outlying point makes the ``auto`` band span a cluster.
 # At 3.5 million weights the build peaked at about 400 MB.
 MAX_WEIGHTS = 5_000_000
+# More replicates than a pseudo p-value needs (999 is usual); the test
+# allocates one seed stream per replicate before it draws any.
+MAX_PERMUTATIONS = 1_000_000
 
 
 class WeightsMatrix:
@@ -440,6 +443,8 @@ def permutation_test(
         raise InsufficientDataError(f"need n >= 4 for a permutation test, got {w.n}")
     if n_perm < 99:
         raise ValueError(f"n_perm must be at least 99, got {n_perm}")
+    if n_perm > MAX_PERMUTATIONS:
+        raise ValueError(f"n_perm must be at most {MAX_PERMUTATIONS}, got {n_perm}")
     z = _deviations(values, w)
     denom = float(np.sum(z * z))
     scale = w.n / (w.s0 * denom)

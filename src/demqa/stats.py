@@ -146,19 +146,10 @@ def f_test(
     ms_between = ss_between / df_between
     ms_within = ss_within / df_within
     if ms_within == 0.0:
-        return AnovaTable(
-            ss_between=ss_between,
-            df_between=df_between,
-            ss_within=ss_within,
-            df_within=df_within,
-            ms_between=ms_between,
-            ms_within=0.0,
-            f=math.inf,
-            p=0.0,
-            infinite_f=True,
-        )
-    f = ms_between / ms_within
-    p = 1.0 - f_cdf(f, df_between, df_within)
+        f, p, infinite_f = math.inf, 0.0, True
+    else:
+        f, infinite_f = ms_between / ms_within, False
+        p = min(max(1.0 - f_cdf(f, df_between, df_within), 0.0), 1.0)
     return AnovaTable(
         ss_between=ss_between,
         df_between=df_between,
@@ -167,7 +158,8 @@ def f_test(
         ms_between=ms_between,
         ms_within=ms_within,
         f=f,
-        p=min(max(p, 0.0), 1.0),
+        p=p,
+        infinite_f=infinite_f,
     )
 
 
@@ -270,8 +262,10 @@ def histogram(
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         return []
-    lows = np.floor((v - origin) / bin_width)
-    n_bins = lows.max() - lows.min() + 1.0
+    # a subnormal width overflows lows; the guard rejects the inf/nan count
+    with np.errstate(over="ignore", invalid="ignore"):
+        lows = np.floor((v - origin) / bin_width)
+        n_bins = lows.max() - lows.min() + 1.0
     if not n_bins <= MAX_HISTOGRAM_BINS:
         raise ConfigError(
             f"bin width {bin_width!r} would need {n_bins:.12g} bins; "

@@ -60,6 +60,14 @@ class SceneSpec:
         raise ValueError(f"unknown scene kind '{self.kind}'")
 
 
+def _scene(what, values, nrows, ncols, cellsize, xll, yll) -> Grid:
+    """The grid of ``values``; ValueError if a scene parameter made one of
+    them NaN or infinite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} values must be finite")
+    return Grid(ncols=ncols, nrows=nrows, xll=xll, yll=yll, cellsize=cellsize, values=values)
+
+
 def _cell_centres(nrows, ncols, cellsize, xll, yll):
     x = xll + (np.arange(ncols) + 0.5) * cellsize
     y = yll + (nrows - np.arange(nrows) - 0.5) * cellsize
@@ -72,11 +80,10 @@ def make_plane(
 ) -> Grid:
     """Grid sampling the plane z = a*x + b*y + c at cell centres."""
     _check_georef(ncols, nrows, xll, yll, cellsize)
-    xx, yy = _cell_centres(nrows, ncols, cellsize, xll, yll)
-    return Grid(
-        ncols=ncols, nrows=nrows, xll=xll, yll=yll, cellsize=cellsize,
-        values=a * xx + b * yy + c,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        xx, yy = _cell_centres(nrows, ncols, cellsize, xll, yll)
+        values = a * xx + b * yy + c
+    return _scene("plane", values, nrows, ncols, cellsize, xll, yll)
 
 
 def make_checkerboard(
@@ -87,9 +94,7 @@ def make_checkerboard(
     _check_georef(ncols, nrows, xll, yll, cellsize)
     r, c = np.indices((nrows, ncols))
     values = np.where((r + c) % 2 == 0, amplitude, -amplitude).astype(np.float64)
-    return Grid(
-        ncols=ncols, nrows=nrows, xll=xll, yll=yll, cellsize=cellsize, values=values
-    )
+    return _scene("checkerboard", values, nrows, ncols, cellsize, xll, yll)
 
 
 def make_smoothed_noise(
@@ -101,23 +106,22 @@ def make_smoothed_noise(
     radius 0 leaves the field spatially independent; each smoothing pass
     strengthens positive autocorrelation. Edges use replicate padding.
     """
-    if sd <= 0:
-        raise ValueError("sd must be positive")
+    if not (math.isfinite(sd) and sd > 0):
+        raise ValueError("sd must be finite and positive")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     _check_georef(ncols, nrows, xll, yll, cellsize)
     rng = np.random.default_rng(seed)
-    field = rng.normal(0.0, sd, size=(nrows, ncols))
-    for _ in range(radius):
-        padded = np.pad(field, 1, mode="edge")
-        acc = np.zeros_like(field)
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                acc += padded[1 + dr : 1 + dr + nrows, 1 + dc : 1 + dc + ncols]
-        field = acc / 9.0
-    return Grid(
-        ncols=ncols, nrows=nrows, xll=xll, yll=yll, cellsize=cellsize, values=field
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # sd near the float limit
+        field = rng.normal(0.0, sd, size=(nrows, ncols))
+        for _ in range(radius):
+            padded = np.pad(field, 1, mode="edge")
+            acc = np.zeros_like(field)
+            for dr in (-1, 0, 1):
+                for dc in (-1, 0, 1):
+                    acc += padded[1 + dr : 1 + dr + nrows, 1 + dc : 1 + dc + ncols]
+            field = acc / 9.0
+    return _scene("smoothed_noise", field, nrows, ncols, cellsize, xll, yll)
 
 
 def scatter_points(
@@ -138,9 +142,15 @@ def scatter_points(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
+    if not (math.isfinite(error_sd) and error_sd >= 0):
+        raise ValueError("error_sd must be finite and >= 0")
+    if not min_separation >= 0:  # also NaN; inf allows one point
+        raise ValueError("min_separation must be >= 0")
     width = grid.ncols * grid.cellsize
     height = grid.nrows * grid.cellsize
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise ValueError("grid extent must be finite")
+    rng = np.random.default_rng(seed)
     placed: set[tuple[float, float]] = set()
     # Placed points by cell of side ``min_separation``. ``x // side`` is the
     # exact floor of x / side while that stays below about 2**51 in

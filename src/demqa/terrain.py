@@ -20,7 +20,7 @@ kernel, ``_horn``, so a cell gets the same bits from either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -89,19 +89,9 @@ def slope_aspect(dem: Grid, z_factor: float = 1.0) -> DerivativePair:
         padded[1 + dr : 1 + dr + dem.nrows, 1 + dc : 1 + dc + dem.ncols] for dr, dc in _OFFSETS
     ]
     slope_deg, aspect_deg = _horn(work, neighbours, invalid, dem.cellsize, z_factor, dem.nodata)
-
-    def like_dem(v: np.ndarray) -> Grid:
-        return Grid(
-            ncols=dem.ncols,
-            nrows=dem.nrows,
-            xll=dem.xll,
-            yll=dem.yll,
-            cellsize=dem.cellsize,
-            nodata=dem.nodata,
-            values=v,
-        )
-
-    return DerivativePair(slope=like_dem(slope_deg), aspect=like_dem(aspect_deg))
+    return DerivativePair(
+        slope=replace(dem, values=slope_deg), aspect=replace(dem, values=aspect_deg)
+    )
 
 
 def slope_aspect_at(

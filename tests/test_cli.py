@@ -340,6 +340,7 @@ def test_synth_command_writes_gcps(tmp_path):
         (["--cellsize", "0"], "cellsize must be positive"),
         (["--nrows", "0"], "grid must have at least one row and one column"),
         (["--gcps-out", "g.csv", "--n-points", "0"], "n must be at least 1"),
+        (["--gcps-out", "g.csv", "--error-sd", "-1"], "error_sd must be finite and >= 0"),
     ],
 )
 def test_synth_bad_value_exit_2(tmp_path, capsys, flags, message):
@@ -351,19 +352,42 @@ def test_synth_bad_value_exit_2(tmp_path, capsys, flags, message):
     assert not (tmp_path / "p.asc").exists()
 
 
+ORIGIN = "xll, yll and cellsize must be finite"
+EXTENT = "grid extent must be finite"
+# a row that sets each kind's own parameter fails every kind
+SCENE = {"plane": "plane values must be finite",
+         "checkerboard": "checkerboard values must be finite",
+         "smoothed_noise": "sd must be finite and positive"}
+SYNTH_NON_FINITE = [
+    (["--xll", "inf"], ORIGIN),
+    (["--yll=-inf"], ORIGIN),
+    (["--xll", "nan"], ORIGIN),
+    (["--cellsize", "inf"], ORIGIN),
+    (["--a", "nan", "--amplitude", "nan", "--sd", "nan"], SCENE),
+    # a plane's cell centres overflow at this cellsize
+    (["--cellsize", "1e308", "--amplitude", "inf", "--sd", "inf"], SCENE),
+    # the other kinds' grids are 4e308 wide: no point can be drawn on them
+    (["--cellsize", "1e308", "--gcps-out", "g.csv"],
+     {"plane": SCENE["plane"], "checkerboard": EXTENT, "smoothed_noise": EXTENT}),
+    (["--gcps-out", "g.csv", "--error-sd", "nan"], "error_sd must be finite and >= 0"),
+    (["--gcps-out", "g.csv", "--min-separation", "nan"], "min_separation must be >= 0"),
+]
+
+
 @pytest.mark.parametrize("kind", ["plane", "checkerboard", "smoothed_noise"])
-@pytest.mark.parametrize(
-    "flags", [["--xll", "inf"], ["--yll=-inf"], ["--xll", "nan"], ["--cellsize", "inf"]]
-)
-def test_synth_non_finite_origin_exit_2_without_warning(tmp_path, capsys, kind, flags):
+@pytest.mark.parametrize("flags, message", SYNTH_NON_FINITE,
+                         ids=[f"flags{k}" for k in range(len(SYNTH_NON_FINITE))])
+def test_synth_non_finite_origin_exit_2_without_warning(tmp_path, capsys, kind, flags, message):
     # the origin is checked before any cell value is computed: a plane at
     # x = inf would otherwise warn (0 * inf) before the grid rejects it
     argv = ["synth", "--kind", kind, "--nrows", "4", "--ncols", "4",
             "--out", str(tmp_path / "p.asc")]
+    flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv + flags) == 2
-    assert capsys.readouterr().err == "config error [synth]: xll, yll and cellsize must be finite\n"
+    message = message if isinstance(message, str) else message[kind]
+    assert capsys.readouterr().err == f"config error [synth]: {message}\n"
     assert not (tmp_path / "p.asc").exists()
 
 
@@ -405,6 +429,10 @@ HOSTILE = [
     ("assess", ["--min-h", "nan"], ""),
     ("assess", ["--threshold", "nan"], ""),
     ("assess", [], "[moran]\nrow_standardize = maybe\n"),
+    ("moran", ["--n-perm", "100000000000000000000"], ""),
+    ("assess", ["--n-perm", "100000000000000000000"], ""),
+    ("assess", ["--n-perm", "1000001"], ""),
+    ("assess", ["--hist-width", "5e-324", "--hist-origin", "1"], ""),
 ]
 
 
@@ -420,7 +448,9 @@ def test_hostile_option_values_exit_2(tmp_path, capsys, command, flags, ini):
         argv = ["moran", "--samples", str(tmp_path / "s.csv"), "--out", str(out)]
     else:
         argv = ["assess", "--config", str(write_config(tmp_path, dem, gcps, out, extra=ini))]
-    assert main(argv + flags) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + flags) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
 

@@ -589,16 +589,32 @@ def test_read_holds_one_array_and_one_block(tmp_path):
     rng = np.random.default_rng(3)
     g = Grid(ncols=600, nrows=600, xll=0, yll=0, cellsize=1,
              values=rng.uniform(100.0, 999.0, 360_000))
-    path = tmp_path / "big.asc"
-    write_ascii_grid(g, path)
+    got, peak = traced_round_trip(g, tmp_path / "big.asc")
+    assert got == g
+    assert peak < 16e6, peak
+
+
+def test_full_read_of_a_grid_heavy_dem_holds_the_array_and_a_small_block(tmp_path):
+    # the grid_heavy DEM's size: 1000x1000 values of ~17 digits, 18 MB of
+    # text and an 8 MB array; with blocks of 1 MiB the peak was 15.4 MB
+    rng = np.random.default_rng(11)
+    g = Grid(ncols=1000, nrows=1000, xll=0, yll=0, cellsize=10,
+             values=rng.uniform(200.0, 300.0, 1_000_000))
+    got, peak = traced_round_trip(g, tmp_path / "dem.asc")
+    assert got == g
+    assert peak < 11e6, peak
+
+
+def traced_round_trip(grid, path):
+    """``grid`` written to ``path`` and read back, and the read's
+    tracemalloc peak in bytes."""
+    write_ascii_grid(grid, path)
     tracemalloc.start()
     try:
         got = read_ascii_grid(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        return got, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == g
-    assert peak < 16e6, peak
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,11 @@ def test_permutation_needs_minimum_replicates():
     w = rook_weights(3)
     with pytest.raises(ValueError):
         permutation_test(list(range(9)), w, n_perm=10)
+    # and at most MAX_PERMUTATIONS, checked before a seed stream is made
+    # (spawning 10**20 raised OverflowError)
+    for n_perm in (demqa.spatial.MAX_PERMUTATIONS + 1, 10**20):
+        with pytest.raises(ValueError, match="at most 1000000"):
+            permutation_test(list(range(9)), w, n_perm=n_perm)
 
 
 def test_weights_matrix_rejects_self_weight():

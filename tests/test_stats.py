@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -265,3 +266,10 @@ def test_histogram_bin_limit():
         histogram([-1.0, 0.3, 1.0], 2.0**-16, 0.0)
     with pytest.raises(ConfigError, match=r"would need 1e\+300 bins"):
         histogram([0.0, 1.0], 1e-300, 0.0)
+    # a subnormal width overflows the bin index: rejected without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="would need inf bins"):
+            histogram([0.0, 1.0], 5e-324, 0.0)
+        with pytest.raises(ConfigError, match="would need nan bins"):
+            histogram([1.0, 2.0], 5e-324, 0.0)

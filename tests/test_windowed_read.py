@@ -244,7 +244,6 @@ def test_bad_token_in_a_long_line_names_its_line_and_column(monkeypatch, cells, 
     # the body's 100 values on one line, cut into pieces of about
     # block_chars characters; one more line after it
     monkeypatch.setattr(raster, "_BLOCK_CHARS", block_chars)
-    monkeypatch.setattr(raster, "_SCAN_CHARS", block_chars)
     monkeypatch.setattr(raster, "_DENSE_FRACTION", 1.0)
     header = "ncols 10\nnrows 11\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
     tokens = [f"{k}.25" for k in range(100)]
@@ -352,9 +351,9 @@ def test_assess_writes_the_full_reads_bytes(tmp_path, monkeypatch, windowed, cas
                 end="\r\n" if blocks == "default" else "\n")
     monkeypatch.chdir(tmp_path)
     if blocks == "line_blocks":
-        # one line per block, and scan pieces cut inside every line
+        # one line per block, and pieces of one token each: cut inside
+        # every line that holds more than one
         monkeypatch.setattr(raster, "_BLOCK_CHARS", 1)
-        monkeypatch.setattr(raster, "_SCAN_CHARS", 7)
     grids = []
     extract = demqa.pipeline.extract
     monkeypatch.setattr(demqa.pipeline, "extract",
