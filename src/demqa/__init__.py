@@ -20,8 +20,6 @@ from .errors import (
 )
 from .raster import Grid, MultibandGrid, cell_of, cells_of, read_ascii_grid, write_ascii_grid
 from .sample import (
-    ControlPoint,
-    SampleRecord,
     SampleTable,
     attach_class,
     attach_derivatives,
@@ -54,6 +52,7 @@ from .stats import (
 from .terrain import CellDerivatives, DerivativePair, slope_aspect, slope_aspect_at
 from .landcover import ClassBox, classify, train_parallelepiped
 from .synth import (
+    ControlPoint,
     SceneSpec,
     make_checkerboard,
     make_plane,
@@ -81,7 +80,6 @@ __all__ = [
     "NonFiniteGridError",
     "ParseError",
     "PermutationResult",
-    "SampleRecord",
     "SampleTable",
     "SceneSpec",
     "SummaryStats",

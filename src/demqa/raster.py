@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -114,9 +113,6 @@ class Grid:
             and self.cellsize == other.cellsize
         )
 
-    def is_nodata(self, row: int, col: int) -> bool:
-        return self.values[row, col] == self.nodata
-
     def value_at(self, row: int, col: int) -> float | None:
         """Cell value, or None for a nodata cell."""
         v = self.values[row, col]
@@ -126,11 +122,6 @@ class Grid:
         x = self.xll + (col + 0.5) * self.cellsize
         y = self.yll + (self.nrows - row - 0.5) * self.cellsize
         return x, y
-
-    @property
-    def mask(self) -> np.ndarray:
-        """Boolean array, True where data is valid."""
-        return self.values != self.nodata
 
 
 def _check_georef(ncols: int, nrows: int, xll: float, yll: float, cellsize: float) -> None:
@@ -478,10 +469,3 @@ def write_ascii_grid(grid: Grid, dest: str | Path | TextIO, comment: str | None 
             # leaves on integral values below 1e16 gives _fmt's text per cell.
             line = " ".join(map(repr, (row + 0.0).tolist())) + "\n"
             stream.write(line.replace(".0 ", " ").replace(".0\n", "\n"))
-
-
-def dumps_ascii_grid(grid: Grid) -> str:
-    """Serialize a grid to an ASCII text string."""
-    buf = io.StringIO()
-    write_ascii_grid(grid, buf)
-    return buf.getvalue()

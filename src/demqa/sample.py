@@ -7,8 +7,8 @@ in :mod:`demqa.screen` -- takes a table and returns a new one, with the
 same arithmetic per point that a loop over the points would do.
 
 A value that could not be extracted (point off the grid, nodata cell) is
-NaN in its column. Rows read back as ``SampleRecord`` with None there, so
-a missing value never leaks into statistics as a sentinel number.
+NaN in its column, never a sentinel number that could leak into
+statistics.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -27,38 +27,8 @@ from .terrain import slope_aspect_at
 
 EXTRACTION_METHODS = ("nearest", "bilinear")
 
-# The value columns of a table, in SampleRecord field order.
+# The value columns of a table, in field order.
 COLUMNS = ("x", "y", "h_ref", "h_dem", "delta_h", "class_code", "slope_deg", "aspect_deg")
-
-
-@dataclass(frozen=True)
-class ControlPoint:
-    """A surveyed reference point with a trusted orthometric height."""
-
-    id: str
-    x: float
-    y: float
-    h_ref: float
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    """A control point joined with everything extracted at its location.
-
-    ``delta_h`` is DEM height minus reference height. ``aspect_deg`` is
-    in [0, 360) clockwise from north, or -1 for flat cells. Any field
-    that could not be extracted is None.
-    """
-
-    id: str
-    x: float
-    y: float
-    h_ref: float
-    h_dem: float | None = None
-    delta_h: float | None = None
-    class_code: int | None = None
-    slope_deg: float | None = None
-    aspect_deg: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +40,7 @@ class SampleTable:
     missing). ``class_code`` holds integer codes as floats, exact up to
     2**53. ``status`` is each row's screening fate as ``samples.csv``
     reports it: ``kept`` (the default), ``removed_validity`` or
-    ``removed_outlier``. Indexing and iteration give rows as ``SampleRecord``.
+    ``removed_outlier``.
     """
 
     ids: list[str]
@@ -97,18 +67,6 @@ class SampleTable:
         object.__setattr__(self, "status", np.asarray(status, dtype=str))
 
     @classmethod
-    def of(cls, rows: SampleTable | Iterable[ControlPoint | SampleRecord]) -> SampleTable:
-        """``rows`` as a table: a table as it is, control points or sample
-        records (a field a row lacks, or holds as None, is missing)."""
-        if isinstance(rows, SampleTable):
-            return rows
-        rows = list(rows)
-        return cls(
-            ids=[r.id for r in rows],
-            **{c: [getattr(r, c, None) for r in rows] for c in COLUMNS},
-        )
-
-    @classmethod
     def concat(cls, tables: Sequence[SampleTable]) -> SampleTable:
         """The rows of ``tables``, one table after the other."""
         return cls(
@@ -119,12 +77,6 @@ class SampleTable:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, k: int) -> SampleRecord:
-        return _record(self.ids[k], [getattr(self, c)[k].item() for c in COLUMNS])
-
-    def __iter__(self) -> Iterator[SampleRecord]:
-        return map(_record, self.ids, zip(*(getattr(self, c).tolist() for c in COLUMNS)))
 
     def take(self, index) -> SampleTable:
         """The rows at ``index`` -- a boolean mask or row positions -- in that order."""
@@ -140,14 +92,6 @@ class SampleTable:
         """(the rows not flagged in ``drop``, the flagged rows with ``status``)."""
         removed = self.take(drop)
         return self.take(~drop), dataclasses.replace(removed, status=np.full(len(removed), status))
-
-
-def _record(pid: str, values: Sequence[float]) -> SampleRecord:
-    """A row of COLUMNS values as a SampleRecord, None where NaN."""
-    row = [None if v != v else v for v in values]
-    if row[5] is not None:
-        row[5] = int(row[5])  # class_code
-    return SampleRecord(pid, *row)
 
 
 def read_gcp_csv(source: str | Path | TextIO) -> SampleTable:
@@ -189,9 +133,7 @@ def read_gcp_csv(source: str | Path | TextIO) -> SampleTable:
     return SampleTable(ids=ids, x=x, y=y, h_ref=h)
 
 
-def extract_coincident(
-    dem: Grid, points: SampleTable | Sequence[ControlPoint], method: str = "nearest"
-) -> SampleTable:
+def extract_coincident(dem: Grid, points: SampleTable, method: str = "nearest") -> SampleTable:
     """Extract the DEM height at each control point.
 
     ``nearest`` takes the containing cell's value; ``bilinear``
@@ -202,12 +144,11 @@ def extract_coincident(
     """
     if method not in EXTRACTION_METHODS:
         raise ConfigError(f"unknown extraction method '{method}'")
-    table = SampleTable.of(points)
     sampler = _sample_nearest if method == "nearest" else _sample_bilinear
-    h = sampler(dem, table.x, table.y)
+    h = sampler(dem, points.x, points.y)
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = h - table.h_ref
-    return dataclasses.replace(table, h_dem=h, delta_h=delta)
+        delta = h - points.h_ref
+    return dataclasses.replace(points, h_dem=h, delta_h=delta)
 
 
 def _sample_nearest(grid: Grid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -257,9 +198,7 @@ def class_cells(classmap: Grid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def attach_class(
-    classmap: Grid,
-    samples: SampleTable | Sequence[SampleRecord],
-    remap: Mapping[int, int] | None = None,
+    classmap: Grid, samples: SampleTable, remap: Mapping[int, int] | None = None
 ) -> SampleTable:
     """Set each row's land-cover code from the containing cell.
 
@@ -268,20 +207,19 @@ def attach_class(
     value that is not an integer raises ParseError naming the first such
     point in table order.
     """
-    table = SampleTable.of(samples)
-    codes = _sample_nearest(classmap, table.x, table.y)
+    codes = _sample_nearest(classmap, samples.x, samples.y)
     bad = ~np.isnan(codes) & ~(np.isfinite(codes) & (codes == np.floor(codes)))
     if bad.any():
         k = int(np.argmax(bad))
         raise ParseError(
-            f"class map value {float(codes[k])!r} at point '{table.ids[k]}' "
+            f"class map value {float(codes[k])!r} at point '{samples.ids[k]}' "
             "is not an integer code"
         )
     if remap:
         found = codes.copy()
         for src, dst in remap.items():
             codes[found == src] = dst
-    return dataclasses.replace(table, class_code=codes)
+    return dataclasses.replace(samples, class_code=codes)
 
 
 def dem_cells(dem: Grid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -298,18 +236,15 @@ def dem_cells(dem: Grid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.flatnonzero(read)
 
 
-def attach_derivatives(
-    dem: Grid, samples: SampleTable | Sequence[SampleRecord], z_factor: float = 1.0
-) -> SampleTable:
+def attach_derivatives(dem: Grid, samples: SampleTable, z_factor: float = 1.0) -> SampleTable:
     """Set slope and aspect from the DEM cell containing each row.
 
     Horn's kernel runs only at those cells, in one ``slope_aspect_at``
     call, with the values ``slope_aspect`` gives them. Points off the grid
     or on a nodata cell keep them missing.
     """
-    table = SampleTable.of(samples)
-    inside, rows, cols = cells_of(dem, table.x, table.y)
+    inside, rows, cols = cells_of(dem, samples.x, samples.y)
     derivs = slope_aspect_at(dem, rows, cols, z_factor)
-    columns = np.full((2, len(table)), np.nan)
+    columns = np.full((2, len(samples)), np.nan)
     columns[:, inside] = np.array(derivs, dtype=np.float64)  # None (nodata) becomes NaN
-    return dataclasses.replace(table, slope_deg=columns[0], aspect_deg=columns[1])
+    return dataclasses.replace(samples, slope_deg=columns[0], aspect_deg=columns[1])

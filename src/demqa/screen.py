@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError
-from .sample import SampleRecord, SampleTable
+from .sample import SampleTable
 
 FENCE_MULTIPLIER = 1.5
 
@@ -74,7 +74,7 @@ def fences_of(values: Sequence[float]) -> TukeyFences:
 
 
 def tukey_filter(
-    samples: SampleTable | Sequence[SampleRecord], field: str = "delta_h"
+    samples: SampleTable, field: str = "delta_h"
 ) -> tuple[SampleTable, SampleTable, TukeyFences]:
     """Split rows into (kept, removed) by Tukey fences on ``field``.
 
@@ -86,20 +86,19 @@ def tukey_filter(
     """
     if field not in FILTER_FIELDS:
         raise ValueError(f"filter field must be one of {FILTER_FIELDS}, got '{field}'")
-    table = SampleTable.of(samples)
-    v = getattr(table, field)
+    v = getattr(samples, field)
     present = v[~np.isnan(v)]
     if present.size < 2:
         raise InsufficientDataError(
             f"need at least 2 records with '{field}' present, got {present.size}"
         )
     fences = fences_of(present)
-    kept, removed = table.split((v < fences.lower) | (v > fences.upper), "removed_outlier")
+    kept, removed = samples.split((v < fences.lower) | (v > fences.upper), "removed_outlier")
     return kept, removed, fences
 
 
 def validity_filter(
-    samples: SampleTable | Sequence[SampleRecord],
+    samples: SampleTable,
     exclude_classes: Iterable[int] = (),
     min_h: float | None = None,
     require_class: bool = True,
@@ -111,11 +110,10 @@ def validity_filter(
     ``require_class`` is False for runs without a class map), and rows
     with h_dem below ``min_h`` when given.
     """
-    table = SampleTable.of(samples)
-    codes = table.class_code
-    bad = np.isnan(table.h_dem) | np.isin(codes, list(set(exclude_classes)))
+    codes = samples.class_code
+    bad = np.isnan(samples.h_dem) | np.isin(codes, list(set(exclude_classes)))
     if require_class:
         bad |= np.isnan(codes)
     if min_h is not None:
-        bad |= table.h_dem < min_h  # NaN compares False
-    return table.split(bad, "removed_validity")
+        bad |= samples.h_dem < min_h  # NaN compares False
+    return samples.split(bad, "removed_validity")

@@ -21,9 +21,8 @@ linear in the number of candidate pairs; no n x n matrix is formed.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -51,11 +50,13 @@ MAX_PERMUTATIONS = 1_000_000
 class WeightsMatrix:
     """Sparse pairwise weights with the aggregates the variance of I needs.
 
-    Built from ``entries``, a mapping of ordered pairs (i, j), i != j, to
-    w_ij >= 0, and stored as CSR arrays sorted by (i, j): row i holds
-    ``cols[indptr[i]:indptr[i + 1]]`` with weights ``vals[...]``, and
-    ``rows`` repeats i once per entry. ``entries`` reads back as a
-    read-only dict view in that order, built on first use.
+    Built from three arrays of equal length, one entry per nonzero weight:
+    w_ij = ``vals[k]`` at (i, j) = (``rows[k]``, ``cols[k]``), with
+    0 <= i, j < n, i != j and w_ij finite and >= 0. The pairs must come in
+    strictly increasing (i, j) order, so none appears twice; they are not
+    sorted here. The arrays are kept as the CSR form, and made read-only
+    (numpy arrays of the right dtype are not copied): row i holds
+    ``cols[indptr[i]:indptr[i + 1]]`` with weights ``vals[...]``.
     S0 = sum w_ij; S1 = 1/2 sum (w_ij + w_ji)^2;
     S2 = sum_i (row_sum_i + col_sum_i)^2.
     """
@@ -63,32 +64,34 @@ class WeightsMatrix:
     def __init__(
         self,
         n: int,
-        entries: Mapping[tuple[int, int], float],
+        rows: Sequence[int],
+        cols: Sequence[int],
+        vals: Sequence[float],
         row_standardized: bool = False,
         scheme: str | None = None,
         threshold: float | None = None,
     ):
-        for (i, j), w in entries.items():
-            if i == j:
-                raise ValueError(f"self-weight at index {i} not allowed")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"entry ({i}, {j}) outside 0..{n - 1}")
-            if w < 0:
-                raise ValueError(f"negative weight at ({i}, {j})")
-        rows = np.array([ij[0] for ij in entries], dtype=np.intp)
-        cols = np.array([ij[1] for ij in entries], dtype=np.intp)
-        vals = np.array(list(entries.values()), dtype=np.float64)
-        order = np.lexsort((cols, rows))
-        self._init(n, rows[order], cols[order], vals[order], row_standardized, scheme, threshold)
-
-    @classmethod
-    def _from_sorted(cls, n, rows, cols, vals, row_standardized, scheme, threshold):
-        """Weights from valid, unique (i, j, w_ij) arrays already sorted by (i, j)."""
-        self = cls.__new__(cls)
-        self._init(n, rows, cols, vals, row_standardized, scheme, threshold)
-        return self
-
-    def _init(self, n, rows, cols, vals, row_standardized, scheme, threshold):
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        vals = np.asarray(vals, dtype=np.float64)
+        if not rows.ndim == 1 or not rows.shape == cols.shape == vals.shape:
+            shapes = f"{rows.shape}, {cols.shape} and {vals.shape}"
+            raise ValueError(f"rows, cols and vals must be 1-d and of one length, got {shapes}")
+        unordered = (rows[1:] < rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1]))
+        outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
+        for bad, message in (
+            (rows == cols, "self-weight at index {i} not allowed"),
+            (outside, "entry ({i}, {j}) outside 0..{last}"),
+            (~np.isfinite(vals), "non-finite weight {w} at ({i}, {j})"),
+            (vals < 0, "negative weight at ({i}, {j})"),
+            (np.r_[False, unordered], "entry ({i}, {j}) does not follow ({pi}, {pj}): "
+                                      "pairs must be in strictly increasing (i, j) order"),
+        ):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(message.format(
+                    i=rows[k], j=cols[k], w=vals[k], pi=rows[k - 1], pj=cols[k - 1], last=n - 1
+                ))
         self.n = n
         self.row_standardized = row_standardized
         # how the matrix was built, echoed into reports; None when hand-made
@@ -98,7 +101,6 @@ class WeightsMatrix:
         self.indptr = np.searchsorted(rows, np.arange(n + 1))
         for a in (rows, cols, vals, self.indptr):
             a.flags.writeable = False
-        self._entries = None
         self.s0 = float(vals.sum())
         if self.s0 <= 0.0:
             raise DegenerateWeightsError("all spatial weights are zero")
@@ -120,14 +122,6 @@ class WeightsMatrix:
     def nnz(self) -> int:
         """Number of stored (nonzero) weights."""
         return int(self.vals.size)
-
-    @property
-    def entries(self) -> Mapping[tuple[int, int], float]:
-        """{(i, j): w_ij} in (i, j) order, read-only."""
-        if self._entries is None:
-            pairs = zip(self.rows.tolist(), self.cols.tolist())
-            self._entries = MappingProxyType(dict(zip(pairs, self.vals.tolist())))
-        return self._entries
 
     def lag_products_sum(self, z: np.ndarray) -> float:
         """sum_ij w_ij z_i z_j for a deviation vector z."""
@@ -357,14 +351,8 @@ def build_weights(
         raise DegenerateWeightsError(
             f"no pair within threshold {threshold}: all weights zero"
         )
-    return WeightsMatrix._from_sorted(
-        n,
-        rows[nonzero],
-        cols[nonzero],
-        vals[nonzero],
-        row_standardized=row_standardize,
-        scheme=scheme,
-        threshold=threshold,
+    return WeightsMatrix(
+        n, rows[nonzero], cols[nonzero], vals[nonzero], row_standardize, scheme, threshold
     )
 
 

@@ -266,6 +266,11 @@ def histogram(
     with np.errstate(over="ignore", invalid="ignore"):
         lows = np.floor((v - origin) / bin_width)
         n_bins = lows.max() - lows.min() + 1.0
+        if math.isnan(n_bins):
+            # every bin index overflowed to the same infinity: report the
+            # range over the width if that is too many bins, else the index
+            span = np.ptp(v) / bin_width
+            n_bins = span if span > MAX_HISTOGRAM_BINS else np.inf
     if not n_bins <= MAX_HISTOGRAM_BINS:
         raise ConfigError(
             f"bin width {bin_width!r} would need {n_bins:.12g} bins; "

@@ -15,9 +15,18 @@ import numpy as np
 
 from .errors import DegenerateDataError
 from .raster import Grid, _check_georef, cell_of
-from .sample import ControlPoint
 
 SCENE_KINDS = ("plane", "checkerboard", "smoothed_noise")
+
+
+@dataclass(frozen=True)
+class ControlPoint:
+    """A surveyed reference point with a trusted orthometric height."""
+
+    id: str
+    x: float
+    y: float
+    h_ref: float
 
 
 @dataclass(frozen=True)

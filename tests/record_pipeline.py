@@ -15,7 +15,7 @@ import csv
 import dataclasses
 import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -27,13 +27,34 @@ from demqa.errors import ConfigError, DegenerateDataError, InsufficientDataError
 from demqa.landcover import read_legend_csv
 from demqa.pipeline import CORRELATION_PAIRS, QUANTILE_CONVENTION
 from demqa.raster import Grid, _csv_rows, read_ascii_grid
-from demqa.sample import EXTRACTION_METHODS, ControlPoint, SampleRecord
+from demqa.sample import EXTRACTION_METHODS
 from demqa.screen import FENCE_MULTIPLIER, FILTER_FIELDS, TukeyFences
 from demqa.spatial import build_weights, morans_significance, permutation_test
 from demqa.stats import MAX_HISTOGRAM_BINS, anova_decompose, f_test, pearson_r, summarize
+from demqa.synth import ControlPoint
 from demqa.terrain import FLAT_ASPECT, slope_aspect_at
 
 HIST_WIDTH = next(row for row in OPTIONS if row.field == "hist_width")
+
+
+@dataclass(frozen=True)
+class SampleRecord:
+    """A control point joined with everything extracted at its location.
+
+    ``delta_h`` is DEM height minus reference height. ``aspect_deg`` is
+    in [0, 360) clockwise from north, or -1 for flat cells. Any field
+    that could not be extracted is None.
+    """
+
+    id: str
+    x: float
+    y: float
+    h_ref: float
+    h_dem: float | None = None
+    delta_h: float | None = None
+    class_code: int | None = None
+    slope_deg: float | None = None
+    aspect_deg: float | None = None
 
 
 def cell_of(grid: Grid, x: float, y: float) -> tuple[int, int] | None:

@@ -14,7 +14,7 @@ import pytest
 
 from demqa.cli import main
 from demqa.raster import write_ascii_grid
-from demqa.sample import SampleRecord
+from demqa.sample import SampleTable
 from demqa.screen import tukey_filter
 from demqa.spatial import (
     WeightsMatrix,
@@ -64,11 +64,10 @@ def test_c03_normal_tail_replication():
 
 
 def chain_weights(n):
-    entries = {}
-    for i in range(n - 1):
-        entries[(i, i + 1)] = 1.0
-        entries[(i + 1, i)] = 1.0
-    return WeightsMatrix(n=n, entries=entries)
+    # row i links to i - 1 and i + 1, in (i, j) order
+    rows = np.repeat(np.arange(n), 2)[1:-1]
+    cols = np.column_stack([np.arange(n) - 1, np.arange(n) + 1]).ravel()[1:-1]
+    return WeightsMatrix(n, rows, cols, np.ones(rows.size))
 
 
 def test_c04_moran_exactness():
@@ -151,17 +150,15 @@ def test_c07_tukey_oracle():
             v = rng.integers(-5, 6, n).astype(float)
         else:
             v = rng.lognormal(0, 1, n)
-        records = [
-            SampleRecord(id=f"r{i}", x=0, y=0, h_ref=0, h_dem=float(d),
-                         delta_h=float(d), class_code=1)
-            for i, d in enumerate(v)
-        ]
+        zeros = np.zeros(n)
+        records = SampleTable(ids=[f"r{i}" for i in range(n)], x=zeros, y=zeros, h_ref=zeros,
+                              h_dem=v, delta_h=v, class_code=np.ones(n))
         kept, removed, fences = tukey_filter(records)
         q1, q3 = np.percentile(v, [25, 75], method="linear")
         lower = q1 - 1.5 * (q3 - q1)
         upper = q3 + 1.5 * (q3 - q1)
-        expected = {r.id for r in records if r.delta_h < lower or r.delta_h > upper}
-        assert {r.id for r in removed} == expected, trial
+        expected = {i for i, d in zip(records.ids, v) if d < lower or d > upper}
+        assert set(removed.ids) == expected, trial
     report("07 tukey-oracle", "(1000 datasets)")
 
 

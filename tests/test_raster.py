@@ -17,7 +17,6 @@ from demqa.raster import (
     _open_text,
     cell_of,
     cells_of,
-    dumps_ascii_grid,
     read_ascii_grid,
     write_ascii_grid,
 )
@@ -30,6 +29,13 @@ def make_text(body, ncols=2, nrows=2, nodata_line="NODATA_value -9999"):
     return header + body
 
 
+def dumps(grid):
+    """``write_ascii_grid``'s text for ``grid``."""
+    buf = io.StringIO()
+    write_ascii_grid(grid, buf)
+    return buf.getvalue()
+
+
 def test_read_basic():
     g = read_ascii_grid(io.StringIO(make_text("1 2\n3 4\n")))
     assert g.ncols == 2 and g.nrows == 2
@@ -39,7 +45,7 @@ def test_read_basic():
 
 def test_nodata_sentinel_passthrough():
     g = read_ascii_grid(io.StringIO(make_text("1 -9999\n3 4\n")))
-    assert g.is_nodata(0, 1)
+    assert g.values[0, 1] == g.nodata
     assert g.value_at(0, 1) is None
     assert g.value_at(0, 0) == 1.0
 
@@ -78,19 +84,19 @@ def test_leading_comment_lines_skipped():
 
 def test_roundtrip_simple():
     g = Grid(ncols=2, nrows=2, xll=0, yll=0, cellsize=1, values=[1, 2, 3, 4])
-    assert read_ascii_grid(io.StringIO(dumps_ascii_grid(g))) == g
+    assert read_ascii_grid(io.StringIO(dumps(g))) == g
 
 
 def test_roundtrip_one_by_one():
     g = Grid(ncols=1, nrows=1, xll=0, yll=0, cellsize=1, values=[7.25])
-    text = dumps_ascii_grid(g)
+    text = dumps(g)
     assert text.count("\n") == 7  # 6 header lines + 1 body row
     assert read_ascii_grid(io.StringIO(text)) == g
 
 
 def test_roundtrip_nodata_token():
     g = Grid(ncols=2, nrows=1, xll=0, yll=0, cellsize=1, values=[1, -9999])
-    text = dumps_ascii_grid(g)
+    text = dumps(g)
     assert "-9999" in text.splitlines()[-1]
     assert read_ascii_grid(io.StringIO(text)) == g
 
@@ -111,7 +117,7 @@ def test_roundtrip_random_grids():
             cellsize=float(rng.uniform(0.1, 100)),
             values=vals,
         )
-        assert read_ascii_grid(io.StringIO(dumps_ascii_grid(g))) == g
+        assert read_ascii_grid(io.StringIO(dumps(g))) == g
 
 
 def test_write_to_path(tmp_path):
@@ -133,7 +139,7 @@ def test_write_non_finite_names_first_cell(tmp_path):
     assert not path.exists()
     g = Grid(ncols=1, nrows=1, xll=0, yll=0, cellsize=1, nodata=float("nan"), values=[1.0])
     with pytest.raises(NonFiniteGridError, match="nodata nan"):
-        dumps_ascii_grid(g)
+        dumps(g)
 
 
 def test_cell_of_examples():
@@ -467,7 +473,7 @@ def test_bad_header_value_names_line(line, value, message):
 def test_grid_with_utf8_bom(tmp_path):
     g = Grid(ncols=2, nrows=2, xll=0, yll=0, cellsize=1, values=[1, 2, 3, 4])
     path = tmp_path / "g.asc"
-    path.write_bytes(b"\xef\xbb\xbf" + dumps_ascii_grid(g).encode())
+    path.write_bytes(b"\xef\xbb\xbf" + dumps(g).encode())
     assert read_ascii_grid(path) == g
     path.write_bytes(b"\xef\xbb\xbf" + make_text("1 2\n3 x\n").encode())
     with pytest.raises(ParseError) as exc:
@@ -565,7 +571,7 @@ def test_count_error_wins_over_earlier_bad_token(monkeypatch, block_chars, extra
 
 def test_crlf_bom_and_open_stream_span_blocks(monkeypatch, tmp_path):
     g = Grid(ncols=3, nrows=9, xll=0, yll=0, cellsize=1, values=np.arange(27.0) / 7)
-    crlf = dumps_ascii_grid(g).replace("\n", "\r\n")
+    crlf = dumps(g).replace("\n", "\r\n")
     path = tmp_path / "g.asc"
     path.write_bytes(b"\xef\xbb\xbf" + crlf.encode())
     bad = replace_token(crlf, 11, 3, "nan")  # "\r" stays on the line's last token
@@ -744,5 +750,5 @@ def test_row_writer_matches_per_cell_oracle():
         assert buf.getvalue() == per_cell_write(grid, comment), grid.values
     every = Grid(ncols=SPECIAL_VALUES.size, nrows=1, xll=0, yll=0, cellsize=1,
                  values=SPECIAL_VALUES)
-    assert dumps_ascii_grid(every) == per_cell_write(every)
-    assert dumps_ascii_grid(every).splitlines()[-1].split()[:3] == ["0", "0", "1"]
+    assert dumps(every) == per_cell_write(every)
+    assert dumps(every).splitlines()[-1].split()[:3] == ["0", "0", "1"]

@@ -7,15 +7,14 @@ import pytest
 from demqa.errors import ConfigError, ParseError
 from demqa.raster import Grid, cell_of
 from demqa.sample import (
-    ControlPoint,
-    SampleRecord,
+    COLUMNS,
     SampleTable,
     attach_class,
     attach_derivatives,
     extract_coincident,
     read_gcp_csv,
 )
-from demqa.synth import make_plane
+from demqa.synth import ControlPoint, make_plane
 from demqa.terrain import slope_aspect
 
 
@@ -29,34 +28,50 @@ def pt(x, y, h=10.0, pid="p1"):
 
 
 def table(points):
-    return SampleTable.of(points)
+    return SampleTable(
+        ids=[p.id for p in points],
+        x=[p.x for p in points],
+        y=[p.y for p in points],
+        h_ref=[p.h_ref for p in points],
+    )
+
+
+def listed(column):
+    """A table column as a list, None where a value is missing (NaN)."""
+    return [None if v != v else v for v in column.tolist()]
+
+
+def same_rows(a, b):
+    assert a.ids == b.ids
+    for c in COLUMNS:
+        np.testing.assert_array_equal(getattr(a, c), getattr(b, c), err_msg=c)
+    assert a.status.tolist() == b.status.tolist()
 
 
 def test_nearest_constant_surface():
     recs = extract_coincident(flat_grid(), table([pt(0.7, 1.3, h=10.0)]))
-    assert recs[0].h_dem == 10.0
-    assert recs[0].delta_h == 0.0
+    assert recs.h_dem[0] == 10.0
+    assert recs.delta_h[0] == 0.0
 
 
 def test_bilinear_on_ramp_hand_value():
     # centres at x = 0.5, 1.5 carry z = 0.5, 1.5; halfway in x gives exactly 1.
     dem = make_plane(1.0, 0.0, 0.0, 2, 2)
     recs = extract_coincident(dem, table([pt(1.0, 0.5, h=1.0)]), method="bilinear")
-    assert recs[0].h_dem == pytest.approx(1.0, abs=1e-15)
+    assert recs.h_dem[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_point_outside_gives_none():
     for method in ("nearest", "bilinear"):
         recs = extract_coincident(flat_grid(), table([pt(-0.5, 0.5)]), method=method)
-        assert recs[0].h_dem is None
-        assert recs[0].delta_h is None
+        assert np.isnan(recs.h_dem[0])
+        assert np.isnan(recs.delta_h[0])
 
 
 def test_nearest_on_nodata_gives_none():
     g = Grid(ncols=2, nrows=1, xll=0, yll=0, cellsize=1, values=[-9999, 5])
     recs = extract_coincident(g, table([pt(0.5, 0.5), pt(1.5, 0.5, pid="p2")]))
-    assert recs[0].h_dem is None
-    assert recs[1].h_dem == 5
+    assert listed(recs.h_dem) == [None, 5]
 
 
 def test_bilinear_nodata_corner_gives_none():
@@ -64,7 +79,7 @@ def test_bilinear_nodata_corner_gives_none():
              values=[1, -9999, 1, 1])
     # interpolation square spans all four centres
     recs = extract_coincident(g, table([pt(1.0, 1.0)]), method="bilinear")
-    assert recs[0].h_dem is None
+    assert np.isnan(recs.h_dem[0])
 
 
 def test_bilinear_at_exact_centre_ignores_zero_weight_corners():
@@ -72,12 +87,12 @@ def test_bilinear_at_exact_centre_ignores_zero_weight_corners():
     # (0.5, 0.5) is the SW cell centre; the zero-weight corners off to the
     # east/north must not matter even at the grid edge.
     recs = extract_coincident(g, table([pt(0.5, 0.5)]), method="bilinear")
-    assert recs[0].h_dem == 4.0
+    assert recs.h_dem[0] == 4.0
 
 
 def test_bilinear_outside_centre_hull_gives_none():
     recs = extract_coincident(flat_grid(), table([pt(0.1, 0.2)]), method="bilinear")
-    assert recs[0].h_dem is None
+    assert np.isnan(recs.h_dem[0])
 
 
 def test_nearest_equals_bilinear_on_constant_grid():
@@ -87,8 +102,7 @@ def test_nearest_equals_bilinear_on_constant_grid():
            for i, (x, y) in enumerate(rng.uniform(0.6, 3.4, size=(50, 2)))]
     a = extract_coincident(g, table(pts), method="nearest")
     b = extract_coincident(g, table(pts), method="bilinear")
-    for ra, rb in zip(a, b):
-        assert ra.h_dem == pytest.approx(rb.h_dem, abs=1e-12)
+    assert a.h_dem == pytest.approx(b.h_dem, abs=1e-12)
 
 
 def test_delta_is_exact_difference():
@@ -96,8 +110,8 @@ def test_delta_is_exact_difference():
     rng = np.random.default_rng(1)
     pts = [pt(float(x), float(y), h=float(rng.normal(5, 2)), pid=f"p{i}")
            for i, (x, y) in enumerate(rng.uniform(0, 6, size=(40, 2)))]
-    for r in extract_coincident(dem, table(pts)):
-        assert r.delta_h == r.h_dem - r.h_ref
+    t = extract_coincident(dem, table(pts))
+    assert np.array_equal(t.delta_h, t.h_dem - t.h_ref)
 
 
 def test_extraction_is_permutation_equivariant():
@@ -108,8 +122,7 @@ def test_extraction_is_permutation_equivariant():
     order = rng.permutation(len(pts))
     straight = extract_coincident(dem, table(pts))
     shuffled = extract_coincident(dem, table([pts[i] for i in order]))
-    for k, i in enumerate(order):
-        assert shuffled[k] == straight[i]
+    same_rows(shuffled, straight.take(order))
 
 
 @pytest.mark.parametrize("method", ["nearest", "bilinear"])
@@ -117,9 +130,10 @@ def test_extraction_is_permutation_equivariant():
 def test_non_finite_or_huge_coordinate_gives_none(method, bad):
     # bilinear used to raise a bare ValueError from math.floor(nan)
     for x, y in ((bad, 1.0), (1.0, bad)):
-        recs = extract_coincident(flat_grid(), [pt(x, y), pt(1.0, 1.0, pid="ok")], method=method)
-        assert (recs[0].h_dem, recs[0].delta_h) == (None, None)
-        assert recs[1].h_dem == 10.0
+        recs = extract_coincident(flat_grid(), table([pt(x, y), pt(1.0, 1.0, pid="ok")]),
+                                  method=method)
+        assert listed(recs.h_dem) == [None, 10.0]
+        assert listed(recs.delta_h)[0] is None
 
 
 def test_bilinear_matches_scalar_corner_loop():
@@ -153,9 +167,8 @@ def test_bilinear_matches_scalar_corner_loop():
     xy[:200] = np.round(xy[:200] * 0.8) / 0.8  # on cell centres and edges
     pts = [pt(float(x), float(y), pid=f"p{k}") for k, (x, y) in enumerate(xy)]
     got = extract_coincident(g, table(pts), method="bilinear")
-    assert any(r.h_dem is None for r in got) and any(r.h_dem is not None for r in got)
-    for p, r in zip(pts, got):
-        assert r.h_dem == scalar(g, p.x, p.y)
+    assert np.isnan(got.h_dem).any() and not np.isnan(got.h_dem).all()
+    assert listed(got.h_dem) == [scalar(g, p.x, p.y) for p in pts]
 
 
 def test_unknown_method_is_config_error():
@@ -169,9 +182,7 @@ def test_attach_class_examples():
         pt(0.5, 1.5, pid="nw"), pt(1.5, 0.5, pid="se"), pt(0.5, 0.5, pid="sw"),
     ]))
     out = attach_class(cm, recs)
-    assert out[0].class_code == 1
-    assert out[1].class_code is None  # nodata cell
-    assert out[2].class_code == 3
+    assert listed(out.class_code) == [1, None, 3]  # the second point is on nodata
 
 
 def test_attach_class_remap_and_first_bad_code_in_point_order():
@@ -181,7 +192,7 @@ def test_attach_class_remap_and_first_bad_code_in_point_order():
     ]))
     # one pass over the original codes: 1 -> 2 and 2 -> 3 do not chain
     out = attach_class(cm, recs, remap={1: 2, 2: 3})
-    assert [r.class_code for r in out] == [3, 2, 3]
+    assert out.class_code.tolist() == [3, 2, 3]
     bad = Grid(ncols=3, nrows=1, xll=0, yll=0, cellsize=1, values=[0.5, 2.0, 3.5])
     with pytest.raises(ParseError, match=r"class map value 3\.5 at point 'c'"):
         attach_class(bad, recs)
@@ -197,9 +208,8 @@ def test_attach_class_boundary_matches_cell_of():
                for i, (x, y) in enumerate(rng.uniform(0, 3, size=(100, 2)))]),
     )
     out = attach_class(cm, recs)
-    for r in out:
-        rc = cell_of(cm, r.x, r.y)
-        assert r.class_code == int(cm.values[rc])
+    for x, y, code in zip(out.x.tolist(), out.y.tolist(), out.class_code.tolist()):
+        assert code == int(cm.values[cell_of(cm, x, y)])
 
 
 def test_attach_class_rejects_non_integral_code():
@@ -214,16 +224,16 @@ def test_attach_derivatives_flat_dem():
     dem = flat_grid(5.0, n=3)
     recs = extract_coincident(dem, table([pt(1.5, 1.5)]))
     out = attach_derivatives(dem, recs)
-    assert out[0].slope_deg == 0.0
-    assert out[0].aspect_deg == -1.0
+    assert out.slope_deg[0] == 0.0
+    assert out.aspect_deg[0] == -1.0
 
 
 def test_attach_derivatives_ramp_slope_45():
     dem = make_plane(1.0, 0.0, 0.0, 5, 5)
     recs = extract_coincident(dem, table([pt(2.5, 2.5)]))
     out = attach_derivatives(dem, recs)
-    assert out[0].slope_deg == pytest.approx(45.0, abs=1e-9)
-    assert out[0].aspect_deg == pytest.approx(270.0, abs=1e-9)
+    assert out.slope_deg[0] == pytest.approx(45.0, abs=1e-9)
+    assert out.aspect_deg[0] == pytest.approx(270.0, abs=1e-9)
 
 
 def test_attach_derivatives_nodata_gives_none():
@@ -232,8 +242,8 @@ def test_attach_derivatives_nodata_gives_none():
     dem = Grid(ncols=3, nrows=3, xll=0, yll=0, cellsize=1, values=vals)
     recs = extract_coincident(dem, table([pt(1.5, 1.5)]))  # centre cell is the hole
     out = attach_derivatives(dem, recs)
-    assert out[0].slope_deg is None
-    assert out[0].aspect_deg is None
+    assert np.isnan(out.slope_deg[0])
+    assert np.isnan(out.aspect_deg[0])
 
 
 def test_attach_derivatives_equals_full_grid_lookup():
@@ -247,14 +257,15 @@ def test_attach_derivatives_equals_full_grid_lookup():
                                           for k, (x, y) in enumerate(xy)]))
     pair = slope_aspect(dem, z_factor=1.7)
     out = attach_derivatives(dem, recs, z_factor=1.7)
-    assert [r.id for r in out] == [r.id for r in recs]
-    assert any(r.slope_deg is None for r in out)
-    for r in out:
-        rc = cell_of(dem, r.x, r.y)
+    assert out.ids == recs.ids
+    assert np.isnan(out.slope_deg).any()
+    assert out.slope_deg.dtype == out.aspect_deg.dtype == np.float64
+    got = zip(out.x.tolist(), out.y.tolist(), listed(out.slope_deg), listed(out.aspect_deg))
+    for x, y, slope, aspect in got:
+        rc = cell_of(dem, x, y)
         want_s = None if rc is None else pair.slope.value_at(*rc)
         want_a = None if rc is None else pair.aspect.value_at(*rc)
-        assert (r.slope_deg, r.aspect_deg) == (want_s, want_a)
-        assert r.slope_deg is None or type(r.slope_deg) is float
+        assert (slope, aspect) == (want_s, want_a)
 
 
 def test_attach_derivatives_keeps_values_equal_to_nodata():
@@ -264,20 +275,21 @@ def test_attach_derivatives_keeps_values_equal_to_nodata():
         dem = Grid(ncols=3, nrows=3, xll=0, yll=0, cellsize=1,
                    values=np.full(9, 5.0), nodata=nodata)
         out = attach_derivatives(dem, extract_coincident(dem, table([pt(1.5, 1.5)])))
-        assert (out[0].slope_deg, out[0].aspect_deg) == (0.0, -1.0)
+        assert (out.slope_deg[0], out.aspect_deg[0]) == (0.0, -1.0)
 
 
 def test_attach_derivatives_no_points():
-    assert list(attach_derivatives(flat_grid(), table([]))) == []
+    assert len(attach_derivatives(flat_grid(), table([]))) == 0
 
 
 def test_read_gcp_csv():
     text = "id,x,y,h\na,1.5,2.5,10.25\nb,2,3,11\n"
     pts = read_gcp_csv(io.StringIO(text))
-    assert list(pts) == [
-        SampleRecord(id="a", x=1.5, y=2.5, h_ref=10.25),
-        SampleRecord(id="b", x=2.0, y=3.0, h_ref=11.0),
-    ]
+    assert pts.ids == ["a", "b"]
+    assert pts.x.tolist() == [1.5, 2.0]
+    assert pts.y.tolist() == [2.5, 3.0]
+    assert pts.h_ref.tolist() == [10.25, 11.0]
+    assert all(listed(getattr(pts, c)) == [None, None] for c in COLUMNS[3:])
 
 
 def test_read_gcp_csv_errors():
@@ -304,15 +316,17 @@ def test_read_gcp_csv_reports_first_bad_line():
 def test_table_rows_subsets_and_status():
     t = table([pt(0.5, 0.5, pid="a"), pt(1.5, 0.5, pid="b"), pt(9.0, 9.0, pid="c")])
     assert len(t) == 3 and list(t.status) == ["kept"] * 3
-    assert t[2] == SampleRecord(id="c", x=9.0, y=9.0, h_ref=10.0)
+    assert t.ids[2] == "c" and (t.x[2], t.y[2], t.h_ref[2]) == (9.0, 9.0, 10.0)
+    assert all(np.isnan(getattr(t, c)[2]) for c in COLUMNS[3:])
     kept, removed = t.split(np.array([False, True, False]), "removed_validity")
-    assert [r.id for r in kept] == ["a", "c"] and list(kept.status) == ["kept", "kept"]
-    assert [r.id for r in removed] == ["b"] and list(removed.status) == ["removed_validity"]
+    assert kept.ids == ["a", "c"] and list(kept.status) == ["kept", "kept"]
+    assert removed.ids == ["b"] and list(removed.status) == ["removed_validity"]
     both = SampleTable.concat([removed, kept])
     assert both.ids == ["b", "a", "c"]
     assert list(both.status) == ["removed_validity", "kept", "kept"]
-    assert [r.id for r in both.take([2, 0])] == ["c", "b"]
-    assert SampleTable.of(list(both))[0] == both[0]
+    assert both.take([2, 0]).ids == ["c", "b"]
+    same_rows(SampleTable(ids=both.ids, status=both.status,
+                          **{c: getattr(both, c) for c in COLUMNS}), both)
     with pytest.raises(ValueError, match="column x"):
         SampleTable(ids=["a"], x=[1.0, 2.0], y=[1.0], h_ref=[1.0])
 

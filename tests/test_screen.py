@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 
 from demqa.errors import InsufficientDataError
-from demqa.sample import SampleRecord, SampleTable
+from demqa.sample import SampleTable
 from demqa.screen import fences_of, quartiles, tukey_filter, validity_filter
 
 
-def rec(delta, code=1, h_dem=None, rid=None):
-    h = delta if h_dem is None else h_dem
-    return SampleRecord(
-        id=rid or f"r{delta}", x=0.0, y=0.0, h_ref=0.0,
-        h_dem=h, delta_h=delta, class_code=code,
-    )
+def table(ids, h_dem, delta_h, class_code):
+    """Rows at (0, 0) with h_ref 0 and the given columns; None is missing."""
+    n = len(ids)
+    return SampleTable(ids=list(ids), x=np.zeros(n), y=np.zeros(n), h_ref=np.zeros(n),
+                       h_dem=h_dem, delta_h=delta_h, class_code=class_code)
 
 
 def recs(deltas):
-    return SampleTable.of(rec(d, rid=f"r{i}") for i, d in enumerate(deltas))
+    deltas = list(deltas)
+    return table([f"r{i}" for i in range(len(deltas))], deltas, deltas, [1] * len(deltas))
 
 
 def test_quartiles_hand_case():
@@ -52,13 +52,13 @@ def test_tukey_zero_iqr_removes_spike():
     kept, removed, fences = tukey_filter(recs([0, 0, 0, 0, 100]))
     assert fences.q1 == 0 and fences.q3 == 0
     assert fences.lower == 0 and fences.upper == 0
-    assert [r.delta_h for r in removed] == [100]
+    assert removed.delta_h.tolist() == [100]
     assert len(kept) == 4
 
 
 def test_tukey_symmetric_keeps_all():
     kept, removed, _ = tukey_filter(recs([-2, -1, 0, 1, 2]))
-    assert list(removed) == []
+    assert len(removed) == 0
     assert len(kept) == 5
 
 
@@ -66,15 +66,15 @@ def test_tukey_value_on_fence_is_kept():
     # iqr 0 puts both fences at exactly 0; zeros sit on the fence and stay.
     kept, removed, fences = tukey_filter(recs([-10, 0, 0, 0, 0, 10]))
     assert (fences.lower, fences.upper) == (0, 0)
-    assert sorted(r.delta_h for r in removed) == [-10, 10]
-    assert all(r.delta_h == 0 for r in kept)
+    assert sorted(removed.delta_h.tolist()) == [-10, 10]
+    assert (kept.delta_h == 0).all()
     assert fences_of([1, 2, 3, 4, 5]).upper == 7.0
 
 
 def test_tukey_partition_preserves_input():
     data = recs([3, -8, 0, 1, 2, 50, -1])
     kept, removed, _ = tukey_filter(data)
-    assert sorted(r.id for r in [*kept, *removed]) == sorted(r.id for r in data)
+    assert sorted(kept.ids + removed.ids) == sorted(data.ids)
 
 
 def test_tukey_insufficient_data():
@@ -83,12 +83,9 @@ def test_tukey_insufficient_data():
 
 
 def test_tukey_field_choice():
-    records = SampleTable.of(
-        SampleRecord(id=i, x=0, y=0, h_ref=0, h_dem=h, delta_h=0.0, class_code=1)
-        for i, h in zip("abcd", [5.0, 5.0, 5.0, 500.0])
-    )
+    records = table("abcd", [5.0, 5.0, 5.0, 500.0], [0.0] * 4, [1] * 4)
     kept, removed, _ = tukey_filter(records, field="h_dem")
-    assert [r.id for r in removed] == ["d"]
+    assert removed.ids == ["d"]
     with pytest.raises(ValueError):
         tukey_filter(records, field="x")
 
@@ -97,8 +94,7 @@ def test_tukey_refilter_with_same_fences_removes_nothing():
     rng = np.random.default_rng(5)
     data = recs(rng.normal(0, 3, 100).tolist())
     kept, _, fences = tukey_filter(data)
-    for r in kept:
-        assert fences.lower <= r.delta_h <= fences.upper
+    assert ((fences.lower <= kept.delta_h) & (kept.delta_h <= fences.upper)).all()
 
 
 def test_tukey_matches_brute_force_oracle():
@@ -121,40 +117,37 @@ def test_tukey_matches_brute_force_oracle():
         q1, q3 = np.percentile(v, [25, 75], method="linear")
         lower = q1 - 1.5 * (q3 - q1)
         upper = q3 + 1.5 * (q3 - q1)
-        expect_removed = {r.id for r in data if r.delta_h < lower or r.delta_h > upper}
-        assert {r.id for r in removed} == expect_removed
+        expect_removed = {i for i, d in zip(data.ids, v) if d < lower or d > upper}
+        assert set(removed.ids) == expect_removed
         assert fences.q1 == pytest.approx(q1, abs=1e-12)
         assert fences.q3 == pytest.approx(q3, abs=1e-12)
 
 
 def test_validity_filter_excluded_class():
-    water = rec(1.0, code=5, rid="w")
-    ok = rec(1.0, code=1, rid="ok")
-    kept, removed = validity_filter(SampleTable.of([water, ok]), exclude_classes={5})
-    assert [r.id for r in kept] == ["ok"]
-    assert [r.id for r in removed] == ["w"]
+    water_and_ok = table(["w", "ok"], [1.0, 1.0], [1.0, 1.0], [5, 1])
+    kept, removed = validity_filter(water_and_ok, exclude_classes={5})
+    assert kept.ids == ["ok"]
+    assert removed.ids == ["w"]
 
 
 def test_validity_filter_min_h():
-    low = SampleRecord(id="low", x=0, y=0, h_ref=0, h_dem=-1.0, delta_h=-1.0, class_code=1)
-    ok = SampleRecord(id="ok", x=0, y=0, h_ref=0, h_dem=3.0, delta_h=3.0, class_code=1)
-    kept, removed = validity_filter(SampleTable.of([low, ok]), min_h=0.0)
-    assert [r.id for r in removed] == ["low"]
+    low_and_ok = table(["low", "ok"], [-1.0, 3.0], [-1.0, 3.0], [1, 1])
+    kept, removed = validity_filter(low_and_ok, min_h=0.0)
+    assert removed.ids == ["low"]
     # without min_h the record stays
-    kept, removed = validity_filter(SampleTable.of([low, ok]))
-    assert list(removed) == []
+    kept, removed = validity_filter(low_and_ok)
+    assert len(removed) == 0
 
 
 def test_validity_filter_missing_values():
-    no_dem = SampleRecord(id="nd", x=0, y=0, h_ref=0, h_dem=None, delta_h=None, class_code=1)
-    no_class = SampleRecord(id="nc", x=0, y=0, h_ref=0, h_dem=1.0, delta_h=1.0, class_code=None)
-    kept, removed = validity_filter(SampleTable.of([no_dem, no_class]))
-    assert list(kept) == []
-    kept, removed = validity_filter(SampleTable.of([no_class]), require_class=False)
-    assert [r.id for r in kept] == ["nc"]
+    no_dem_and_no_class = table(["nd", "nc"], [None, 1.0], [None, 1.0], [1, None])
+    kept, removed = validity_filter(no_dem_and_no_class)
+    assert len(kept) == 0
+    kept, removed = validity_filter(no_dem_and_no_class.take([1]), require_class=False)
+    assert kept.ids == ["nc"]
 
 
 def test_validity_filter_keeps_fully_valid():
-    ok = rec(0.5, code=2, rid="ok")
-    kept, removed = validity_filter(SampleTable.of([ok]), exclude_classes={5}, min_h=0.0)
-    assert [r.id for r in kept] == ["ok"]
+    ok = table(["ok"], [0.5], [0.5], [2])
+    kept, removed = validity_filter(ok, exclude_classes={5}, min_h=0.0)
+    assert kept.ids == ["ok"]

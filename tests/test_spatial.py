@@ -77,6 +77,13 @@ def dense_sums(n, entries):
     return float(vals.sum()), s1, float(np.sum((row_sums + col_sums) ** 2))
 
 
+def to_dense(w):
+    """The n x n matrix of a WeightsMatrix, zero where no weight is stored."""
+    dense = np.zeros((w.n, w.n))
+    dense[w.rows, w.cols] = w.vals
+    return dense
+
+
 def random_layout(rng, n):
     kind = int(rng.integers(0, 5))
     if kind == 0:  # uniform, at several scales
@@ -121,7 +128,8 @@ def test_cell_list_weights_equal_dense_oracle():
             errors.add(want.split()[0])
             continue
         entries, used = want
-        assert list(got.entries.items()) == list(entries.items()), label
+        assert list(zip(got.rows.tolist(), got.cols.tolist())) == list(entries), label
+        assert got.vals.tolist() == list(entries.values()), label
         assert (got.s0, got.s1, got.s2) == dense_sums(n, entries), label
         assert got.threshold == used, label
         assert got.nnz == len(entries), label
@@ -187,18 +195,19 @@ def test_weights_limit_stops_an_auto_band_made_dense_by_one_outlier(monkeypatch)
         build_weights(clustered)
 
 
-def test_csr_arrays_and_entries_view():
-    w = WeightsMatrix(n=4, entries={(2, 0): 1.0, (0, 3): 2.0, (0, 1): 0.5, (3, 0): 2.0})
-    assert list(w.entries.items()) == [((0, 1), 0.5), ((0, 3), 2.0), ((2, 0), 1.0), ((3, 0), 2.0)]
+def test_csr_arrays():
+    rows, cols, vals = [0, 0, 2, 3], [1, 3, 0, 0], np.array([0.5, 2.0, 1.0, 2.0])
+    w = WeightsMatrix(4, rows, cols, vals)
     assert w.rows.tolist() == [0, 0, 2, 3]
     assert w.cols.tolist() == [1, 3, 0, 0]
+    assert w.vals.tolist() == [0.5, 2.0, 1.0, 2.0]
     assert w.indptr.tolist() == [0, 2, 2, 3, 4]
     assert w.nnz == 4
     assert (w.s0, w.s1, w.s2) == dense_sums(4, {(0, 1): 0.5, (0, 3): 2.0, (2, 0): 1.0, (3, 0): 2.0})
-    with pytest.raises(TypeError):
-        w.entries[(1, 2)] = 1.0
     with pytest.raises(ValueError):
         w.vals[0] = 3.0
+    with pytest.raises(ValueError):  # kept, not copied: frozen so s0 cannot go stale
+        vals[0] = 3.0
 
 
 def grid_points(n):
@@ -211,7 +220,7 @@ def rook_weights(n):
 
 def test_two_points_inverse_distance_auto():
     w = build_weights([(0.0, 0.0), (2.0, 0.0)])
-    assert w.entries == {(0, 1): 0.5, (1, 0): 0.5}
+    assert (w.rows.tolist(), w.cols.tolist(), w.vals.tolist()) == ([0, 1], [1, 0], [0.5, 0.5])
     assert w.s0 == 1.0
 
 
@@ -219,18 +228,15 @@ def test_unit_square_rook_adjacency():
     w = build_weights([(0, 0), (1, 0), (0, 1), (1, 1)], scheme="fixed_band",
                       threshold=1.0)
     assert w.s0 == 8.0  # 4 edges, both directions
-    assert all(v == 1.0 for v in w.entries.values())
+    assert (w.vals == 1.0).all()
 
 
 def test_row_standardize_rows_sum_to_one():
     rng = np.random.default_rng(3)
     pts = [tuple(p) for p in rng.uniform(0, 10, size=(25, 2))]
     w = build_weights(pts, scheme="inverse_distance", row_standardize=True)
-    row_sums = {}
-    for (i, _), v in w.entries.items():
-        row_sums[i] = row_sums.get(i, 0.0) + v
-    for s in row_sums.values():
-        assert s == pytest.approx(1.0, abs=1e-12)
+    row_sums = np.bincount(w.rows, weights=w.vals)[np.unique(w.rows)]
+    assert row_sums == pytest.approx(np.ones(row_sums.size), abs=1e-12)
     assert w.row_standardized
 
 
@@ -253,15 +259,16 @@ def test_weight_aggregates_consistent():
     rng = np.random.default_rng(17)
     pts = [tuple(p) for p in rng.uniform(0, 5, size=(12, 2))]
     w = build_weights(pts, scheme="inverse_distance")
-    s0 = sum(w.entries.values())
+    d = to_dense(w)
+    s0 = sum(w.vals.tolist())
     s1 = 0.5 * sum(
-        (w.entries.get((i, j), 0.0) + w.entries.get((j, i), 0.0)) ** 2
+        (d[i, j] + d[j, i]) ** 2
         for i in range(w.n)
         for j in range(w.n)
         if i != j
     )
-    row = [sum(w.entries.get((i, j), 0.0) for j in range(w.n)) for i in range(w.n)]
-    col = [sum(w.entries.get((j, i), 0.0) for j in range(w.n)) for i in range(w.n)]
+    row = [sum(d[i, j] for j in range(w.n)) for i in range(w.n)]
+    col = [sum(d[j, i] for j in range(w.n)) for i in range(w.n)]
     s2 = sum((r + c) ** 2 for r, c in zip(row, col))
     assert w.s0 == pytest.approx(s0, rel=1e-12)
     assert w.s1 == pytest.approx(s1, rel=1e-12)
@@ -287,8 +294,9 @@ def test_three_collinear_points_brute_force():
     w = build_weights(pts, scheme="fixed_band", threshold=1.0)
     vals = np.array([1.0, 2.0, 3.0])
     z = vals - vals.mean()
+    d = to_dense(w)
     num = sum(
-        w.entries.get((i, j), 0.0) * z[i] * z[j]
+        d[i, j] * z[i] * z[j]
         for i in range(3)
         for j in range(3)
     )
@@ -397,7 +405,7 @@ def test_auto_threshold_gives_every_point_a_neighbour():
     rng = np.random.default_rng(23)
     pts = [tuple(p) for p in rng.uniform(0, 100, size=(60, 2))]
     w = build_weights(pts, scheme="fixed_band")
-    rows_with_neighbours = {i for i, _ in w.entries}
+    rows_with_neighbours = set(w.rows.tolist())
     assert rows_with_neighbours == set(range(60))
     assert w.threshold is not None and w.threshold > 0
     assert w.scheme == "fixed_band"
@@ -415,15 +423,34 @@ def test_permutation_needs_minimum_replicates():
 
 
 def test_weights_matrix_rejects_self_weight():
-    with pytest.raises(ValueError):
-        WeightsMatrix(n=3, entries={(0, 0): 1.0})
+    with pytest.raises(ValueError, match=r"self-weight at index 1 not allowed"):
+        WeightsMatrix(3, [0, 1], [1, 1], [1.0, 1.0])
 
 
 def test_weights_matrix_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        WeightsMatrix(n=2, entries={(0, 5): 1.0})
+    with pytest.raises(ValueError, match=r"entry \(0, 5\) outside 0\.\.1"):
+        WeightsMatrix(2, [0], [5], [1.0])
+    with pytest.raises(ValueError, match=r"entry \(-1, 0\) outside"):
+        WeightsMatrix(2, [-1], [0], [1.0])
+    # the pairs must be in strictly increasing (i, j) order: none twice
+    order = r"pairs must be in strictly increasing \(i, j\) order"
+    with pytest.raises(ValueError, match=r"entry \(0, 1\) does not follow \(0, 1\): " + order):
+        WeightsMatrix(3, [0, 0], [1, 1], [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"entry \(0, 2\) does not follow \(1, 0\)"):
+        WeightsMatrix(3, [1, 0], [0, 2], [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"entry \(1, 0\) does not follow \(1, 2\)"):
+        WeightsMatrix(3, [0, 1, 1], [1, 2, 0], [1.0, 1.0, 1.0])
+    # and come as three arrays of one length
+    with pytest.raises(ValueError, match=r"of one length, got \(2,\), \(1,\) and \(2,\)"):
+        WeightsMatrix(3, [0, 1], [1], [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"of one length, got \(1,\), \(1,\) and \(2,\)"):
+        WeightsMatrix(3, [0], [1], [1.0, 1.0])
 
 
 def test_weights_matrix_rejects_negative_weight():
-    with pytest.raises(ValueError, match="negative weight at"):
-        WeightsMatrix(n=3, entries={(0, 1): 1.0, (1, 2): -0.5})
+    with pytest.raises(ValueError, match=r"negative weight at \(1, 2\)"):
+        WeightsMatrix(3, [0, 1], [1, 2], [1.0, -0.5])
+    # a NaN weight used to be stored, giving s0 = nan
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=rf"non-finite weight {bad} at \(0, 1\)"):
+            WeightsMatrix(3, [0, 1], [1, 2], [bad, 1.0])

@@ -271,5 +271,11 @@ def test_histogram_bin_limit():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="would need inf bins"):
             histogram([0.0, 1.0], 5e-324, 0.0)
-        with pytest.raises(ConfigError, match="would need nan bins"):
+        # every index overflows to +inf: the count is the range over the
+        # width (it read "nan bins"), or inf when one bin holds every value
+        with pytest.raises(ConfigError, match="would need inf bins"):
             histogram([1.0, 2.0], 5e-324, 0.0)
+        with pytest.raises(ConfigError, match="would need inf bins"):
+            histogram([1.0, 1.0], 5e-324, 0.0)
+        with pytest.raises(ConfigError, match=r"would need 4\.49423283716e\+307 bins"):
+            histogram([1.0, 1.0 + 2.0**-52], 5e-324, 0.0)

@@ -3,10 +3,11 @@ import pytest
 
 from demqa.errors import DegenerateDataError
 from demqa.raster import Grid, cell_of
-from demqa.sample import ControlPoint, extract_coincident
+from demqa.sample import SampleTable, extract_coincident
 from demqa.spatial import build_weights, morans_significance
 from demqa.stats import summarize
 from demqa.synth import (
+    ControlPoint,
     SceneSpec,
     make_checkerboard,
     make_plane,
@@ -127,8 +128,10 @@ def test_closure_snapped_points_zero_error():
     # Plane + cell-centre GCPs + zero planted error => every delta is 0.
     g = make_plane(0.5, -0.25, 20.0, 12, 12, cellsize=3.0)
     pts = scatter_points(g, 30, seed=11, snap_to_centres=True)
-    recs = extract_coincident(g, pts, method="nearest")
-    stats = summarize([r.delta_h for r in recs])
+    table = SampleTable(ids=[p.id for p in pts], x=[p.x for p in pts], y=[p.y for p in pts],
+                        h_ref=[p.h_ref for p in pts])
+    recs = extract_coincident(g, table, method="nearest")
+    stats = summarize(recs.delta_h)
     assert abs(stats.mean) <= 1e-12
     assert stats.sd <= 1e-12
     assert stats.rmse <= 1e-12
