@@ -53,7 +53,6 @@ from .terrain import CellDerivatives, DerivativePair, slope_aspect, slope_aspect
 from .landcover import ClassBox, classify, train_parallelepiped
 from .synth import (
     ControlPoint,
-    SceneSpec,
     make_checkerboard,
     make_plane,
     make_smoothed_noise,
@@ -81,7 +80,6 @@ __all__ = [
     "ParseError",
     "PermutationResult",
     "SampleTable",
-    "SceneSpec",
     "SummaryStats",
     "TrainingPointError",
     "TukeyFences",

@@ -43,7 +43,7 @@ from .raster import MultibandGrid, _csv_rows, _open_text, read_ascii_grid, write
 from .sample import EXTRACTION_METHODS, SampleTable
 from .screen import FILTER_FIELDS
 from .spatial import ASSUMPTIONS, MAX_PERMUTATIONS, WEIGHT_SCHEMES
-from .synth import SCENE_KINDS, SceneSpec, scatter_points
+from .synth import SCENE_KINDS, make_checkerboard, make_plane, make_smoothed_noise, scatter_points
 from .terrain import FLAT_ASPECT, slope_aspect
 
 EXIT_OK = 0
@@ -505,9 +505,16 @@ def cmd_moran(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = SceneSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SceneSpec)})
+    geo = {"cellsize": args.cellsize, "xll": args.xll, "yll": args.yll}
+    build = {
+        "plane": lambda: make_plane(args.a, args.b, args.c, args.nrows, args.ncols, **geo),
+        "checkerboard": lambda: make_checkerboard(args.amplitude, args.nrows, args.ncols, **geo),
+        "smoothed_noise": lambda: make_smoothed_noise(
+            args.sd, args.radius, args.nrows, args.ncols, args.seed, **geo
+        ),
+    }[args.kind]
     try:  # a scene or point parameter out of range raises ValueError
-        grid = spec.build()
+        grid = build()
         pts = scatter_points(
             grid,
             args.n_points,

@@ -52,12 +52,14 @@ def train_parallelepiped(
 ) -> list[ClassBox]:
     """Fit per-class boxes from labelled training locations.
 
-    ``labeled`` is (x, y, class_code) triples; every class needs at
-    least two usable pixels. A training point off the grid or on nodata
-    is a TrainingPointError, not silently dropped.
+    ``labeled`` is (x, y, class_code) triples; there must be some, and
+    every class needs at least two usable pixels. A training point off the
+    grid or on nodata is a TrainingPointError, not silently dropped.
     """
     if not k > 0:
         raise ValueError("k must be positive")
+    if not labeled:
+        raise InsufficientDataError("no training points")
     by_class: dict[int, list[list[float]]] = {}
     for x, y, code in labeled:
         rc = cell_of(image.bands[0], x, y)
@@ -107,28 +109,22 @@ def classify(image: MultibandGrid, boxes: Sequence[ClassBox]) -> Grid:
                 f"class {box.class_code} has {box.n_bands} band bounds, image has {image.n_bands}"
             )
     ref = image.bands[0]
-    stack = np.stack([b.values for b in image.bands])  # (bands, rows, cols)
-    nodata_mask = np.zeros((ref.nrows, ref.ncols), dtype=bool)
+    # Running best over classes in code order: a strict < keeps the lowest
+    # code on ties, and a distance that overflows to inf never wins.
+    best = np.full(ref.values.shape, np.inf)
+    out = np.full(ref.values.shape, float(UNCLASSIFIED))
+    for box in sorted(boxes, key=lambda b: b.class_code):
+        inside = np.ones(ref.values.shape, dtype=bool)
+        d2 = np.zeros(ref.values.shape)
+        for band, lo, hi, mean in zip(image.bands, box.lows, box.highs, box.means):
+            inside &= (band.values >= lo) & (band.values <= hi)
+            with np.errstate(over="ignore"):
+                d2 += (band.values - mean) ** 2
+        closer = inside & (d2 < best)
+        best[closer] = d2[closer]
+        out[closer] = box.class_code
     for b in image.bands:
-        nodata_mask |= b.values == b.nodata
-
-    ordered = sorted(boxes, key=lambda b: b.class_code)
-    dist2 = np.full((len(ordered), ref.nrows, ref.ncols), np.inf)
-    for ci, box in enumerate(ordered):
-        inside = np.ones((ref.nrows, ref.ncols), dtype=bool)
-        d2 = np.zeros((ref.nrows, ref.ncols))
-        for bi in range(image.n_bands):
-            band_vals = stack[bi]
-            inside &= (band_vals >= box.lows[bi]) & (band_vals <= box.highs[bi])
-            d2 += (band_vals - box.means[bi]) ** 2
-        dist2[ci] = np.where(inside, d2, np.inf)
-
-    any_inside = np.isfinite(dist2).any(axis=0)
-    # argmin returns the first minimum, i.e. the lowest code after sorting.
-    best = np.argmin(dist2, axis=0)
-    codes = np.array([b.class_code for b in ordered])
-    out = np.where(any_inside, codes[best], UNCLASSIFIED).astype(np.float64)
-    out[nodata_mask] = ref.nodata
+        out[b.values == b.nodata] = ref.nodata
     return replace(ref, values=out)
 
 

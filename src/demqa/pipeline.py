@@ -22,8 +22,7 @@ from .sample import (
     SampleTable,
     attach_class,
     attach_derivatives,
-    class_cells,
-    dem_cells,
+    cells_near,
     extract_coincident,
     read_gcp_csv,
 )
@@ -50,8 +49,8 @@ CORRELATION_PAIRS = (
 def read_inputs(cfg: AssessConfig) -> tuple[Grid, SampleTable, Grid | None, dict[int, str]]:
     """The DEM, the control points, the class map (or None) and the legend (or {}).
 
-    Only the grid cells the later stages read are converted (``dem_cells``,
-    ``class_cells``); the other cells are NaN. The control points, which
+    Only the grid cells the later stages read are converted
+    (``cells_near``); the other cells are NaN. The control points, which
     name those cells, are read first, but an error is reported in the
     order DEM, control points, class map, legend: when the control points
     fail, the DEM is checked before their error is raised.
@@ -62,9 +61,9 @@ def read_inputs(cfg: AssessConfig) -> tuple[Grid, SampleTable, Grid | None, dict
         read_ascii_grid(cfg.dem, cells=lambda dem: ())
         raise
     return (
-        read_ascii_grid(cfg.dem, cells=lambda dem: dem_cells(dem, points.x, points.y)),
+        read_ascii_grid(cfg.dem, cells=lambda dem: cells_near(dem, points.x, points.y, 1)),
         points,
-        read_ascii_grid(cfg.classmap, cells=lambda cm: class_cells(cm, points.x, points.y))
+        read_ascii_grid(cfg.classmap, cells=lambda cm: cells_near(cm, points.x, points.y, 0))
         if cfg.classmap else None,
         read_legend_csv(cfg.legend) if cfg.legend else {},
     )

@@ -152,14 +152,6 @@ class MultibandGrid:
     def n_bands(self) -> int:
         return len(self.bands)
 
-    @property
-    def ncols(self) -> int:
-        return self.bands[0].ncols
-
-    @property
-    def nrows(self) -> int:
-        return self.bands[0].nrows
-
 
 def _cell_units(grid: Grid, x, y):
     """Position of (x, y) in cells from the south-west corner, as floats or arrays."""

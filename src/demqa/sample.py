@@ -188,15 +188,6 @@ def _sample_bilinear(grid: Grid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(ok, total, np.nan)
 
 
-def class_cells(classmap: Grid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sorted flat indices of the class-map cells ``attach_class`` reads for
-    points (x, y): the cell of each point on the map."""
-    _, rows, cols = cells_of(classmap, x, y)
-    read = np.zeros((classmap.nrows, classmap.ncols), dtype=bool)
-    read[rows, cols] = True
-    return np.flatnonzero(read)
-
-
 def attach_class(
     classmap: Grid, samples: SampleTable, remap: Mapping[int, int] | None = None
 ) -> SampleTable:
@@ -222,17 +213,23 @@ def attach_class(
     return dataclasses.replace(samples, class_code=codes)
 
 
-def dem_cells(dem: Grid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sorted flat indices of the DEM cells ``extract_coincident`` and
-    ``attach_derivatives`` read for points (x, y): the 3x3 window, clipped
-    to the grid, around the cell of each point on the grid. The bilinear
-    corners of such a point lie in it, and a point off the grid gets no
-    height whatever its corners on the grid hold."""
-    _, rows, cols = cells_of(dem, x, y)
-    read = np.zeros((dem.nrows, dem.ncols), dtype=bool)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            read[np.clip(rows + dr, 0, dem.nrows - 1), np.clip(cols + dc, 0, dem.ncols - 1)] = True
+def cells_near(grid: Grid, x: np.ndarray, y: np.ndarray, reach: int) -> np.ndarray:
+    """Sorted flat indices of the cells within ``reach`` rows and columns,
+    clipped to the grid, of the cell of each point (x, y) on the grid.
+
+    Reach 1 gives the DEM cells ``extract_coincident`` and
+    ``attach_derivatives`` read: every bilinear corner and Horn neighbour
+    of such a point (a point off the grid gets no height whatever its
+    corners on the grid hold). Reach 0 gives the class-map cells
+    ``attach_class`` reads.
+    """
+    _, rows, cols = cells_of(grid, x, y)
+    read = np.zeros((grid.nrows, grid.ncols), dtype=bool)
+    steps = range(-reach, reach + 1)
+    for dr in steps:
+        r = np.clip(rows + dr, 0, grid.nrows - 1)
+        for dc in steps:
+            read[r, np.clip(cols + dc, 0, grid.ncols - 1)] = True
     return np.flatnonzero(read)
 
 
@@ -246,5 +243,5 @@ def attach_derivatives(dem: Grid, samples: SampleTable, z_factor: float = 1.0) -
     inside, rows, cols = cells_of(dem, samples.x, samples.y)
     derivs = slope_aspect_at(dem, rows, cols, z_factor)
     columns = np.full((2, len(samples)), np.nan)
-    columns[:, inside] = np.array(derivs, dtype=np.float64)  # None (nodata) becomes NaN
+    columns[:, inside] = derivs
     return dataclasses.replace(samples, slope_deg=columns[0], aspect_deg=columns[1])

@@ -10,9 +10,9 @@ the classical closed form in S0, S1, S2 and the sample kurtosis b2
 (randomization assumption); the normality variant drops the kurtosis
 terms. The permutation test is an independent check on those moments.
 
-Weights are sparse: only the nonzero w_ij are stored, as row-major CSR
-arrays, and S0, S1 and S2 are array reductions over them (Cliff & Ord
-1981). Distance-band neighbours are found by a uniform-grid (cell-list)
+Weights are sparse: only the nonzero w_ij are stored, as row-major
+(i, j, w_ij) arrays, and S0, S1 and S2 are array reductions over them
+(Cliff & Ord 1981). Distance-band neighbours are found by a uniform-grid (cell-list)
 search: with square cells a little wider than the band, every neighbour
 of a point lies in its own cell or one of the 8 around it. Memory is
 linear in the number of candidate pairs; no n x n matrix is formed.
@@ -54,9 +54,9 @@ class WeightsMatrix:
     w_ij = ``vals[k]`` at (i, j) = (``rows[k]``, ``cols[k]``), with
     0 <= i, j < n, i != j and w_ij finite and >= 0. The pairs must come in
     strictly increasing (i, j) order, so none appears twice; they are not
-    sorted here. The arrays are kept as the CSR form, and made read-only
-    (numpy arrays of the right dtype are not copied): row i holds
-    ``cols[indptr[i]:indptr[i + 1]]`` with weights ``vals[...]``.
+    sorted here. The arrays are kept read-only (numpy arrays of the right
+    dtype are not copied). ``threshold`` is the distance band the weights
+    were built with, None when hand-made.
     S0 = sum w_ij; S1 = 1/2 sum (w_ij + w_ji)^2;
     S2 = sum_i (row_sum_i + col_sum_i)^2.
     """
@@ -67,8 +67,6 @@ class WeightsMatrix:
         rows: Sequence[int],
         cols: Sequence[int],
         vals: Sequence[float],
-        row_standardized: bool = False,
-        scheme: str | None = None,
         threshold: float | None = None,
     ):
         rows = np.asarray(rows, dtype=np.intp)
@@ -93,13 +91,9 @@ class WeightsMatrix:
                     i=rows[k], j=cols[k], w=vals[k], pi=rows[k - 1], pj=cols[k - 1], last=n - 1
                 ))
         self.n = n
-        self.row_standardized = row_standardized
-        # how the matrix was built, echoed into reports; None when hand-made
-        self.scheme = scheme
         self.threshold = threshold
         self.rows, self.cols, self.vals = rows, cols, vals
-        self.indptr = np.searchsorted(rows, np.arange(n + 1))
-        for a in (rows, cols, vals, self.indptr):
+        for a in (rows, cols, vals):
             a.flags.writeable = False
         self.s0 = float(vals.sum())
         if self.s0 <= 0.0:
@@ -317,6 +311,8 @@ def build_weights(
     if scheme not in WEIGHT_SCHEMES:
         raise ValueError(f"unknown weights scheme '{scheme}'")
     pts = np.asarray(points, dtype=np.float64)
+    if pts.shape == (0,):  # an empty sequence: no points
+        pts = pts.reshape(0, 2)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be a sequence of (x, y) pairs")
     n = pts.shape[0]
@@ -351,9 +347,7 @@ def build_weights(
         raise DegenerateWeightsError(
             f"no pair within threshold {threshold}: all weights zero"
         )
-    return WeightsMatrix(
-        n, rows[nonzero], cols[nonzero], vals[nonzero], row_standardize, scheme, threshold
-    )
+    return WeightsMatrix(n, rows[nonzero], cols[nonzero], vals[nonzero], threshold)
 
 
 def _deviations(values: Sequence[float], w: WeightsMatrix) -> np.ndarray:

@@ -29,46 +29,6 @@ class ControlPoint:
     h_ref: float
 
 
-@dataclass(frozen=True)
-class SceneSpec:
-    """Declarative description of a synthetic scene."""
-
-    kind: str
-    nrows: int
-    ncols: int
-    cellsize: float = 1.0
-    xll: float = 0.0
-    yll: float = 0.0
-    # plane
-    a: float = 0.0
-    b: float = 0.0
-    c: float = 0.0
-    # checkerboard
-    amplitude: float = 1.0
-    # smoothed noise
-    sd: float = 1.0
-    radius: int = 0
-    seed: int = 0
-
-    def build(self) -> Grid:
-        if self.kind == "plane":
-            return make_plane(
-                self.a, self.b, self.c, self.nrows, self.ncols,
-                cellsize=self.cellsize, xll=self.xll, yll=self.yll,
-            )
-        if self.kind == "checkerboard":
-            return make_checkerboard(
-                self.amplitude, self.nrows, self.ncols,
-                cellsize=self.cellsize, xll=self.xll, yll=self.yll,
-            )
-        if self.kind == "smoothed_noise":
-            return make_smoothed_noise(
-                self.sd, self.radius, self.nrows, self.ncols, self.seed,
-                cellsize=self.cellsize, xll=self.xll, yll=self.yll,
-            )
-        raise ValueError(f"unknown scene kind '{self.kind}'")
-
-
 def _scene(what, values, nrows, ncols, cellsize, xll, yll) -> Grid:
     """The grid of ``values``; ValueError if a scene parameter made one of
     them NaN or infinite."""

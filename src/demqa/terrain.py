@@ -42,8 +42,8 @@ class DerivativePair:
 
 
 class CellDerivatives(NamedTuple):
-    """Slope and aspect at requested cells: 1-D object arrays holding one
-    float per cell, or None where the cell is nodata."""
+    """Slope and aspect at requested cells: 1-D float64 arrays, NaN where
+    the cell is nodata."""
 
     slope: np.ndarray
     aspect: np.ndarray
@@ -55,14 +55,14 @@ def _horn(
     invalid: np.ndarray,
     cellsize: float,
     z_factor: float,
-    fill: float | None,
+    fill: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Slope and aspect from the centre values and the eight neighbour
     arrays in ``_OFFSETS`` order, NaN where a neighbour is off the grid or
     nodata; such a neighbour takes the centre value. Cells flagged
     ``invalid`` (nodata centres) get ``fill``."""
-    if z_factor <= 0:
-        raise ValueError("z_factor must be positive")
+    if not (np.isfinite(z_factor) and z_factor > 0):
+        raise ValueError("z_factor must be finite and positive")
     a, b, c, d, f, g, h, i = (np.where(np.isnan(nb), centre, nb) for nb in neighbours)
 
     dzdx = ((c + 2.0 * f + i) - (a + 2.0 * d + g)) / (8.0 * cellsize)
@@ -101,7 +101,7 @@ def slope_aspect_at(
 
     Reads only the 3x3 windows of those cells; the values equal those of
     ``slope_aspect`` at the same cells bit for bit. A nodata cell gives
-    None. Raises ValueError for a cell off the grid.
+    NaN. Raises ValueError for a cell off the grid.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -119,5 +119,5 @@ def slope_aspect_at(
         inside = (r >= 0) & (r < dem.nrows) & (c >= 0) & (c < dem.ncols)
         v = vals[np.clip(r, 0, dem.nrows - 1), np.clip(c, 0, dem.ncols - 1)]
         neighbours.append(np.where(inside & (v != dem.nodata), v, np.nan))
-    slope, aspect = _horn(centre, neighbours, invalid, dem.cellsize, z_factor, None)
+    slope, aspect = _horn(centre, neighbours, invalid, dem.cellsize, z_factor, np.nan)
     return CellDerivatives(slope=slope, aspect=aspect)

@@ -200,7 +200,7 @@ def attach_derivatives(
     cells = [cell_of(dem, r.x, r.y) for r in records]
     on_grid = [rc for rc in cells if rc is not None]
     derivs = slope_aspect_at(dem, [r for r, _ in on_grid], [c for _, c in on_grid], z_factor)
-    values = zip(derivs.slope.tolist(), derivs.aspect.tolist())
+    values = zip(*[[None if math.isnan(v) else v for v in d.tolist()] for d in derivs])
     out = []
     for r, rc in zip(records, cells):
         s, a = (None, None) if rc is None else next(values)

@@ -13,7 +13,7 @@ import demqa.spatial
 from demqa.cli import OPTIONS, AssessConfig, _config, build_parser, load_config, main
 from demqa.landcover import read_training_csv
 from demqa.raster import Grid, read_ascii_grid, write_ascii_grid
-from demqa.synth import make_plane, make_smoothed_noise, scatter_points
+from demqa.synth import make_checkerboard, make_plane, make_smoothed_noise, scatter_points
 
 REPORT_KEYS = {
     "provenance", "screening", "stats", "anova", "moran", "correlations", "histograms",
@@ -321,6 +321,27 @@ def test_synth_command_deterministic(tmp_path):
     assert main(args + ["--out", str(tmp_path / "a.asc")]) == 0
     assert main(args + ["--out", str(tmp_path / "b.asc")]) == 0
     assert (tmp_path / "a.asc").read_bytes() == (tmp_path / "b.asc").read_bytes()
+
+
+def test_synth_command_builds_each_kind(tmp_path, capsys):
+    geo = {"cellsize": 2.0, "xll": 10.0, "yll": -4.0}
+    flags = ["--cellsize", "2", "--xll", "10", "--yll", "-4", "--nrows", "3", "--ncols", "4"]
+    for kind, extra, want in (
+        ("plane", ["--a", "1", "--b", "-2", "--c", "5"], make_plane(1.0, -2.0, 5.0, 3, 4, **geo)),
+        ("checkerboard", ["--amplitude", "2"], make_checkerboard(2.0, 3, 4, **geo)),
+        ("smoothed_noise", ["--sd", "3", "--radius", "1", "--seed", "7"],
+         make_smoothed_noise(3.0, 1, 3, 4, 7, **geo)),
+    ):
+        out = tmp_path / f"{kind}.asc"
+        assert main(["synth", "--kind", kind, *flags, *extra, "--out", str(out)]) == 0
+        got = read_ascii_grid(out)
+        assert got.same_georef(want)
+        assert got.values.tobytes() == want.values.tobytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--kind", "volcano", *flags, "--out", str(tmp_path / "v.asc")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'volcano'" in capsys.readouterr().err
+    assert not (tmp_path / "v.asc").exists()
 
 
 def test_synth_command_writes_gcps(tmp_path):
@@ -662,6 +683,29 @@ def test_classify_bad_training_point_exit_3(tmp_path, capsys, point, problem):
     x, y = point.split(",")
     assert capsys.readouterr().err == (
         f"parse error [classify]: training point ({float(x)}, {float(y)}) {problem}\n"
+    )
+
+
+def test_classify_without_training_points_exit_4(tmp_path, capsys):
+    write_ascii_grid(make_plane(1.0, 0.0, 0.0, 3, 3), tmp_path / "b.asc")
+    (tmp_path / "t.csv").write_text("x,y,class_code\n")
+    assert main(["classify", "--image", str(tmp_path / "b.asc"), "--training",
+                 str(tmp_path / "t.csv"), "--out", str(tmp_path / "c.asc")]) == 4
+    assert capsys.readouterr().err == "degenerate statistics [classify]: no training points\n"
+    assert not (tmp_path / "c.asc").exists()
+
+
+@pytest.mark.parametrize("rows, got", [
+    ("", 0),
+    ("1.0,2.0,0.5,removed_outlier\n3.0,4.0,0.1,removed_validity\n", 0),
+    ("1.0,2.0,0.5,removed_outlier\n3.0,4.0,,kept\n", 0),
+    ("1.0,2.0,0.5,kept\n3.0,4.0,0.1,removed_validity\n", 1),
+])
+def test_moran_without_kept_rows_exit_4(tmp_path, capsys, rows, got):
+    (tmp_path / "s.csv").write_text("x,y,delta_h,status\n" + rows)
+    assert main(["moran", "--samples", str(tmp_path / "s.csv")]) == 4
+    assert capsys.readouterr().err == (
+        f"degenerate statistics [moran]: need at least 2 points, got {got}\n"
     )
 
 

@@ -93,6 +93,18 @@ def test_classify_overlap_tie_lowest_code():
     img = one_band_image([9.0], 1, 1)
     out = classify(img, [box(2, 8, 18, 13), box(1, 0, 10, 5)])
     assert out.values[0, 0] == 1
+    # a three-way tie, declared highest code first, with a nearer class
+    # that does not contain the pixel
+    img = one_band_image([9.0, 100.0], 2, 1)
+    boxes = [box(7, 0, 20, 13), box(4, 0, 20, 5), box(5, 8, 12, 13), box(1, 10, 20, 9)]
+    assert classify(img, boxes).values.tolist() == [[4.0, 0.0]]
+    # a squared distance that overflows to inf never wins, even when it is
+    # the only box holding the pixel: 1e300 is in both boxes of code 1 and 2
+    img = one_band_image([1e300, 5.0, 9.0], 3, 1)
+    boxes = [box(3, 0, 10, 13), box(1, -1e300, 1e300, -1e300), box(2, 0, 1e300, 5)]
+    assert classify(img, boxes).values.tolist() == [[0.0, 2.0, 2.0]]
+    img = one_band_image([1e300, -1e300], 2, 1)
+    assert classify(img, [box(1, -1e300, 1e300, -1e300)]).values.tolist() == [[0.0, 1.0]]
 
 
 def test_classify_nodata_propagates():

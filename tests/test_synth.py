@@ -8,7 +8,6 @@ from demqa.spatial import build_weights, morans_significance
 from demqa.stats import summarize
 from demqa.synth import (
     ControlPoint,
-    SceneSpec,
     make_checkerboard,
     make_plane,
     make_smoothed_noise,
@@ -135,17 +134,6 @@ def test_closure_snapped_points_zero_error():
     assert abs(stats.mean) <= 1e-12
     assert stats.sd <= 1e-12
     assert stats.rmse <= 1e-12
-
-
-def test_scene_spec_dispatch():
-    plane = SceneSpec(kind="plane", nrows=3, ncols=3, a=1.0).build()
-    board = SceneSpec(kind="checkerboard", nrows=3, ncols=3, amplitude=2.0).build()
-    noise = SceneSpec(kind="smoothed_noise", nrows=3, ncols=3, sd=1.0, seed=1).build()
-    assert plane.values[0, 1] > plane.values[0, 0]
-    assert board.values[0, 0] == 2.0
-    assert noise.values.std() > 0
-    with pytest.raises(ValueError):
-        SceneSpec(kind="volcano", nrows=3, ncols=3).build()
 
 
 def test_bad_parameters():

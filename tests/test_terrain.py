@@ -1,9 +1,11 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
 from demqa.raster import Grid
+from demqa.sample import attach_derivatives, read_gcp_csv
 from demqa.synth import make_plane
 from demqa.terrain import slope_aspect, slope_aspect_at
 
@@ -209,15 +211,15 @@ def test_windowed_equals_full_grid_bitwise():
         rows = np.concatenate([rows[order], rows[:3]])
         cols = np.concatenate([cols[order], cols[:3]])
         got = slope_aspect_at(dem, rows.tolist(), cols.tolist(), z_factor=z)
-        assert len(got.slope) == len(got.aspect) == rows.size
+        assert got.slope.dtype == got.aspect.dtype == np.float64
+        assert got.slope.shape == got.aspect.shape == rows.shape
         for r, c, s, a in zip(rows, cols, got.slope, got.aspect):
             if dem.values[r, c] == dem.nodata:
                 n_holes += 1
-                assert s is None and a is None
+                assert np.isnan(s) and np.isnan(a)
             else:
-                assert type(s) is float and type(a) is float
-                assert np.float64(s).tobytes() == full.slope.values[r, c].tobytes()
-                assert np.float64(a).tobytes() == full.aspect.values[r, c].tobytes()
+                assert s.tobytes() == full.slope.values[r, c].tobytes()
+                assert a.tobytes() == full.aspect.values[r, c].tobytes()
     assert n_holes > 0
 
 
@@ -238,7 +240,12 @@ def test_windowed_rejects_bad_cells_and_z_factor():
             slope_aspect_at(dem, rows, cols)
     with pytest.raises(ValueError, match="same length"):
         slope_aspect_at(dem, [0, 1], [0])
-    with pytest.raises(ValueError):
-        slope_aspect_at(dem, [0], [0], z_factor=0.0)
+    for z in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="z_factor"):
+            slope_aspect_at(dem, [0], [0], z_factor=z)
+        with pytest.raises(ValueError, match="z_factor"):
+            slope_aspect(dem, z_factor=z)
+        with pytest.raises(ValueError, match="z_factor"):
+            attach_derivatives(dem, read_gcp_csv(io.StringIO("id,x,y,h\na,0.5,0.5,0\n")), z)
     empty = slope_aspect_at(dem, [], [])
     assert len(empty.slope) == len(empty.aspect) == 0

@@ -28,8 +28,7 @@ from demqa.sample import (
     SampleTable,
     attach_class,
     attach_derivatives,
-    class_cells,
-    dem_cells,
+    cells_near,
     extract_coincident,
     read_gcp_csv,
 )
@@ -195,9 +194,9 @@ def test_stages_read_the_full_reads_values_from_a_windowed_grid(windowed, method
     for side in ("full", "windowed"):
         win = side == "windowed"
         d = read_ascii_grid(io.StringIO(dem_text),
-                            cells=(lambda g: dem_cells(g, x, y)) if win else None)
+                            cells=(lambda g: cells_near(g, x, y, 1)) if win else None)
         c = read_ascii_grid(io.StringIO(class_text),
-                            cells=(lambda g: class_cells(g, x, y)) if win else None)
+                            cells=(lambda g: cells_near(g, x, y, 0)) if win else None)
         assert np.isnan(d.values).any() == win
         t = attach_derivatives(d, attach_class(c, extract_coincident(d, table, method)))
         got[side] = [getattr(t, name).tobytes() for name in
@@ -382,7 +381,7 @@ def replace_cell(path, flat_index, ncols, text, header_lines=6):
 
 def far_cell(grid, x, y):
     """A cell whose value assess never reads."""
-    return int(np.setdiff1d(np.arange(grid.values.size), dem_cells(grid, x, y))[-1])
+    return int(np.setdiff1d(np.arange(grid.values.size), cells_near(grid, x, y, 1))[-1])
 
 
 def assess_errors(tmp_path, monkeypatch, capsys, argv=()):
@@ -453,7 +452,7 @@ def test_class_map_error_wins_over_legend_error(tmp_path, monkeypatch, capsys, w
     monkeypatch.chdir(tmp_path)
     classes = read_ascii_grid(tmp_path / "classes.asc")
     gcps = read_gcp_csv(tmp_path / "gcps.csv")
-    unread = np.setdiff1d(np.arange(classes.values.size), class_cells(classes, gcps.x, gcps.y))
+    unread = np.setdiff1d(np.arange(classes.values.size), cells_near(classes, gcps.x, gcps.y, 0))
     line, column = replace_cell(tmp_path / "classes.asc", int(unread[0]), classes.ncols, "1e999")
     (tmp_path / "legend.csv").write_text("class_code,label\nx,forest\n", encoding="utf-8")
     code, err = assess_errors(tmp_path, monkeypatch, capsys,
