@@ -239,6 +239,8 @@ def load_config(path: str | Path) -> AssessConfig:
     try:
         with _open_text(path, "r") as f:
             parser.read_file(f)
+    except ParseError as exc:  # not UTF-8
+        raise ConfigError(str(exc)) from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     except configparser.Error as exc:
@@ -274,8 +276,6 @@ def _add_flags(parser: argparse.ArgumentParser, rows: Sequence[Option]) -> None:
 
 
 def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -285,9 +285,6 @@ def _jsonable(obj):
             return "inf" if obj > 0 else "-inf"
         if math.isnan(obj):
             return "nan"
-        return obj
-    if hasattr(obj, "item"):  # numpy scalar
-        return _jsonable(obj.item())
     return obj
 
 
@@ -308,9 +305,11 @@ def _provenance_comment(command: str) -> str:
     return f"# generated by demqa {__version__} ({command})"
 
 
-def _write_csv(path: Path, header: list[str], columns: Sequence[Sequence[str]]) -> None:
+def _write_csv(
+    path: str | Path, command: str, header: list[str], columns: Sequence[Sequence[str]]
+) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(_provenance_comment("assess") + "\n")
+        f.write(_provenance_comment(command) + "\n")
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(zip(*columns))
@@ -350,7 +349,7 @@ def _write_files(report: dict, samples: SampleTable, tmpdir: Path, legend: dict[
     text = {c: _floats(getattr(samples, c)) for c in floats}
     codes = [None if c != c else int(c) for c in samples.class_code.tolist()]
     _write_csv(
-        tmpdir / "samples.csv",
+        tmpdir / "samples.csv", "assess",
         ["id", "x", "y", "h_ref", "h_dem", "delta_h", "class_code", "class_label",
          "slope_deg", "aspect_deg", "status"],
         [
@@ -371,7 +370,7 @@ def _write_files(report: dict, samples: SampleTable, tmpdir: Path, legend: dict[
             entry.get(k) for k in ("n", "mean", "sd", "rmse", "min", "max", "range")
         ])
     _write_csv(
-        tmpdir / "stats_by_class.csv",
+        tmpdir / "stats_by_class.csv", "assess",
         ["class_code", "label", "n", "mean", "sd", "rmse", "min", "max", "range"],
         [list(map(_fmt_cell, column)) for column in zip(*stats_rows)],
     )
@@ -380,7 +379,7 @@ def _write_files(report: dict, samples: SampleTable, tmpdir: Path, legend: dict[
         (key, b["lower"], b["count"]) for key, bins in report["histograms"].items() for b in bins
     ]
     _write_csv(
-        tmpdir / "histogram.csv",
+        tmpdir / "histogram.csv", "assess",
         ["class", "bin_lower", "count"],
         [list(map(_fmt_cell, column)) for column in zip(*hist_rows)],
     )
@@ -395,7 +394,7 @@ def _write_files(report: dict, samples: SampleTable, tmpdir: Path, legend: dict[
     ):
         rows = np.flatnonzero(use & ~np.isnan(getattr(samples, field_name))).tolist()
         _write_csv(
-            tmpdir / name,
+            tmpdir / name, "assess",
             ["id", field_name, "delta_h"],
             [[column[k] for k in rows] for column in
              (samples.ids, text[field_name], text["delta_h"])],
@@ -529,11 +528,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     write_ascii_grid(grid, args.out, comment=comment)
     print(f"wrote {args.out}")
     if pts is not None:
-        with open(args.gcps_out, "w", encoding="utf-8", newline="") as f:
-            f.write(_provenance_comment("synth") + "\n")
-            f.write("id,x,y,h\n")
-            for p in pts:
-                f.write(f"{p.id},{repr(p.x)},{repr(p.y)},{repr(p.h_ref)}\n")
+        rows = [(p.id, repr(p.x), repr(p.y), repr(p.h_ref)) for p in pts]
+        _write_csv(args.gcps_out, "synth", ["id", "x", "y", "h"], list(zip(*rows)))
         print(f"wrote {args.gcps_out}")
     return EXIT_OK
 

@@ -21,8 +21,6 @@ class ParseError(DemqaError):
         if line is not None:
             loc = f" (line {line}" + (f", column {column})" if column is not None else ")")
         super().__init__(message + loc)
-        self.line = line
-        self.column = column
 
 
 class TrainingPointError(ParseError, ValueError):

@@ -189,13 +189,20 @@ def cell_of(grid: Grid, x: float, y: float) -> tuple[int, int] | None:
     return (grid.nrows - 1 - int(v), int(u)) if _on_grid(grid, u, v) else None
 
 
-def _open_text(source: str | Path | TextIO, mode: str):
+@contextlib.contextmanager
+def _open_text(source: str | Path | TextIO, mode: str) -> Iterator[TextIO]:
     """A ``with`` context giving ``source`` as a text stream: a path is opened
-    as UTF-8 (reading also drops a leading byte order mark) and closed on
-    exit; an open stream is used as it is and left open."""
-    if isinstance(source, (str, Path)):
-        return open(source, mode, encoding="utf-8-sig" if mode == "r" else "utf-8", newline="")
-    return contextlib.nullcontext(source)
+    as UTF-8 (reading drops a byte order mark; other bytes that are not UTF-8
+    raise ParseError) and closed on exit; a stream is used as it is."""
+    if not isinstance(source, (str, Path)):
+        yield source
+        return
+    try:
+        with open(source, mode, encoding="utf-8-sig" if mode == "r" else "utf-8", newline="") as f:
+            yield f
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ParseError(f"{source} is not UTF-8 text: byte 0x{byte:02x}, {exc.reason}") from None
 
 
 def _csv_rows(source: str | Path | TextIO, name: str) -> Iterator[tuple[int, list[str]]]:
@@ -203,25 +210,18 @@ def _csv_rows(source: str | Path | TextIO, name: str) -> Iterator[tuple[int, lis
     blank or a ``#`` comment; with no such line, raise ParseError "empty
     <name>". Each reader checks its own header and rows.
 
-    A line is parsed on its own, so an unbalanced quote never joins it to
-    the next. Most lines hold nothing the ``csv`` module treats specially
-    (a quote, NUL, a line end before the last, a field over its size
-    limit) and are split on commas, which gives the fields ``csv.reader``
-    would; any other line goes through ``csv.reader``."""
-    limit = csv.field_size_limit()
+    A line is parsed on its own by ``csv.reader``, so an unbalanced quote
+    never joins it to the next; a line ``csv`` rejects (a field over its
+    size limit, say) raises ParseError naming the line."""
     with _open_text(source, "r") as stream:
         empty = True
-        for lineno, line in enumerate(stream, start=1):
-            if line.strip() and not line.lstrip().startswith("#"):
-                empty = False
-                text = line.rstrip("\r\n")
-                if (
-                    '"' in text or "\0" in text or "\r" in text or "\n" in text
-                    or len(text) > limit
-                ):
+        try:
+            for lineno, line in enumerate(stream, start=1):
+                if line.strip() and not line.lstrip().startswith("#"):
+                    empty = False
                     yield lineno, next(csv.reader([line]))
-                else:
-                    yield lineno, text.split(",")
+        except csv.Error as exc:
+            raise ParseError(f"bad CSV line: {exc}", line=lineno) from None
         if empty:
             raise ParseError(f"empty {name}")
 
@@ -424,11 +424,12 @@ def _number(text: str, what: str, line: int, column: int) -> float:
     return value
 
 
-def _fmt(v: float) -> str:
-    # repr() of a Python float is the shortest decimal that round-trips.
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(float(v))
+def _grid_line(values) -> str:
+    """``values`` as one line of grid text: shortest round-trip ``repr``
+    each, integral values below 1e16 without ".0" and -0.0 as 0."""
+    # +0.0 turns -0.0 into 0.0; repr() writes integral values from 1e16 up with an exponent.
+    text = " ".join(map(repr, (np.asarray(values, dtype=np.float64) + 0.0).tolist())) + "\n"
+    return text.replace(".0 ", " ").replace(".0\n", "\n")
 
 
 def write_ascii_grid(grid: Grid, dest: str | Path | TextIO, comment: str | None = None) -> None:
@@ -450,14 +451,9 @@ def write_ascii_grid(grid: Grid, dest: str | Path | TextIO, comment: str | None 
         if comment:
             for ln in comment.splitlines():
                 stream.write(f"# {ln}\n")
-        stream.write(f"ncols {grid.ncols}\n")
-        stream.write(f"nrows {grid.nrows}\n")
-        stream.write(f"xllcorner {_fmt(grid.xll)}\n")
-        stream.write(f"yllcorner {_fmt(grid.yll)}\n")
-        stream.write(f"cellsize {_fmt(grid.cellsize)}\n")
-        stream.write(f"NODATA_value {_fmt(grid.nodata)}\n")
+        stream.write(f"ncols {grid.ncols}\nnrows {grid.nrows}\n")
+        for key, value in (("xllcorner", grid.xll), ("yllcorner", grid.yll),
+                           ("cellsize", grid.cellsize), ("NODATA_value", grid.nodata)):
+            stream.write(f"{key} {_grid_line([value])}")
         for row in grid.values:
-            # Adding 0.0 turns -0.0 into 0.0; dropping the ".0" that repr()
-            # leaves on integral values below 1e16 gives _fmt's text per cell.
-            line = " ".join(map(repr, (row + 0.0).tolist())) + "\n"
-            stream.write(line.replace(".0 ", " ").replace(".0\n", "\n"))
+            stream.write(_grid_line(row))

@@ -137,12 +137,15 @@ def f_test(
     """F ratio and p-value from an ANOVA decomposition.
 
     Zero within-group variance is reported as a distinct infinite-F flag
-    with p = 0 rather than a NaN.
+    with p = 0 rather than a NaN; with no variance at all F is 0/0, and
+    ZeroVarianceError is raised.
     """
     if df_between < 1 or df_within < 1:
         raise InsufficientDataError("degrees of freedom must be positive")
     if ss_between < 0 or ss_within < 0:
         raise ValueError("sums of squares must be nonnegative")
+    if ss_between == 0.0 and ss_within == 0.0:
+        raise ZeroVarianceError("F undefined: no value varies, within or between groups")
     ms_between = ss_between / df_between
     ms_within = ss_within / df_within
     if ms_within == 0.0:

@@ -100,7 +100,6 @@ def scatter_points(
     min_separation: float = 0.0,
     snap_to_centres: bool = False,
     error_sd: float = 0.0,
-    id_prefix: str = "p",
 ) -> list[ControlPoint]:
     """Scatter ``n`` control points over the grid's valid cells.
 
@@ -168,5 +167,5 @@ def scatter_points(
         placed.add((x, y))
         if min_separation > 0:
             buckets.setdefault((kx, ky), []).append((x, y))
-        points.append(ControlPoint(id=f"{id_prefix}{len(points):04d}", x=x, y=y, h_ref=h))
+        points.append(ControlPoint(id=f"p{len(points):04d}", x=x, y=y, h_ref=h))
     return points

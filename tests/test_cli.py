@@ -114,6 +114,23 @@ def test_closure_scene_all_zero(tmp_path, capsys):
         assert (out / name).exists()
 
 
+def test_anova_skipped_when_no_height_error_varies(tmp_path):
+    # every delta h is 0, so F is 0/0; it used to be reported as inf with p = 0
+    dem, gcps = write_closure_scene(tmp_path)
+    codes = np.repeat([[1.0] * 6 + [2.0] * 6], 12, axis=0)
+    write_ascii_grid(Grid(ncols=12, nrows=12, xll=0, yll=0, cellsize=3.0, values=codes),
+                     tmp_path / "classes.asc")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dem, gcps, out)
+    classmap = str(tmp_path / "classes.asc")
+    assert main(["assess", "--config", str(cfg), "--classmap", classmap]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["stats"]["1"]["n"] > 0 and report["stats"]["2"]["n"] > 0
+    assert report["anova"] == {
+        "skipped": "F undefined: no value varies, within or between groups"
+    }
+
+
 def test_repeated_runs_byte_identical(tmp_path):
     dem, gcps = write_closure_scene(tmp_path)
     out = tmp_path / "out"
@@ -604,6 +621,7 @@ def test_readme_config_block_names_every_option(tmp_path):
 # input readers: messages, line numbers and exit codes on bad input
 
 SAMPLES_HEAD = "# generated by demqa 0.1.0 (assess)\n\nx,y,delta_h,status\n"
+LONG_FIELD = "bad CSV line: field larger than field limit (131072)"
 
 CSV_ERRORS = [
     # (flag, file text, message); lines count every line, comments and blanks included
@@ -631,13 +649,23 @@ CSV_ERRORS = [
      "bad numeric value in samples file (line 5)"),
     ("--samples", SAMPLES_HEAD + "1,2,0.5,kept\n3,4,nan,kept\n",
      "non-finite value in samples file (line 5)"),
+    # a field over csv's size limit (131,072 characters) used to end in a traceback
+    ("--gcps", "id,x,y,h\n" + "p" * 200_000 + ",1,2,3\n", LONG_FIELD + " (line 2)"),
+    ("--legend", "class_code,label\n1," + "a" * 200_000 + "\n", LONG_FIELD + " (line 2)"),
+    ("--training", "x,y,class_code\n# c\n1," + "2" * 200_000 + ",1\n",
+     LONG_FIELD + " (line 3)"),
+    ("--samples", SAMPLES_HEAD + "1,2," + "5" * 200_000 + ",kept\n", LONG_FIELD + " (line 4)"),
 ]
 
 
 def _run_reader(tmp_path, flag, path):
     if flag == "--samples":
         return ["moran", "--samples", str(path)]
+    if flag == "--config":
+        return ["assess", "--config", str(path)]
     dem, gcps = write_closure_scene(tmp_path)
+    if flag == "--dem":
+        return ["assess", "--dem", str(path), "--gcps", str(gcps), "--out", str(tmp_path / "out")]
     if flag == "--training":
         return ["classify", "--image", str(dem), "--training", str(path),
                 "--out", str(tmp_path / "c.asc")]
@@ -657,6 +685,30 @@ def test_csv_reader_errors(tmp_path, capsys, flag, text, message, bom):
     assert main(_run_reader(tmp_path, flag, path)) == 3
     command = "assess" if flag == "--gcps" else "moran" if flag == "--samples" else "classify"
     assert capsys.readouterr().err == f"parse error [{command}]: {message}\n"
+
+
+@pytest.mark.parametrize("flag, data, byte", [
+    ("--dem", b"ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 \xff\n",
+     "0xff, invalid start byte"),
+    ("--gcps", b"id,x,y,h\np\xff,1,2,3\n", "0xff, invalid start byte"),
+    ("--legend", "class_code,label\n1,For\u00eat\n".encode("latin-1"),
+     "0xea, invalid continuation byte"),
+    ("--training", b"x,y,class_code\n1.5,1.5,1\xff\n", "0xff, invalid start byte"),
+    ("--samples", SAMPLES_HEAD.encode() + b"1,2,0.5,kept\n3,4,\xfe,kept\n",
+     "0xfe, invalid start byte"),
+    ("--config", b"[input]\ndem = d\xffm.asc\n", "0xff, invalid start byte"),
+], ids=["dem", "gcps", "legend", "training", "samples", "config"])
+def test_input_that_is_not_utf8_names_the_file(tmp_path, capsys, flag, data, byte):
+    # such bytes used to end in a UnicodeDecodeError traceback
+    (tmp_path / "t.csv").write_text("x,y,class_code\n1.5,1.5,1\n4.5,4.5,1\n")
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    code, kind = (2, "config") if flag == "--config" else (3, "parse")
+    args = _run_reader(tmp_path, flag, path)
+    assert main(args) == code
+    assert capsys.readouterr().err == (
+        f"{kind} error [{args[0]}]: {path} is not UTF-8 text: byte {byte}\n"
+    )
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "1e400"])

@@ -624,8 +624,9 @@ def traced_round_trip(grid, path):
 
 
 # ---------------------------------------------------------------------------
-# The CSV row reader splits plain lines on commas; the reader it replaced,
-# one csv.reader per line, is the oracle for every line.
+# One csv.reader per line is the oracle for every line the CSV row reader
+# parses; a line the oracle's csv.reader rejects must be a ParseError
+# naming that line.
 
 
 def per_line_csv_rows(source, name):
@@ -634,7 +635,11 @@ def per_line_csv_rows(source, name):
         for lineno, line in enumerate(stream, start=1):
             if line.strip() and not line.lstrip().startswith("#"):
                 empty = False
-                yield lineno, next(csv.reader([line]))
+                try:
+                    fields = next(csv.reader([line]))
+                except csv.Error as exc:
+                    raise csv.Error(f"{exc} (line {lineno})") from None
+                yield lineno, fields
         if empty:
             raise ParseError(f"empty {name}")
 
@@ -655,8 +660,10 @@ def random_csv_text(rng):
 def csv_outcome(rows, source):
     try:
         return list(rows(source, "table"))
-    except (csv.Error, ParseError) as exc:
-        return f"{type(exc).__name__}: {exc}"
+    except csv.Error as exc:  # only the oracle lets csv.Error through
+        return f"ParseError: bad CSV line: {exc}"
+    except ParseError as exc:
+        return f"ParseError: {exc}"
 
 
 def test_csv_rows_match_per_line_reader(tmp_path):
@@ -670,9 +677,9 @@ def test_csv_rows_match_per_line_reader(tmp_path):
         # a path opens with newline="", where a lone "\r" ends a line
         path.write_text(text, encoding="utf-8", newline="")
         assert csv_outcome(_csv_rows, path) == csv_outcome(per_line_csv_rows, path), repr(text)
-        seen.add("rows" if isinstance(got, list) else got.split(":")[0])
+        seen.add("rows" if isinstance(got, list) else got.split(":")[1].strip())
         seen.update(c for c in '"\0\r' if c in text.rstrip("\r\n"))
-    assert seen == {"rows", "Error", "ParseError", '"', "\0", "\r"}
+    assert seen == {"rows", "bad CSV line", "empty table", '"', "\0", "\r"}
     # an unbalanced quote takes the line end into the field, not the next line
     assert list(_csv_rows(io.StringIO('a,"b\nc,d\n'), "t")) == [(1, ["a", "b\n"]), (2, ["c", "d"])]
     assert list(_csv_rows(io.StringIO("x,,\r\n,y,\n"), "t")) == [(1, ["x", "", ""]),
@@ -681,9 +688,11 @@ def test_csv_rows_match_per_line_reader(tmp_path):
 
 def test_csv_rows_field_size_limit():
     text = "id," + "9" * (csv.field_size_limit() + 1) + "\n"
-    for rows in (_csv_rows, per_line_csv_rows):
-        with pytest.raises(csv.Error, match="field larger than field limit"):
-            list(rows(io.StringIO(text), "t"))
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        list(per_line_csv_rows(io.StringIO(text), "t"))
+    with pytest.raises(ParseError, match=r"^bad CSV line: field larger than field limit "
+                                         r"\(\d+\) \(line 1\)$"):
+        list(_csv_rows(io.StringIO(text), "t"))
 
 
 # ---------------------------------------------------------------------------

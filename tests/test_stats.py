@@ -160,6 +160,13 @@ def test_f_test_infinite_f():
     assert t.p == 0.0
 
 
+def test_f_test_without_any_variance_raises():
+    # F = 0/0 when every value is equal: no evidence that groups differ
+    with pytest.raises(ZeroVarianceError, match="no value varies"):
+        f_test(0.0, 1, 0.0, 4)
+    assert f_test(0.0, 1, 1.0, 4).f == 0.0
+
+
 def _f_logpdf(x, d1, d2):
     return (
         0.5 * d1 * math.log(d1 / d2)
