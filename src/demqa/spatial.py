@@ -21,7 +21,9 @@ linear in the number of candidate pairs; no n x n matrix is formed.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+import os
+import signal
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,8 +45,20 @@ ASSUMPTIONS = ("randomization", "normality")
 # At 3.5 million weights the build peaked at about 400 MB.
 MAX_WEIGHTS = 5_000_000
 # More replicates than a pseudo p-value needs (999 is usual); the test
-# allocates one seed stream per replicate before it draws any.
+# spawns one seed stream per replicate before it draws any, and forked
+# workers inherit the streams.
 MAX_PERMUTATIONS = 1_000_000
+
+# Permutation workers: None is one per CPU this process may run on, fewer
+# when the replicates are too little work to pay for their forks. A count
+# forces that many (tests); fork-less platforms always use one.
+_WORKERS: int | None = None
+# Least work, replicates x (n + nnz), for each worker, so forking starts at
+# twice this (8.4 M). On 2 cores (numpy 2.4) a replicate cost about 20 us +
+# 4.75 ns x (n + nnz) and a fork with its pipe and reaping 2.5-4 ms; two
+# workers broke even at 2-3 M (about 30 ms serial) and saved 8-33 ms of
+# 62-87 ms at 9 M.
+_SPAN_WORK = 1 << 22
 
 
 class WeightsMatrix:
@@ -164,6 +178,7 @@ _NEIGHBOUR_KEYS = np.array(
     [dx * _KEY_STRIDE + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=np.int64
 )
 _CHUNK_PAIRS = 1 << 20  # candidate pairs examined at a time
+_MAX_SPAN = math.sqrt(np.finfo(np.float64).max / 2)  # keeps dx*dx + dy*dy finite
 _ROW_BLOCK_BYTES = 1 << 23  # dense row buffer for exact row sums
 
 
@@ -304,7 +319,8 @@ def build_weights(
     ``fixed_band``: w_ij = 1 for d_ij <= threshold, else 0.
     ``threshold=None`` picks the maximum nearest-neighbour distance, so
     every point has at least one neighbour. Duplicate coordinates are an
-    error (a 1/0 weight), not silently jittered; so are non-finite ones.
+    error (a 1/0 weight), not silently jittered; so are non-finite ones
+    and a span wide enough to overflow a squared distance.
     Neighbours come from a cell-list search, in memory linear in the
     number of neighbours.
     """
@@ -323,6 +339,12 @@ def build_weights(
         raise DegenerateWeightsError(
             f"non-finite coordinates at index {int(np.argmin(finite))}"
         )
+    for axis, lo, hi in zip("xy", pts.min(axis=0).tolist(), pts.max(axis=0).tolist()):
+        if hi / 2 - lo / 2 > _MAX_SPAN / 2:  # halves: the span itself may overflow
+            raise DegenerateWeightsError(
+                f"{axis} coordinates span {lo!r} to {hi!r}, wider than {_MAX_SPAN:.4g}: "
+                "squared distances would overflow"
+            )
     if threshold is None or not threshold > 0:
         # duplicates are reported before the threshold is looked at
         auto = _max_nearest_distance(pts)
@@ -411,15 +433,90 @@ def morans_significance(
     )
 
 
+def _worker_count(n_perm: int, work: int) -> int:
+    if not hasattr(os, "fork"):
+        return 1
+    if _WORKERS is not None:
+        return min(_WORKERS, n_perm)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_perm, work // _SPAN_WORK))
+
+
+def _fork_span(span: Callable[[int, int], np.ndarray], lo: int, hi: int) -> tuple[int, int]:
+    """Start a child that writes span(lo, hi)'s float64 bytes to a pipe;
+    return its pid and the pipe's read end."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        # the child never returns into the caller, runs no atexit handler
+        # and flushes no buffer it inherited
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as out:
+                out.write(span(lo, hi).tobytes())
+            status = 0
+        except BaseException as exc:
+            os.write(2, f"permutation worker for replicates {lo}..{hi - 1}: {exc!r}\n".encode())
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _map_spans(span: Callable[[int, int], np.ndarray], bounds: Sequence[int]) -> np.ndarray:
+    """span(lo, hi) over consecutive ``bounds``, concatenated in order.
+
+    The first span runs here, each other one in a forked child that sends
+    its float64 result back through a pipe, so the result does not depend
+    on how many spans there are. Every child is reaped before this returns
+    or raises; if this process raises, the children are killed first. A
+    child that exits non-zero or sends short data raises RuntimeError.
+    """
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    statuses = []
+    try:
+        for lo, hi in spans[1:]:
+            children.append(_fork_span(span, lo, hi))
+        parts = [span(*spans[0])]
+        for _, fd in children:
+            with open(fd, "rb", closefd=False) as pipe:
+                parts.append(pipe.read())
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (lo, hi), status, data in zip(spans[1:], statuses, parts[1:]):
+        if status or len(data) != 8 * (hi - lo):
+            raise RuntimeError(f"permutation worker for replicates {lo}..{hi - 1} exited with "
+                               f"status {status} after {len(data)} of {8 * (hi - lo)} bytes")
+    return np.concatenate([parts[0], *(np.frombuffer(data) for data in parts[1:])])
+
+
 def permutation_test(
     values: Sequence[float], w: WeightsMatrix, n_perm: int = 999, seed: int = 0
 ) -> PermutationResult:
     """Two-sided pseudo p-value of I under random relabelling.
 
     pseudo_p = (1 + #{|I_perm - E[I]| >= |I_obs - E[I]|}) / (n_perm + 1).
-    Each replicate draws its permutation from an independent seed-derived
-    substream, so the result does not depend on how replicates would be
-    scheduled across workers.
+    Each replicate draws its permutation from its own seed-derived
+    substream. With enough work the replicates are split into contiguous
+    spans, one per CPU this process may run on: the first runs here, the
+    others in forked children, and the spans are joined in order, so the
+    result is the same bit for bit at any worker count.
     """
     if w.n < 4:
         raise InsufficientDataError(f"need n >= 4 for a permutation test, got {w.n}")
@@ -435,10 +532,18 @@ def permutation_test(
     ref = abs(i_obs - e_i)
 
     streams = np.random.SeedSequence(seed).spawn(n_perm)
-    sims = np.empty(n_perm)
-    for k, ss in enumerate(streams):
-        perm = np.random.default_rng(ss).permutation(w.n)
-        sims[k] = scale * w.lag_products_sum(z[perm])
+
+    def span(lo: int, hi: int) -> np.ndarray:
+        # numpy gathers, ufuncs and sums only: a forked child must not
+        # touch BLAS or a lock another thread may hold
+        sims = np.empty(hi - lo)
+        for k in range(lo, hi):
+            perm = np.random.default_rng(streams[k]).permutation(w.n)
+            sims[k - lo] = scale * w.lag_products_sum(z[perm])
+        return sims
+
+    workers = _worker_count(n_perm, n_perm * (w.n + w.nnz))
+    sims = _map_spans(span, [k * n_perm // workers for k in range(workers + 1)])
     extreme = int(np.sum(np.abs(sims - e_i) >= ref))
     return PermutationResult(
         i_obs=i_obs,

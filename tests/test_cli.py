@@ -143,6 +143,19 @@ def test_repeated_runs_byte_identical(tmp_path):
     assert (out / "samples.csv").read_bytes() == first_samples
 
 
+def test_report_bytes_do_not_depend_on_permutation_workers(tmp_path, monkeypatch):
+    write_classed_scene(tmp_path)
+    out = tmp_path / "out"
+    cfg = classed_config(tmp_path, out, extra="[moran]\nn_perm = 999\nseed = 3\n")
+    reports = set()
+    for workers in (1, 2):
+        monkeypatch.setattr(demqa.spatial, "_WORKERS", workers)
+        assert main(["assess", "--config", str(cfg)]) == 0
+        reports.add((out / "report.json").read_bytes())
+    assert len(reports) == 1
+    assert b'"permutation"' in reports.pop()
+
+
 def classed_config(tmp_path, out, extra=""):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(
@@ -747,18 +760,44 @@ def test_classify_without_training_points_exit_4(tmp_path, capsys):
     assert not (tmp_path / "c.asc").exists()
 
 
+SPAN = "x coordinates span -1.7e+308 to 1.7e+308, wider than 9.481e+153: " \
+       "squared distances would overflow"
+
+
 @pytest.mark.parametrize("rows, got", [
     ("", 0),
     ("1.0,2.0,0.5,removed_outlier\n3.0,4.0,0.1,removed_validity\n", 0),
     ("1.0,2.0,0.5,removed_outlier\n3.0,4.0,,kept\n", 0),
     ("1.0,2.0,0.5,kept\n3.0,4.0,0.1,removed_validity\n", 1),
+    # kept rows whose squared distances overflow: named, not an inf threshold
+    ("-1.7e308,0,0.5,kept\n1.7e308,0,0.1,kept\n0,1,0.3,kept\n1,1,0.2,kept\n", SPAN),
 ])
 def test_moran_without_kept_rows_exit_4(tmp_path, capsys, rows, got):
     (tmp_path / "s.csv").write_text("x,y,delta_h,status\n" + rows)
-    assert main(["moran", "--samples", str(tmp_path / "s.csv")]) == 4
-    assert capsys.readouterr().err == (
-        f"degenerate statistics [moran]: need at least 2 points, got {got}\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["moran", "--samples", str(tmp_path / "s.csv")]) == 4
+    message = got if isinstance(got, str) else f"need at least 2 points, got {got}"
+    assert capsys.readouterr().err == f"degenerate statistics [moran]: {message}\n"
+
+
+def test_assess_skips_moran_when_squared_distances_overflow(tmp_path):
+    dem = make_plane(0.0, 0.0, 20.0, 4, 4, cellsize=1e154)
+    write_ascii_grid(dem, tmp_path / "dem.asc")
+    (tmp_path / "gcps.csv").write_text(
+        "id,x,y,h\n" + "".join(f"g{k},{x!r},{y!r},{20 + k}\n" for k, (x, y) in
+                               enumerate([(5e153, 5e153), (3.5e154, 5e153),
+                                          (5e153, 3.5e154), (3.5e154, 3.5e154), (2e154, 2e154)]))
     )
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["assess", "--dem", str(tmp_path / "dem.asc"), "--gcps",
+                     str(tmp_path / "gcps.csv"), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["moran"] == {
+        "skipped": "x coordinates span 5e+153 to 3.5e+154, wider than 9.481e+153: "
+                   "squared distances would overflow"
+    }
 
 
 def test_histogram_bin_limit_exit_2(tmp_path, capsys):

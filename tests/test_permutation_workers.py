@@ -1,0 +1,140 @@
+"""Permutation replicates split over forked workers: the same bits at any
+worker count, and no child process left behind."""
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import demqa.spatial
+from demqa.spatial import build_weights, permutation_test
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# float.hex of each summary, recorded with the single-process loop the
+# workers replaced (numpy 2.4)
+GOLDEN = {
+    "pseudo_p": "0x1.cf6899725153ap-2",  # 453 / 1001
+    "perm_mean": "-0x1.7a4f8d68c5abcp-11",
+    "perm_sd": "0x1.fb8aa951511eep-6",
+    "perm_min": "-0x1.0062e7f80f407p-3",
+    "perm_max": "0x1.447a3cdcf7c35p-3",
+}
+
+
+def golden_fixture():
+    """1,000 points with a weak trend: 1000 x (n + nnz) is 15 M, enough to fork."""
+    rng = np.random.default_rng(2026)
+    pts = rng.uniform(0, 1000, (1000, 2))
+    vals = 0.2 * np.sin(pts[:, 0] / 150) + rng.normal(0, 1, 1000)
+    return vals, build_weights(pts)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 3], ids=["auto", "1", "2", "3"])
+def test_permutation_bits_do_not_depend_on_workers(monkeypatch, workers):
+    vals, w = golden_fixture()
+    assert 1000 * (w.n + w.nnz) >= 2 * demqa.spatial._SPAN_WORK
+    monkeypatch.setattr(demqa.spatial, "_WORKERS", workers)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    res = permutation_test(vals, w, n_perm=1000, seed=11)  # 3 does not divide 1000
+    assert {k: float.hex(getattr(res, k)) for k in GOLDEN} == GOLDEN
+    assert len(forks) == (workers or demqa.spatial._worker_count(1000, 1000 * (w.n + w.nnz))) - 1
+    assert_no_child_left()
+
+
+def test_small_fixture_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    rng = np.random.default_rng(5)
+    w = build_weights(rng.uniform(0, 100, (60, 2)))
+    permutation_test(rng.normal(size=60), w, n_perm=999, seed=1)
+
+
+def test_worker_count_follows_cpus_and_work(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    work = demqa.spatial._SPAN_WORK
+    assert demqa.spatial._worker_count(999, 2 * work - 1) == 1
+    assert demqa.spatial._worker_count(999, 3 * work) == 3
+    assert demqa.spatial._worker_count(999, 100 * work) == 4
+    assert demqa.spatial._worker_count(2, 100 * work) == 2
+    monkeypatch.setattr(demqa.spatial, "_WORKERS", 3)
+    assert demqa.spatial._worker_count(999, 0) == 3
+    monkeypatch.delattr(os, "fork")
+    assert demqa.spatial._worker_count(999, 100 * work) == 1
+
+
+def in_child(fn):
+    """A span that runs ``fn`` in forked children and counts lo..hi."""
+    parent = os.getpid()
+
+    def span(lo, hi):
+        if os.getpid() != parent:
+            fn(lo, hi)
+        return np.arange(lo, hi, dtype=np.float64)
+    return span
+
+
+def test_spans_join_in_order():
+    got = demqa.spatial._map_spans(in_child(lambda lo, hi: None), [0, 3, 3, 10, 11])
+    assert got.tolist() == list(range(11))
+    assert_no_child_left()
+
+
+def test_failing_child_raises_in_the_parent(capfd):
+    def fail(lo, hi):
+        raise ValueError("worker broke")
+
+    with pytest.raises(RuntimeError,
+                       match=r"replicates 3\.\.9 exited with status 1 after 0 of 56 bytes"):
+        demqa.spatial._map_spans(in_child(fail), [0, 3, 10])
+    assert_no_child_left()
+    assert capfd.readouterr().err == (
+        "permutation worker for replicates 3..9: ValueError('worker broke')\n"
+    )
+
+
+def test_short_data_from_a_child_raises():
+    parent = os.getpid()
+
+    def short(lo, hi):
+        return np.zeros(hi - lo - (os.getpid() != parent))
+
+    with pytest.raises(RuntimeError,
+                       match=r"replicates 3\.\.9 exited with status 0 after 48 of 56 bytes"):
+        demqa.spatial._map_spans(short, [0, 3, 10])
+    assert_no_child_left()
+
+
+def test_failing_parent_kills_and_reaps_its_children():
+    parent = os.getpid()
+
+    def span(lo, hi):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return np.zeros(hi - lo)
+
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        demqa.spatial._map_spans(span, [0, 1, 2, 3])
+    assert time.monotonic() - t0 < 30
+    assert_no_child_left()
+
+
+def test_import_does_not_load_multiprocessing():
+    code = "import sys, demqa, demqa.cli; sys.exit('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
