@@ -21,14 +21,13 @@ linear in the number of candidate pairs; no n x n matrix is formed.
 from __future__ import annotations
 
 import math
-import os
-import signal
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._workers import _map_parts, _worker_count
 from .errors import (
     ConfigError,
     DegenerateWeightsError,
@@ -44,15 +43,10 @@ ASSUMPTIONS = ("randomization", "normality")
 # reached when one outlying point makes the ``auto`` band span a cluster.
 # At 3.5 million weights the build peaked at about 400 MB.
 MAX_WEIGHTS = 5_000_000
-# More replicates than a pseudo p-value needs (999 is usual); the test
-# spawns one seed stream per replicate before it draws any, and forked
-# workers inherit the streams.
+# More replicates than a pseudo p-value needs (999 is usual); each
+# replicate builds its own seed stream, in the worker that draws it.
 MAX_PERMUTATIONS = 1_000_000
 
-# Permutation workers: None is one per CPU this process may run on, fewer
-# when the replicates are too little work to pay for their forks. A count
-# forces that many (tests); fork-less platforms always use one.
-_WORKERS: int | None = None
 # Least work, replicates x (n + nnz), for each worker, so forking starts at
 # twice this (8.4 M). On 2 cores (numpy 2.4) a replicate cost about 20 us +
 # 4.75 ns x (n + nnz) and a fork with its pipe and reaping 2.5-4 ms; two
@@ -433,79 +427,6 @@ def morans_significance(
     )
 
 
-def _worker_count(n_perm: int, work: int) -> int:
-    if not hasattr(os, "fork"):
-        return 1
-    if _WORKERS is not None:
-        return min(_WORKERS, n_perm)
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_perm, work // _SPAN_WORK))
-
-
-def _fork_span(span: Callable[[int, int], np.ndarray], lo: int, hi: int) -> tuple[int, int]:
-    """Start a child that writes span(lo, hi)'s float64 bytes to a pipe;
-    return its pid and the pipe's read end."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        # the child never returns into the caller, runs no atexit handler
-        # and flushes no buffer it inherited
-        status = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as out:
-                out.write(span(lo, hi).tobytes())
-            status = 0
-        except BaseException as exc:
-            os.write(2, f"permutation worker for replicates {lo}..{hi - 1}: {exc!r}\n".encode())
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _map_spans(span: Callable[[int, int], np.ndarray], bounds: Sequence[int]) -> np.ndarray:
-    """span(lo, hi) over consecutive ``bounds``, concatenated in order.
-
-    The first span runs here, each other one in a forked child that sends
-    its float64 result back through a pipe, so the result does not depend
-    on how many spans there are. Every child is reaped before this returns
-    or raises; if this process raises, the children are killed first. A
-    child that exits non-zero or sends short data raises RuntimeError.
-    """
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    statuses = []
-    try:
-        for lo, hi in spans[1:]:
-            children.append(_fork_span(span, lo, hi))
-        parts = [span(*spans[0])]
-        for _, fd in children:
-            with open(fd, "rb", closefd=False) as pipe:
-                parts.append(pipe.read())
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, fd in children:
-            os.close(fd)
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for (lo, hi), status, data in zip(spans[1:], statuses, parts[1:]):
-        if status or len(data) != 8 * (hi - lo):
-            raise RuntimeError(f"permutation worker for replicates {lo}..{hi - 1} exited with "
-                               f"status {status} after {len(data)} of {8 * (hi - lo)} bytes")
-    return np.concatenate([parts[0], *(np.frombuffer(data) for data in parts[1:])])
-
-
 def permutation_test(
     values: Sequence[float], w: WeightsMatrix, n_perm: int = 999, seed: int = 0
 ) -> PermutationResult:
@@ -531,19 +452,22 @@ def permutation_test(
     e_i = -1.0 / (w.n - 1)
     ref = abs(i_obs - e_i)
 
-    streams = np.random.SeedSequence(seed).spawn(n_perm)
-
-    def span(lo: int, hi: int) -> np.ndarray:
+    def span(lo: int, hi: int) -> bytes:
         # numpy gathers, ufuncs and sums only: a forked child must not
         # touch BLAS or a lock another thread may hold
         sims = np.empty(hi - lo)
         for k in range(lo, hi):
-            perm = np.random.default_rng(streams[k]).permutation(w.n)
+            # stream k of SeedSequence(seed).spawn(n_perm), built where it is used
+            stream = np.random.SeedSequence(seed, spawn_key=(k,))
+            perm = np.random.default_rng(stream).permutation(w.n)
             sims[k - lo] = scale * w.lag_products_sum(z[perm])
-        return sims
+        return sims.tobytes()
 
-    workers = _worker_count(n_perm, n_perm * (w.n + w.nnz))
-    sims = _map_spans(span, [k * n_perm // workers for k in range(workers + 1)])
+    workers = _worker_count(n_perm, n_perm * (w.n + w.nnz), _SPAN_WORK)
+    parts: list[bytes] = []
+    _map_parts(lambda lo, hi: parts.append(span(lo, hi)), span, parts.append,
+               [k * n_perm // workers for k in range(workers + 1)], "replicates")
+    sims = np.frombuffer(b"".join(parts))
     extreme = int(np.sum(np.abs(sims - e_i) >= ref))
     return PermutationResult(
         i_obs=i_obs,

@@ -1,12 +1,15 @@
 import configparser
 import json
+import os
 import re
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import demqa._workers
 import demqa.cli
 import demqa.pipeline
 import demqa.spatial
@@ -149,7 +152,7 @@ def test_report_bytes_do_not_depend_on_permutation_workers(tmp_path, monkeypatch
     cfg = classed_config(tmp_path, out, extra="[moran]\nn_perm = 999\nseed = 3\n")
     reports = set()
     for workers in (1, 2):
-        monkeypatch.setattr(demqa.spatial, "_WORKERS", workers)
+        monkeypatch.setattr(demqa._workers, "_WORKERS", workers)
         assert main(["assess", "--config", str(cfg)]) == 0
         reports.add((out / "report.json").read_bytes())
     assert len(reports) == 1
@@ -734,6 +737,53 @@ def test_terrain_rejects_non_finite_cell(tmp_path, capsys, token):
     err = capsys.readouterr().err
     assert err == f"parse error [terrain]: non-finite token '{token}' (line 7, column 2)\n"
     assert not (tmp_path / "d_slope.asc").exists()
+
+
+def claim(n):
+    return f"ncols {n}\nnrows {n}\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3\n"
+
+
+GRID_SIZE_CLAIMS = [
+    # (command, where the grid comes from, header's ncols and nrows, message);
+    # these used to end in a numpy MemoryError traceback (74.5 GiB for 1e10
+    # cells), for assess from its grid-sized mask of the cells to read
+    *((command, "file", 100_000, "header claims 100000 x 100000 = 10000000000 values, "
+       f"more than a file of {len(claim(100_000))} bytes can hold (line 2)")
+      for command in ("terrain", "assess", "classify")),
+    # a pipe has no size to check: the allocation fails, and is named
+    ("terrain", "fifo", 10**9, f"a grid of {10**18} values needs {8 * 10**18} bytes, "
+     "more memory than can be allocated"),
+]
+
+
+@pytest.mark.parametrize("command, source, n, message", GRID_SIZE_CLAIMS,
+                         ids=[f"{c} {s} {n}" for c, s, n, _ in GRID_SIZE_CLAIMS])
+def test_grid_claiming_more_cells_than_it_holds_exit_3(tmp_path, capsys, command, source, n,
+                                                        message):
+    path = tmp_path / "claim.asc"
+    if source == "file":
+        path.write_text(claim(n))
+    else:
+        os.mkfifo(path)
+
+        def feed():
+            try:
+                with open(path, "w") as f:
+                    f.write(claim(n))
+            except BrokenPipeError:  # the reader stopped after the header
+                pass
+
+        threading.Thread(target=feed, daemon=True).start()
+    if command == "terrain":
+        argv = ["terrain", str(path), "--out-prefix", str(tmp_path / "d")]
+    elif command == "assess":
+        argv = _run_reader(tmp_path, "--dem", path)
+    else:
+        (tmp_path / "t.csv").write_text("x,y,class_code\n0.5,0.5,1\n")
+        argv = ["classify", "--image", str(path), "--training", str(tmp_path / "t.csv"),
+                "--out", str(tmp_path / "c.asc")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"parse error [{command}]: {message}\n"
 
 
 @pytest.mark.parametrize("point, problem", [("9.5,0.5", "is off the grid"),

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import demqa._workers
 import demqa.spatial
 from demqa.spatial import build_weights, permutation_test
 
@@ -42,14 +43,16 @@ def assert_no_child_left():
 @pytest.mark.parametrize("workers", [None, 1, 2, 3], ids=["auto", "1", "2", "3"])
 def test_permutation_bits_do_not_depend_on_workers(monkeypatch, workers):
     vals, w = golden_fixture()
-    assert 1000 * (w.n + w.nnz) >= 2 * demqa.spatial._SPAN_WORK
-    monkeypatch.setattr(demqa.spatial, "_WORKERS", workers)
+    work = 1000 * (w.n + w.nnz)
+    assert work >= 2 * demqa.spatial._SPAN_WORK
+    monkeypatch.setattr(demqa._workers, "_WORKERS", workers)
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     res = permutation_test(vals, w, n_perm=1000, seed=11)  # 3 does not divide 1000
     assert {k: float.hex(getattr(res, k)) for k in GOLDEN} == GOLDEN
-    assert len(forks) == (workers or demqa.spatial._worker_count(1000, 1000 * (w.n + w.nnz))) - 1
+    auto = demqa._workers._worker_count(1000, work, demqa.spatial._SPAN_WORK)
+    assert len(forks) == (workers or auto) - 1
     assert_no_child_left()
 
 
@@ -66,14 +69,19 @@ def test_small_fixture_never_forks(monkeypatch):
 def test_worker_count_follows_cpus_and_work(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     work = demqa.spatial._SPAN_WORK
-    assert demqa.spatial._worker_count(999, 2 * work - 1) == 1
-    assert demqa.spatial._worker_count(999, 3 * work) == 3
-    assert demqa.spatial._worker_count(999, 100 * work) == 4
-    assert demqa.spatial._worker_count(2, 100 * work) == 2
-    monkeypatch.setattr(demqa.spatial, "_WORKERS", 3)
-    assert demqa.spatial._worker_count(999, 0) == 3
+
+    def count(parts, total):
+        return demqa._workers._worker_count(parts, total, work)
+
+    assert count(999, 2 * work - 1) == 1
+    assert count(999, 3 * work) == 3
+    assert count(999, 100 * work) == 4
+    assert count(2, 100 * work) == 2
+    monkeypatch.setattr(demqa._workers, "_WORKERS", 3)
+    assert count(999, 0) == 3
+    assert count(2, 0) == 2
     monkeypatch.delattr(os, "fork")
-    assert demqa.spatial._worker_count(999, 100 * work) == 1
+    assert count(999, 100 * work) == 1
 
 
 def in_child(fn):
@@ -83,13 +91,29 @@ def in_child(fn):
     def span(lo, hi):
         if os.getpid() != parent:
             fn(lo, hi)
-        return np.arange(lo, hi, dtype=np.float64)
+        return np.arange(lo, hi, dtype=np.float64).tobytes()
     return span
 
 
+def map_parts(span, bounds, out=None):
+    parts = []
+    out = out or parts.append
+    demqa._workers._map_parts(lambda lo, hi: out(span(lo, hi)), span, out, bounds, "replicates")
+    return np.frombuffer(b"".join(parts))
+
+
 def test_spans_join_in_order():
-    got = demqa.spatial._map_spans(in_child(lambda lo, hi: None), [0, 3, 3, 10, 11])
+    got = map_parts(in_child(lambda lo, hi: None), [0, 3, 3, 10, 11])
     assert got.tolist() == list(range(11))
+    assert_no_child_left()
+
+
+def test_child_bytes_arrive_in_bounded_chunks(monkeypatch):
+    monkeypatch.setattr(demqa._workers, "_CHUNK_BYTES", 24)
+    chunks = []
+    map_parts(in_child(lambda lo, hi: None), [0, 3, 10], chunks.append)
+    assert [len(c) for c in chunks] == [24, 24, 24, 8]  # 3 here, then 7 from the child
+    assert np.frombuffer(b"".join(chunks)).tolist() == list(range(10))
     assert_no_child_left()
 
 
@@ -97,24 +121,31 @@ def test_failing_child_raises_in_the_parent(capfd):
     def fail(lo, hi):
         raise ValueError("worker broke")
 
-    with pytest.raises(RuntimeError,
-                       match=r"replicates 3\.\.9 exited with status 1 after 0 of 56 bytes"):
-        demqa.spatial._map_spans(in_child(fail), [0, 3, 10])
+    with pytest.raises(ChildProcessError) as exc:
+        map_parts(in_child(fail), [0, 3, 10])
+    assert str(exc.value) == "worker for replicates 3..9 exited with status 1 after 0 bytes"
     assert_no_child_left()
-    assert capfd.readouterr().err == (
-        "permutation worker for replicates 3..9: ValueError('worker broke')\n"
-    )
+    assert capfd.readouterr().err == "worker for replicates 3..9: ValueError('worker broke')\n"
+
+
+class ShortBytes(bytes):
+    """Bytes that claim one float64 more than they hold: a child that sends
+    them announces 8 bytes it never writes."""
+
+    def __len__(self):
+        return super().__len__() + 8
 
 
 def test_short_data_from_a_child_raises():
     parent = os.getpid()
 
     def short(lo, hi):
-        return np.zeros(hi - lo - (os.getpid() != parent))
+        data = np.zeros(hi - lo - (os.getpid() != parent)).tobytes()
+        return data if os.getpid() == parent else ShortBytes(data)
 
-    with pytest.raises(RuntimeError,
-                       match=r"replicates 3\.\.9 exited with status 0 after 48 of 56 bytes"):
-        demqa.spatial._map_spans(short, [0, 3, 10])
+    with pytest.raises(ChildProcessError) as exc:
+        map_parts(short, [0, 3, 10, 12])
+    assert str(exc.value) == "worker for replicates 3..9 exited with status 0 after 48 of 56 bytes"
     assert_no_child_left()
 
 
@@ -125,11 +156,11 @@ def test_failing_parent_kills_and_reaps_its_children():
         if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(60)
-        return np.zeros(hi - lo)
+        return np.zeros(hi - lo).tobytes()
 
     t0 = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        demqa.spatial._map_spans(span, [0, 1, 2, 3])
+        map_parts(span, [0, 1, 2, 3])
     assert time.monotonic() - t0 < 30
     assert_no_child_left()
 
