@@ -308,7 +308,7 @@ def _provenance_comment(command: str) -> str:
 def _write_csv(
     path: str | Path, command: str, header: list[str], columns: Sequence[Sequence[str]]
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with _open_text(path, "w") as f:
         f.write(_provenance_comment(command) + "\n")
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
@@ -342,7 +342,7 @@ def write_assess_outputs(
 
 
 def _write_files(report: dict, samples: SampleTable, tmpdir: Path, legend: dict[int, str]) -> None:
-    with open(tmpdir / REPORT_NAME, "w", encoding="utf-8", newline="") as f:
+    with _open_text(tmpdir / REPORT_NAME, "w") as f:
         f.write(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
 
     floats = ("x", "y", "h_ref", "h_dem", "delta_h", "slope_deg", "aspect_deg")
@@ -495,7 +495,7 @@ def cmd_moran(args: argparse.Namespace) -> int:
     out["provenance"] = _provenance_comment("moran").lstrip("# ") + f" samples={args.samples}"
     text = json.dumps(_jsonable(out), indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
+        with _open_text(args.out, "w") as f:
             f.write(text)
         print(f"wrote {args.out}")
     else:

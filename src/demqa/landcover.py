@@ -147,7 +147,8 @@ def read_training_csv(source: str | Path | TextIO) -> list[tuple[float, float, i
 
 
 def read_legend_csv(source: str | Path | TextIO) -> dict[int, str]:
-    """Read class labels from CSV with header ``class_code,label``."""
+    """Read class labels from CSV with header ``class_code,label``; each
+    code may appear once."""
     rows = _csv_rows(source, "CSV file")
     header_line, header = next(rows)
     if [h.strip().lower() for h in header][:2] != ["class_code", "label"]:
@@ -155,7 +156,10 @@ def read_legend_csv(source: str | Path | TextIO) -> dict[int, str]:
     legend = {}
     for lineno, fields in rows:
         try:
-            legend[int(fields[0])] = fields[1].strip()
+            code, label = int(fields[0]), fields[1].strip()
         except (ValueError, IndexError):
             raise ParseError("bad legend row", line=lineno) from None
+        if code in legend:
+            raise ParseError(f"duplicate class code {code}", line=lineno)
+        legend[code] = label
     return legend

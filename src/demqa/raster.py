@@ -4,16 +4,18 @@ The on-disk format is the plain-text grid used by most GIS packages: six
 keyword/value header lines (``ncols``, ``nrows``, ``xllcorner``,
 ``yllcorner``, ``cellsize``, optional ``NODATA_value``) followed by
 ``nrows * ncols`` whitespace-separated values, northernmost row first.
-Keywords are case-insensitive; LF and CRLF both accepted; lines starting
-with ``#`` before the header are skipped (provenance comments). A file may
-start with a UTF-8 byte order mark. Every value must be a finite number,
-``ncols``/``nrows`` positive integers and ``cellsize`` positive; the reader
-raises ParseError naming the line (and column) of the first that is not.
+Keywords are case-insensitive; LF and CRLF both end a line, and so does
+a lone CR in a file; lines starting with ``#`` before the header are
+skipped (provenance comments). A file may start with a UTF-8 byte order
+mark. Every value must be a finite number, ``ncols``/``nrows`` positive
+integers and ``cellsize`` positive; the reader raises ParseError naming
+the line (and column) of the first that is not.
 
-The reader streams the body in blocks of whole lines (about 128 Ki
-characters each) into one preallocated array, so it holds that array plus
-one block, not the whole text and a token list; a line longer than a block
-is converted in pieces cut at whitespace.
+The reader asks for at most about 128 Ki characters a read, whatever the
+body's layout (a row per line, wrapped, all on one line). Each read is
+converted up to its last line end (or blank) into one preallocated array,
+and the partial line or token after it is carried into the next read, so
+it holds that array plus about one read.
 
 A caller that reads only some cells (``assess`` reads the cells under its
 control points and their 3x3 windows) can name them: ``read_ascii_grid``
@@ -34,6 +36,7 @@ formatted in contiguous row strips, one per CPU this process may run on:
 this process writes the first strip row by row while forked workers
 format the others, and their text is copied on in strip order, a bounded
 chunk at a time, so the bytes do not depend on the number of workers.
+A grid written to a path appears whole or not at all (see ``_open_text``).
 """
 
 from __future__ import annotations
@@ -57,10 +60,10 @@ DEFAULT_NODATA = -9999.0
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 _REQUIRED_KEYS = _HEADER_KEYS[:5]
-# Characters of grid body text converted at a time (rounded up to whole
-# lines; a longer line is cut into pieces). A block's token list and the
-# scanner's index arrays (up to 8 bytes per character) are alive beside the
-# value array, so a small block keeps the peak near the array's size.
+# Characters per read of grid text: a header ``readline``'s limit and a
+# body ``read``'s size. A piece's token list and the scanner's index arrays
+# (up to 8 bytes per character) are alive beside the value array, so a
+# small block keeps the peak near the array's size.
 _BLOCK_CHARS = 1 << 17
 # Byte classes of the body scanner, for bytes.translate: a block holding
 # only these (no other byte) may be plain decimals.
@@ -211,16 +214,33 @@ def cell_of(grid: Grid, x: float, y: float) -> tuple[int, int] | None:
 def _open_text(source: str | Path | TextIO, mode: str) -> Iterator[TextIO]:
     """A ``with`` context giving ``source`` as a text stream: a path is opened
     as UTF-8 (reading drops a byte order mark; other bytes that are not UTF-8
-    raise ParseError) and closed on exit; a stream is used as it is."""
+    raise ParseError) and closed on exit; a stream is used as it is. Text
+    written to a path appears whole or not at all: a new file beside it (or
+    its symlink's target) replaces it when the block ends without an
+    exception. A FIFO or other non-regular file is written in place."""
     if not isinstance(source, (str, Path)):
         yield source
-        return
-    try:
-        with open(source, mode, encoding="utf-8-sig" if mode == "r" else "utf-8", newline="") as f:
+    elif mode == "w" and os.path.exists(source) and not os.path.isfile(source):
+        with open(source, "w", encoding="utf-8", newline="") as f:
             yield f
-    except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise ParseError(f"{source} is not UTF-8 text: byte 0x{byte:02x}, {exc.reason}") from None
+    elif mode == "w":
+        target = os.path.realpath(source)
+        tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+        try:
+            with open(tmp, "x", encoding="utf-8", newline="") as f:  # its mode from the umask
+                yield f
+            os.replace(tmp, target)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+    else:
+        try:
+            with open(source, mode, encoding="utf-8-sig", newline="") as f:
+                yield f
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            message = f"{source} is not UTF-8 text: byte 0x{byte:02x}, {exc.reason}"
+            raise ParseError(message) from None
 
 
 def _csv_rows(source: str | Path | TextIO, name: str) -> Iterator[tuple[int, list[str]]]:
@@ -262,32 +282,42 @@ def read_ascii_grid(
 def _read_stream(stream: TextIO, cells: Callable[[Grid], Sequence[int]] | None) -> Grid:
     header: dict[str, float] = {}
     header_line: dict[str, int] = {}
-    first = None  # the first value's line
-    lineno = 0
-    for raw in stream:
-        lineno += 1
-        word = re.search(r"\S+", raw)  # not raw.split(): a body line may be long
-        if word is None or word.group().startswith("#"):
+    lineno = 1  # the line being read
+    raw = part = ""  # what is read of that line, and the last read
+    while True:
+        last, part = part, stream.readline(_BLOCK_CHARS)
+        if part == "\n" and last.endswith("\r"):  # the LF of a CR LF pair the limit cut
             continue
-        key = word.group().lower()
-        if key not in _HEADER_KEYS:
-            first = raw
+        raw += part
+        ended = not part or raw.endswith(("\n", "\r"))
+        word = re.search(r"\S+", raw)
+        if word is None or word.group().startswith("#"):  # a blank or comment line
+            lineno += ended
+            raw = "" if ended or word is None else "#"  # drop it, but remember a comment
+        elif ended or word.end() < len(raw):  # the line's first word is whole
+            key = word.group().lower()
+            if key not in _HEADER_KEYS:
+                break  # the body starts: raw is its first piece
+            if ended:  # a header line is read whole
+                parts = raw.split()
+                if key in header:
+                    raise ParseError(f"duplicate header keyword '{parts[0]}'", line=lineno)
+                if len(parts) != 2:
+                    raise ParseError(f"header line '{parts[0]}' needs exactly one value",
+                                     line=lineno)
+                value = _number(parts[1], "header value", lineno, 2)
+                if key in ("ncols", "nrows") and (value < 1 or value != int(value)):
+                    raise ParseError(f"{key} must be a positive integer", line=lineno, column=2)
+                if key == "cellsize" and value <= 0:
+                    raise ParseError("cellsize must be positive", line=lineno, column=2)
+                header[key] = value
+                header_line[key] = lineno
+                raw, lineno = "", lineno + 1
+        if not part:
             break
-        parts = raw.split()
-        if key in header:
-            raise ParseError(f"duplicate header keyword '{parts[0]}'", line=lineno)
-        if len(parts) != 2:
-            raise ParseError(f"header line '{parts[0]}' needs exactly one value", line=lineno)
-        value = _number(parts[1], "header value", lineno, 2)
-        if key in ("ncols", "nrows") and (value < 1 or value != int(value)):
-            raise ParseError(f"{key} must be a positive integer", line=lineno, column=2)
-        if key == "cellsize" and value <= 0:
-            raise ParseError("cellsize must be positive", line=lineno, column=2)
-        header[key] = value
-        header_line[key] = lineno
 
     missing = ", ".join(k for k in _REQUIRED_KEYS if k not in header)
-    if missing and first is not None:
+    if missing and raw:
         raise ParseError(f"body starts before header keyword(s): {missing}", line=lineno)
     if missing:
         raise ParseError(f"missing header keyword(s): {missing}")
@@ -315,59 +345,72 @@ def _read_stream(stream: TextIO, cells: Callable[[Grid], Sequence[int]] | None) 
         index = np.asarray(cells(unread), dtype=np.int64)
         if index.size > _DENSE_FRACTION * expected:
             index = None
-    block = [] if first is None else [first, *stream.readlines(_BLOCK_CHARS)]
-    return Grid(**georef, values=_read_body(stream, block, lineno, expected, index))
+    return Grid(**georef, values=_read_body(stream, raw, lineno, expected, index))
 
 
 def _read_body(
-    stream: TextIO, block: list[str], lineno: int, expected: int, cells: np.ndarray | None
+    stream: TextIO, text: str, lineno: int, expected: int, cells: np.ndarray | None
 ) -> np.ndarray:
-    """Convert the grid body into an array of ``expected`` values.
+    """Convert the grid body, which starts with ``text`` on file line
+    ``lineno``, into an array of ``expected`` values.
 
-    ``block`` holds the body's first lines, from file line ``lineno``; the
-    rest is read from ``stream`` one block of whole lines at a time, and a
-    line longer than a block is converted in pieces of about a block. With
-    ``cells`` (sorted flat indices) only those cells are converted and the
-    rest are NaN; a piece that ``_scan`` accepts is checked without
-    ``float()``, and any other piece is converted in full. Every block is
-    counted, also after a bad one, so a wrong count is reported before a
-    bad token; the first bad token's position comes from re-scanning only
-    the block that holds it.
+    Each read of ``_BLOCK_CHARS`` characters, after the text carried from
+    the last, is converted up to its last line end (else its last space or
+    tab) and the rest is carried on. With ``cells`` (sorted flat indices)
+    only those cells are converted and the rest are NaN; a piece that
+    ``_scan`` accepts is checked without ``float()``. Every piece is
+    counted, also after a bad one, so a wrong count wins over a bad token,
+    whose line and column come from re-scanning only its piece.
     """
     try:
         values = np.empty(expected) if cells is None else np.full(expected, np.nan)
     except (MemoryError, ValueError):  # ValueError: more than numpy can index
         raise ParseError(f"a grid of {expected} values needs {8 * expected} bytes, "
                          "more memory than can be allocated") from None
-    got = 0
-    bad = None  # (first line number, lines) of the first block with a bad token
-    while block:
-        for piece in _pieces("".join(block)):
-            spans = None if cells is None else _scan(piece)
-            if spans is not None:  # plain decimals: convert only the named cells
-                starts, ends = spans
-                n = starts.size
-                k = _between(cells, got, got + n) - got
-                at = zip(starts[k].tolist(), ends[k].tolist())
-                values[k + got] = [float(piece[a:b]) for a, b in at]
-            else:
-                tokens = piece.split()
-                n = len(tokens)
-                if bad is None and got + n <= expected:
-                    if not _convert(tokens, values, got, cells):
-                        bad = (lineno, block)
-                del tokens  # before the next piece: one token list at a time
-            got += n
-        lineno += len(block)
-        block = stream.readlines(_BLOCK_CHARS)
+    got = column = 0  # values so far, and values so far on line lineno
+    bad = None  # (line, column, piece) of the first piece with a bad token
+    while (more := stream.read(_BLOCK_CHARS)) or text:
+        text += more
+        cut = len(text)  # at the end of the stream, all of it
+        if more:  # a last CR may have its LF still to come
+            cut = 1 + max(text.rfind("\n"), text.rfind("\r", 0, cut - 1))
+            cut = cut or 1 + max(text.rfind(" "), text.rfind("\t"))
+        piece, text = text[:cut], text[cut:]
+        spans = None if cells is None else _scan(piece)
+        if spans is not None:  # plain decimals: convert only the named cells
+            starts, ends = spans
+            n = starts.size
+            k = _between(cells, got, got + n) - got
+            at = zip(starts[k].tolist(), ends[k].tolist())
+            values[k + got] = [float(piece[a:b]) for a, b in at]
+        else:
+            tokens = piece.split()
+            n = len(tokens)
+            if bad is None and got + n <= expected and not _convert(tokens, values, got, cells):
+                bad = (lineno, column, piece)
+            del tokens  # before the next read: one token list at a time
+        got += n
+        lines = _line_ends(piece)
+        lineno, column = lineno + lines, 0 if lines else column + n
     if got != expected:
         raise ParseError(f"expected {expected} values, got {got}")
     if bad is not None:
-        start, lines = bad
-        for n, line in enumerate(lines, start=start):
-            for col, tok in enumerate(re.finditer(r"\S+", line), start=1):
-                _number(tok.group(), "token", n, col)
+        lineno, column, piece = bad
+        for line in re.split(r"\r\n?|\n", piece):
+            for k, token in enumerate(re.finditer(r"\S+", line), start=column + 1):
+                _number(token.group(), "token", lineno, k)
+            lineno, column = lineno + 1, 0
     return values
+
+
+def _line_ends(text: str) -> int:
+    """The number of LF, CR LF and lone CR line ends in ``text``."""
+    # numpy counts bytes faster than str.count; UTF-8 uses 10 and 13 for nothing else
+    b = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    if "\r" not in text:  # the common case: one array less to allocate and scan
+        return int(np.count_nonzero(b == 10))
+    lone_cr = np.count_nonzero((b[:-1] == 13) & (b[1:] != 10)) + (text[-1:] == "\r")
+    return int(np.count_nonzero(b == 10) + lone_cr)
 
 
 def _file_size(stream: TextIO) -> int | None:
@@ -378,23 +421,6 @@ def _file_size(stream: TextIO) -> int | None:
     except (OSError, ValueError):  # io.UnsupportedOperation is both
         return None
     return info.st_size if stat.S_ISREG(info.st_mode) else None
-
-
-def _pieces(text: str) -> Iterator[str]:
-    """``text`` cut after whitespace into pieces of ``_BLOCK_CHARS`` to
-    ``2 * _BLOCK_CHARS`` characters (the last may be shorter). A cut at a
-    space, tab or line end leaves every token whole."""
-    size = _BLOCK_CHARS
-    start = 0
-    while len(text) - start > 2 * size:
-        end = start + size
-        cut = max(text.rfind(c, start, end) for c in " \t\n\r")
-        if cut < start:  # a token longer than a piece: cut after it
-            found = [k for k in (text.find(c, end) for c in " \t\n\r") if k >= 0]
-            cut = min(found, default=len(text))
-        yield text[start : cut + 1]
-        start = cut + 1
-    yield text[start:] if start else text
 
 
 def _scan(text: str) -> tuple[np.ndarray, np.ndarray] | None:

@@ -224,13 +224,13 @@ def cells_near(grid: Grid, x: np.ndarray, y: np.ndarray, reach: int) -> np.ndarr
     ``attach_class`` reads.
     """
     _, rows, cols = cells_of(grid, x, y)
-    read = np.zeros((grid.nrows, grid.ncols), dtype=bool)
-    steps = range(-reach, reach + 1)
-    for dr in steps:
-        r = np.clip(rows + dr, 0, grid.nrows - 1)
-        for dc in steps:
-            read[r, np.clip(cols + dc, 0, grid.ncols - 1)] = True
-    return np.flatnonzero(read)
+    steps = np.arange(-reach, reach + 1)
+    r = np.clip(rows[:, None] + steps, 0, grid.nrows - 1)
+    c = np.clip(cols[:, None] + steps, 0, grid.ncols - 1)
+    # sorted, then repeats dropped: no grid-sized mask, so a header that
+    # claims a huge grid fails at the body's allocation, not here
+    flat = np.sort((r[:, :, None] * grid.ncols + c[:, None, :]).ravel())
+    return np.concatenate((flat[:1], flat[1:][flat[1:] != flat[:-1]]))
 
 
 def attach_derivatives(dem: Grid, samples: SampleTable, z_factor: float = 1.0) -> SampleTable:

@@ -671,6 +671,9 @@ CSV_ERRORS = [
     ("--training", "x,y,class_code\n# c\n1," + "2" * 200_000 + ",1\n",
      LONG_FIELD + " (line 3)"),
     ("--samples", SAMPLES_HEAD + "1,2," + "5" * 200_000 + ",kept\n", LONG_FIELD + " (line 4)"),
+    # the legend's twin of the duplicate point id row, added last so that
+    # the rows above keep their ids; a repeated code used to keep its last label
+    ("--legend", "class_code,label\n1,forest\n# c\n1,water\n", "duplicate class code 1 (line 4)"),
 ]
 
 
@@ -746,13 +749,14 @@ def claim(n):
 GRID_SIZE_CLAIMS = [
     # (command, where the grid comes from, header's ncols and nrows, message);
     # these used to end in a numpy MemoryError traceback (74.5 GiB for 1e10
-    # cells), for assess from its grid-sized mask of the cells to read
+    # cells), for assess from its grid-sized mask of the cells to read (888
+    # PiB for the 1e18 cells a pipe claims: assess lists the cells it reads)
     *((command, "file", 100_000, "header claims 100000 x 100000 = 10000000000 values, "
        f"more than a file of {len(claim(100_000))} bytes can hold (line 2)")
       for command in ("terrain", "assess", "classify")),
     # a pipe has no size to check: the allocation fails, and is named
-    ("terrain", "fifo", 10**9, f"a grid of {10**18} values needs {8 * 10**18} bytes, "
-     "more memory than can be allocated"),
+    *((command, "fifo", 10**9, f"a grid of {10**18} values needs {8 * 10**18} bytes, "
+       "more memory than can be allocated") for command in ("terrain", "assess")),
 ]
 
 

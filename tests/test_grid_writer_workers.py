@@ -121,9 +121,16 @@ def test_failing_writer_child_exits_3(monkeypatch, tmp_path, capfd):
     monkeypatch.setattr(demqa.raster, "_grid_line", grid_line)
     out = tmp_path / "g.asc"
     argv = ["synth", "--kind", "plane", "--nrows", "6", "--ncols", "4", "--out", str(out)]
-    assert main(argv) == 3
-    assert_no_child_left()
-    err = capfd.readouterr().err
-    assert err == ("worker for rows 3..5: ValueError('formatter broke')\n"
-                   "i/o error [synth]: worker for rows 3..5 exited with status 1 after 0 bytes\n")
-    assert "Traceback" not in err
+    for before in (None, b"an earlier grid\n"):
+        if before is not None:
+            out.write_bytes(before)
+        assert main(argv) == 3
+        assert_no_child_left()
+        err = capfd.readouterr().err
+        assert err == ("worker for rows 3..5: ValueError('formatter broke')\n"
+                       "i/o error [synth]: worker for rows 3..5 exited with status 1 after "
+                       "0 bytes\n")
+        assert "Traceback" not in err
+        # no partial grid and no temporary file; an earlier grid keeps its bytes
+        assert os.listdir(tmp_path) == ([] if before is None else ["g.asc"])
+        assert before is None or out.read_bytes() == before

@@ -1,5 +1,7 @@
 import csv
 import io
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -402,10 +404,15 @@ def test_bulk_reader_matches_token_loop_oracle():
 
 
 def test_one_line_blocks_match_token_loop_oracle(monkeypatch):
-    # with one character per block every block after the first is one line
-    # (two when a line is a lone line end): every seeded text with more than
-    # one body line goes through the multi-block path
+    # with one character per read every line end, CR LF pair and token is
+    # cut across reads, in the header and in the body
     monkeypatch.setattr(raster, "_BLOCK_CHARS", 1)
+    check_against_token_loop_oracle()
+
+
+@pytest.mark.parametrize("block_chars", [2, 3, 7])
+def test_small_reads_match_token_loop_oracle(monkeypatch, block_chars):
+    monkeypatch.setattr(raster, "_BLOCK_CHARS", block_chars)
     check_against_token_loop_oracle()
 
 
@@ -470,6 +477,52 @@ def test_bad_header_value_names_line(line, value, message):
     assert str(exc.value) == f"{message} (line {line}, column 2)"
 
 
+def test_written_text_appears_whole_or_not_at_all(tmp_path):
+    target = tmp_path / "g.asc"
+    for before in (None, b"earlier text\n"):
+        if before is not None:
+            target.write_bytes(before)
+        with pytest.raises(RuntimeError):
+            with _open_text(target, "w") as f:
+                f.write("partial text")
+                f.flush()
+                raise RuntimeError("the writer broke")
+        assert os.listdir(tmp_path) == ([] if before is None else ["g.asc"])
+        assert before is None or target.read_bytes() == before
+    old_umask = os.umask(0o027)
+    try:
+        with _open_text(target, "w") as f:
+            f.write("new text\n")
+    finally:
+        os.umask(old_umask)
+    assert target.read_bytes() == b"new text\n"
+    assert os.stat(target).st_mode & 0o777 == 0o640  # the temporary file's mode, from the umask
+    assert os.listdir(tmp_path) == ["g.asc"]
+
+
+def test_write_through_a_symlink_replaces_its_target(tmp_path):
+    (tmp_path / "real.asc").write_text("old\n")
+    (tmp_path / "link.asc").symlink_to("real.asc")
+    with _open_text(tmp_path / "link.asc", "w") as f:
+        f.write("new\n")
+    assert (tmp_path / "link.asc").is_symlink()
+    assert (tmp_path / "real.asc").read_text() == "new\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.asc", "real.asc"]
+
+
+def test_write_to_a_fifo_goes_in_place(tmp_path):
+    fifo = tmp_path / "pipe.asc"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    g = Grid(ncols=2, nrows=1, xll=0, yll=0, cellsize=1, values=[1.5, 2])
+    write_ascii_grid(g, fifo)
+    reader.join(timeout=30)
+    assert got == [dumps(g)]
+    assert os.listdir(tmp_path) == ["pipe.asc"]
+
+
 def test_grid_with_utf8_bom(tmp_path):
     g = Grid(ncols=2, nrows=2, xll=0, yll=0, cellsize=1, values=[1, 2, 3, 4])
     path = tmp_path / "g.asc"
@@ -484,21 +537,41 @@ def test_grid_with_utf8_bom(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The body is converted one block of whole lines at a time. A small block
-# constant makes small texts span blocks.
+# The body is read _BLOCK_CHARS characters at a time and converted up to the
+# last line end (or blank) of each read. A small block constant makes small
+# texts span many reads.
 
 
-class BlockLog(io.StringIO):
-    """A text stream that records how many lines each ``readlines`` returned."""
+class ReadLog(io.StringIO):
+    """A text stream that records what each ``read`` and ``readline`` asked
+    for and returned; reading it whole or line by line fails."""
 
     def __init__(self, text):
         super().__init__(text)
-        self.blocks = []
+        self.asked = []
+        self.returned = []  # (method name, text)
+
+    def read(self, size=-1):
+        return self._log(size, "read", super().read(size))
+
+    def readline(self, size=-1):
+        return self._log(size, "readline", super().readline(size))
+
+    def _log(self, size, name, text):
+        self.asked.append(size)
+        self.returned.append((name, text))
+        return text
 
     def readlines(self, hint=-1):
-        lines = super().readlines(hint)
-        self.blocks.append(len(lines))
-        return lines
+        raise AssertionError("readlines")
+
+    def __next__(self):
+        raise AssertionError("line iteration")
+
+    def bounded_to_the_end(self, limit):
+        """No read asked for more than ``limit`` characters, and the last
+        found the end of the stream."""
+        return all(0 <= n <= limit for n in self.asked) and self.returned[-1][1] == ""
 
 
 def body_text(nrows):
@@ -515,14 +588,13 @@ def replace_token(text, line, column, token):
     return "\n".join(lines)
 
 
-def test_blocks_are_whole_lines_of_about_the_block_size(monkeypatch):
-    # a block takes lines until it holds more than _BLOCK_CHARS characters;
-    # the first block also holds the first body line
+def test_reads_ask_for_at_most_a_block(monkeypatch):
     monkeypatch.setattr(raster, "_BLOCK_CHARS", 9)
-    stream = BlockLog(body_text(7))
+    stream = ReadLog(body_text(7))
     values = read_ascii_grid(stream).values.ravel().tolist()
     assert values == [10 * r + c for r in range(1, 8) for c in (1, 2, 3)]
-    assert stream.blocks == [2, 2, 2, 0]  # blocks: lines 7-9, 10-11, 12-13
+    assert stream.bounded_to_the_end(9)
+    assert len(stream.asked) > 7
 
 
 @pytest.mark.parametrize("block_chars", [1, 9, 20])
@@ -545,14 +617,14 @@ def test_bad_token_at_block_edges_names_position(monkeypatch, block_chars):
 
 
 def test_last_and_first_line_of_adjacent_blocks(monkeypatch):
-    monkeypatch.setattr(raster, "_BLOCK_CHARS", 9)  # blocks: lines 7-9, 10-11, 12-13
+    monkeypatch.setattr(raster, "_BLOCK_CHARS", 9)  # one 9-character line per read
     text = body_text(7)
     for line in (9, 10, 11, 12):
-        stream = BlockLog(replace_token(text, line, 2, "1x"))  # same width
+        stream = ReadLog(replace_token(text, line, 2, "1x"))  # same width
         with pytest.raises(ParseError) as exc:
             read_ascii_grid(stream)
         assert str(exc.value) == f"non-numeric token '1x' (line {line}, column 2)"
-        assert stream.blocks == [2, 2, 2, 0]  # counting went on to the end
+        assert stream.bounded_to_the_end(9)  # counting went on to the end
 
 
 @pytest.mark.parametrize("block_chars", [1, 9, 1 << 20])
@@ -576,9 +648,9 @@ def test_crlf_bom_and_open_stream_span_blocks(monkeypatch, tmp_path):
     path.write_bytes(b"\xef\xbb\xbf" + crlf.encode())
     bad = replace_token(crlf, 11, 3, "nan")  # "\r" stays on the line's last token
     monkeypatch.setattr(raster, "_BLOCK_CHARS", 20)
-    stream = BlockLog(crlf)
+    stream = ReadLog(crlf)
     assert read_ascii_grid(stream) == g
-    assert len(stream.blocks) > 3
+    assert len(stream.asked) > 3
     assert read_ascii_grid(path) == g
     with open(path, encoding="utf-8-sig", newline="") as f:  # an open stream
         assert read_ascii_grid(f) == g
@@ -587,6 +659,110 @@ def test_crlf_bom_and_open_stream_span_blocks(monkeypatch, tmp_path):
         with pytest.raises(ParseError) as exc:
             read_ascii_grid(source)
         assert str(exc.value) == "non-finite token 'nan' (line 11, column 3)"
+
+
+def read_errors(text, block_chars, monkeypatch):
+    """The value list or the ParseError text of ``text`` read in reads of
+    ``block_chars`` characters, each no longer than that."""
+    monkeypatch.setattr(raster, "_BLOCK_CHARS", block_chars)
+    stream = ReadLog(text)
+    try:
+        got = read_ascii_grid(stream).values.ravel().tolist()
+    except ParseError as exc:
+        got = str(exc)
+    assert stream.bounded_to_the_end(block_chars)
+    return got
+
+
+@pytest.mark.parametrize("block_chars", [1, 9])
+def test_cr_lf_pair_split_across_reads(monkeypatch, block_chars):
+    # 1: every CR and LF arrives in a read of its own; 9: the first body
+    # line's readline stops at its CR, and the first read starts with the LF
+    text = body_text(7).replace("\n", "\r\n")
+    want = [10 * r + c for r in range(1, 8) for c in (1, 2, 3)]
+    assert read_errors(text, block_chars, monkeypatch) == want
+    stream = ReadLog(text)
+    read_ascii_grid(stream)
+    cut = ("readline", "11 12 13\r") if block_chars == 9 else ("read", "\r")
+    assert cut in stream.returned
+    for line in range(7, 14):
+        bad = replace_token(text.replace("\r\n", "\n"), line, 3, "x").replace("\n", "\r\n")
+        assert read_errors(bad, block_chars, monkeypatch) == \
+            f"non-numeric token 'x' (line {line}, column 3)"
+
+
+@pytest.mark.parametrize("block_chars", [1, 4, 1 << 17])
+def test_token_longer_than_a_block(monkeypatch, block_chars):
+    long = "1234.5678901234"
+    bad = "1.2.3.4.5.6.7"
+    for body, want in ((f"1 {long}\n3 4\n", [1, 1234.5678901234, 3, 4]),
+                       (f"{long} 2\n3 4\n", [1234.5678901234, 2, 3, 4]),
+                       (f"1 2\n3 {bad}\n", f"non-numeric token '{bad}' (line 8, column 2)"),
+                       (f"{bad} 2\n3 4\n", f"non-numeric token '{bad}' (line 7, column 1)")):
+        assert read_errors(make_text(body), block_chars, monkeypatch) == want
+
+
+@pytest.mark.parametrize("sep", [" ", "\t", " \t"])
+def test_a_line_is_converted_in_pieces_cut_at_blanks(monkeypatch, sep):
+    # a body on one line: no piece holds more than a read and a partial token
+    monkeypatch.setattr(raster, "_BLOCK_CHARS", 16)
+    sizes = []
+    convert = raster._convert
+    monkeypatch.setattr(raster, "_convert",
+                        lambda tokens, *rest: sizes.append(len(tokens)) or convert(tokens, *rest))
+    text = make_text(sep.join(f"{k}.5" for k in range(100)) + "\n", ncols=10, nrows=10)
+    assert read_errors(text, 16, monkeypatch) == [k + 0.5 for k in range(100)]
+    assert sum(sizes) == 100 and max(sizes) <= 8, sizes
+
+
+@pytest.mark.parametrize("block_chars", [1, 3, 1 << 17])
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_no_final_line_end(monkeypatch, block_chars, end):
+    text = make_text("1 2\n3 4").replace("\n", end)
+    assert read_errors(text, block_chars, monkeypatch) == [1, 2, 3, 4]
+    assert read_errors(text[:-1] + "x", block_chars, monkeypatch) == \
+        "non-numeric token 'x' (line 8, column 2)"
+    assert read_errors(text + " 5", block_chars, monkeypatch) == "expected 4 values, got 5"
+
+
+@pytest.mark.parametrize("block_chars", [1, 4, 7])
+def test_first_body_line_starting_with_more_than_a_block_of_blanks(monkeypatch, block_chars):
+    blanks = " \t" * (2 * block_chars)
+    assert read_errors(make_text(blanks + "1 2\n3 4\n"), block_chars, monkeypatch) == [1, 2, 3, 4]
+    assert read_errors(make_text(blanks + "1 x\n3 4\n"), block_chars, monkeypatch) == \
+        "non-numeric token 'x' (line 7, column 2)"
+    assert read_errors(make_text("\n" + blanks + "\n" + blanks + "x 2\n3 4\n"), block_chars,
+                       monkeypatch) == "non-numeric token 'x' (line 9, column 1)"
+
+
+@pytest.mark.parametrize("block_chars", [1, 4, 7])
+def test_comment_line_longer_than_a_block(monkeypatch, block_chars):
+    comment = "# " + "a long comment " * block_chars + "\n"
+    word = "#" + "x" * 3 * block_chars + " ncols 9\n"  # a first word longer than a block
+    lines = make_text("1 2\n3 x\n").splitlines(keepends=True)
+    text = comment + "".join(lines[:3]) + word + comment + "".join(lines[3:])
+    assert read_errors(text, block_chars, monkeypatch) == \
+        "non-numeric token 'x' (line 11, column 2)"
+    text = text.replace("3 x", "3 4")
+    assert read_errors(text, block_chars, monkeypatch) == [1, 2, 3, 4]
+    # a header line is read whole, however long
+    long_header = text.replace("ncols 2", "ncols" + " " * 3 * block_chars + "2")
+    assert read_errors(long_header, block_chars, monkeypatch) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("block_chars", [1, 5, 1 << 17])
+def test_lone_cr_ends_a_line_in_a_file(monkeypatch, tmp_path, block_chars):
+    # a path is read with newline="", where a lone CR ends a line, as before
+    monkeypatch.setattr(raster, "_BLOCK_CHARS", block_chars)
+    path = tmp_path / "mac.asc"
+    path.write_bytes(make_text("1 2\n3 4\n").replace("\n", "\r").encode())
+    assert read_ascii_grid(path).values.ravel().tolist() == [1, 2, 3, 4]
+    path.write_bytes(make_text("1 2\n3 4 x\n", nrows=2).replace("\n", "\r").encode())
+    with pytest.raises(ParseError, match=r"^expected 4 values, got 5$"):
+        read_ascii_grid(path)
+    path.write_bytes(make_text("1 2\n\n3 x\n").replace("\n", "\r").encode())
+    with pytest.raises(ParseError, match=r"'x' \(line 9, column 2\)$"):
+        read_ascii_grid(path)
 
 
 def test_read_holds_one_array_and_one_block(tmp_path):
