@@ -17,6 +17,18 @@ converted up to its last line end (or blank) into one preallocated array,
 and the partial line or token after it is carried into the next read, so
 it holds that array plus about one read.
 
+A file named by path whose body has at least ``_READ_BYTES`` bytes per
+worker is read in byte ranges, one per CPU this process may run on, each
+cut just after a line end (else a blank). Counting each range's tokens
+from its bytes (every byte up to 32 separates) gives it the index of its
+first cell. This process reads the first range; a forked child reads each
+other one through the same loop and sends back its named cells' values
+(all of them in a full read), or nothing if the range is not clean (a bad
+token, a count other than the one counted, bytes that are not UTF-8).
+After a range that is not clean the body is read again in this process
+alone, so values, errors, lines and columns do not depend on the number of
+workers. Pipes, in-memory streams and smaller bodies are read here alone.
+
 A caller that reads only some cells (``assess`` reads the cells under its
 control points and their 3x3 windows) can name them: ``read_ascii_grid``
 then converts only those, and every other cell holds NaN, a value no full
@@ -41,8 +53,10 @@ A grid written to a path appears whole or not at all (see ``_open_text``).
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
+import itertools
 import math
 import os
 import re
@@ -85,6 +99,14 @@ _DENSE_FRACTION = 1 / 8
 # the second vCPU took work at once, but lost at 22,500-62,500 cells in a
 # run where it did not, and won 15 of 15 from 90,000 cells in every run.
 _WRITE_CELLS = 1 << 15
+# Least body bytes each grid-reading worker reads, so a body forks from
+# twice this (2 MiB: not the bench's 0.73 MB DEM or 2.0 MB class map). On 2
+# vCPUs a fork, its start and its reaping took about 5 ms, counting tokens
+# 0.4 ms per MB, and a MB of body 6-8 ms to check (windowed) or 20-30 ms to
+# convert (full). In fresh processes, while the second vCPU was free, two
+# workers won 4 of 4 windowed and 7 of 9 full reads of a 2.3 MB body, and
+# tied or lost at 0.57 MB.
+_READ_BYTES = 1 << 20
 
 
 @dataclass(eq=False)
@@ -276,10 +298,12 @@ def read_ascii_grid(
     and a list longer than a fixed share of the grid reads every cell.
     """
     with _open_text(source, "r") as stream:
-        return _read_stream(stream, cells)
+        return _read_stream(stream, cells, from_path=isinstance(source, (str, Path)))
 
 
-def _read_stream(stream: TextIO, cells: Callable[[Grid], Sequence[int]] | None) -> Grid:
+def _read_stream(
+    stream: TextIO, cells: Callable[[Grid], Sequence[int]] | None, from_path: bool
+) -> Grid:
     header: dict[str, float] = {}
     header_line: dict[str, int] = {}
     lineno = 1  # the line being read
@@ -345,36 +369,134 @@ def _read_stream(stream: TextIO, cells: Callable[[Grid], Sequence[int]] | None) 
         index = np.asarray(cells(unread), dtype=np.int64)
         if index.size > _DENSE_FRACTION * expected:
             index = None
-    return Grid(**georef, values=_read_body(stream, raw, lineno, expected, index))
-
-
-def _read_body(
-    stream: TextIO, text: str, lineno: int, expected: int, cells: np.ndarray | None
-) -> np.ndarray:
-    """Convert the grid body, which starts with ``text`` on file line
-    ``lineno``, into an array of ``expected`` values.
-
-    Each read of ``_BLOCK_CHARS`` characters, after the text carried from
-    the last, is converted up to its last line end (else its last space or
-    tab) and the rest is carried on. With ``cells`` (sorted flat indices)
-    only those cells are converted and the rest are NaN; a piece that
-    ``_scan`` accepts is checked without ``float()``. Every piece is
-    counted, also after a bad one, so a wrong count wins over a bad token,
-    whose line and column come from re-scanning only its piece.
-    """
-    try:
-        values = np.empty(expected) if cells is None else np.full(expected, np.nan)
+    try:  # untouched until read: a body that is short fails before the pages are used
+        values = np.empty(expected)
     except (MemoryError, ValueError):  # ValueError: more than numpy can index
         raise ParseError(f"a grid of {expected} values needs {8 * expected} bytes, "
                          "more memory than can be allocated") from None
+    if not (from_path and size is not None and _read_parts(stream, raw, values, index)):
+        _read_body(iter(lambda: stream.read(_BLOCK_CHARS), ""), raw, lineno, values, index)
+    if index is not None:  # every cell that is not named is NaN
+        named = values[index]
+        values.fill(np.nan)
+        values[index] = named
+    return Grid(**georef, values=values)
+
+
+def _read_parts(stream: TextIO, text: str, values: np.ndarray, cells: np.ndarray | None) -> bool:
+    """Read the body of a file, which starts with ``text`` just before where
+    ``stream`` stands, in byte ranges on every allowed core (see the module
+    docstring). False when the body is too small to pay for the forks or a
+    range is not clean; ``stream`` is left where it was, to read it again."""
+    fd = stream.fileno()
+    # tell() gives a byte offset, or from 2**64 up a cookie (a lone CR at the
+    # end of text): then hi - lo < 0, and one worker
+    lo = stream.tell() - len(text.encode("utf-8"))
+    hi = os.fstat(fd).st_size
+    workers = _worker_count((hi - lo) // _READ_BYTES, hi - lo, _READ_BYTES)
+    if workers < 2:
+        return False
+    bounds = [lo]
+    for k in range(1, workers):  # cut after the last blank before each k-th share
+        end = lo + k * (hi - lo) // workers
+        at = max(bounds[-1], end - _BLOCK_CHARS)
+        cut = _cut(os.pread(fd, end - at, at).decode("ascii", "replace"))
+        bounds += [at + cut] * (cut > 0)
+    bounds.append(hi)
+    counts = [_tokens(fd, a, b) for a, b in zip(bounds, bounds[1:])]
+    if len(counts) < 2 or sum(counts) != values.size or 0 in counts:
+        return False
+    first = dict(zip(bounds, np.cumsum([0] + counts).tolist()))
+
+    def sent(a: int, b: int) -> slice | np.ndarray:
+        # the cells range [a, b) sends back: all, or its first (a clean reply
+        # is never empty) and the named ones
+        if cells is None:
+            return slice(first[a], first[b])
+        return np.concatenate(([first[a]], _between(cells, first[a], first[b])))
+
+    def read(a: int, b: int) -> bool:  # False if range [a, b) is not clean
+        named = None if cells is None else _between(cells, first[a], first[b]) - first[a]
+        try:
+            _read_body(_range_text(fd, a, b), "", 0, values[first[a] : first[b]], named)
+        except (ParseError, UnicodeDecodeError):
+            return False
+        return True
+
+    if cells is None:  # the other ranges' values land in place
+        into = values[first[bounds[1]] :]
+    else:
+        tail = np.concatenate([sent(a, b) for a, b in zip(bounds[1:], bounds[2:])])
+        into = np.empty(tail.size)
+    view, got, clean = memoryview(into).cast("B"), 0, []
+
+    def out(chunk: bytes) -> None:
+        nonlocal got
+        view[got : got + len(chunk)] = chunk
+        got += len(chunk)
+
+    _map_parts(lambda a, b: clean.append(read(a, b)),
+               lambda a, b: values[sent(a, b)].tobytes() if read(a, b) else b"",
+               out, bounds, "bytes")
+    if clean != [True] or got != view.nbytes:  # a range that is not clean sent nothing
+        return False
+    if cells is not None:
+        values[tail] = into
+    return True
+
+
+def _range_text(fd: int, lo: int, hi: int) -> Iterator[str]:
+    """Bytes [lo, hi) of the file open as ``fd`` as UTF-8 text, a block at a
+    time (``os.pread`` leaves the offset, shared with forked children, alone)."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    for at in range(lo, hi, _BLOCK_CHARS):
+        if text := decode(os.pread(fd, min(_BLOCK_CHARS, hi - at), at), at + _BLOCK_CHARS >= hi):
+            yield text
+
+
+def _tokens(fd: int, lo: int, hi: int) -> int:
+    """The tokens in bytes [lo, hi) of the file open as ``fd``, taking every
+    byte up to 32 as a separator; ``lo`` starts a token or follows a
+    separator."""
+    n, word = 0, np.zeros(1, dtype=bool)  # whether the byte before is in a token
+    for at in range(lo, hi, _BLOCK_CHARS):
+        chunk = np.frombuffer(os.pread(fd, min(_BLOCK_CHARS, hi - at), at), dtype=np.uint8)
+        word = np.concatenate((word[-1:], chunk > 32))
+        n += int(np.count_nonzero(word[1:] > word[:-1]))
+    return n
+
+
+def _cut(text: str) -> int:
+    """How much of ``text``, which more text follows, to convert: up to its
+    last line end (never between CR and LF), else up to its last blank (a
+    character ``str.isspace`` accepts, as ``str.split`` does), else none."""
+    end = len(text) - text.endswith("\r")  # the LF of a last CR may follow
+    cut = 1 + max(text.rfind("\n"), text.rfind("\r", 0, end))
+    if cut or not end or text[end - 1].isspace():
+        return cut or end
+    return end - len(text.rsplit(None, 1)[-1])
+
+
+def _read_body(
+    reads: Iterator[str], text: str, lineno: int, values: np.ndarray, cells: np.ndarray | None
+) -> None:
+    """Convert the grid body, which starts with ``text`` on file line
+    ``lineno`` and goes on with ``reads``, into ``values``, whose size is the
+    count it must have.
+
+    Each read, after the text carried from the last, is converted up to
+    ``_cut`` and the rest is carried on. With ``cells`` (sorted flat
+    indices) only those cells are stored; a piece that ``_scan`` accepts is
+    checked without ``float()``. Every piece is
+    counted, also after a bad one, so a wrong count wins over a bad token,
+    whose line and column come from re-scanning only its piece.
+    """
+    expected = values.size
     got = column = 0  # values so far, and values so far on line lineno
     bad = None  # (line, column, piece) of the first piece with a bad token
-    while (more := stream.read(_BLOCK_CHARS)) or text:
+    for more in itertools.chain(reads, [""]):  # "": the end
         text += more
-        cut = len(text)  # at the end of the stream, all of it
-        if more:  # a last CR may have its LF still to come
-            cut = 1 + max(text.rfind("\n"), text.rfind("\r", 0, cut - 1))
-            cut = cut or 1 + max(text.rfind(" "), text.rfind("\t"))
+        cut = _cut(text) if more else len(text)  # at the end of the stream, all of it
         piece, text = text[:cut], text[cut:]
         spans = None if cells is None else _scan(piece)
         if spans is not None:  # plain decimals: convert only the named cells
@@ -400,7 +522,6 @@ def _read_body(
             for k, token in enumerate(re.finditer(r"\S+", line), start=column + 1):
                 _number(token.group(), "token", lineno, k)
             lineno, column = lineno + 1, 0
-    return values
 
 
 def _line_ends(text: str) -> int:

@@ -1,7 +1,10 @@
 import configparser
+import contextlib
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -757,6 +760,8 @@ GRID_SIZE_CLAIMS = [
     # a pipe has no size to check: the allocation fails, and is named
     *((command, "fifo", 10**9, f"a grid of {10**18} values needs {8 * 10**18} bytes, "
        "more memory than can be allocated") for command in ("terrain", "assess")),
+    # a pipe whose claim can be allocated: the count is short
+    ("assess", "fifo", 6000, "expected 36000000 values, got 3"),
 ]
 
 
@@ -788,6 +793,33 @@ def test_grid_claiming_more_cells_than_it_holds_exit_3(tmp_path, capsys, command
                 "--out", str(tmp_path / "c.asc")]
     assert main(argv) == 3
     assert capsys.readouterr().err == f"parse error [{command}]: {message}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_short_fifo_grid_is_never_touched_whole(tmp_path):
+    # assess on a FIFO claiming 6000 x 6000 cells that holds 3 values: the
+    # 288 MB grid is allocated but its pages are not used before the count
+    # fails (an own peak of 305.9 MB when it was filled with NaN up front,
+    # against 30 MB for importing demqa.cli alone). The command reads its own
+    # VmHWM: its ru_maxrss could include what this process held at the fork.
+    path = tmp_path / "claim.asc"
+    os.mkfifo(path)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(path, "w") as f:
+            f.write(claim(6000))
+
+    threading.Thread(target=feed, daemon=True).start()
+    code = ("import re, sys; from demqa.cli import main; status = main(sys.argv[1:]); "
+            "print(re.search(r'VmHWM:\\s+(\\d+) kB', open('/proc/self/status').read())[1]); "
+            "sys.exit(status)")
+    src = Path(demqa.cli.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", code, *_run_reader(tmp_path, "--dem", path)],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "parse error [assess]: expected 36000000 values, got 3\n"
+    assert int(proc.stdout) < 60 * 1024, proc.stdout  # kB
 
 
 @pytest.mark.parametrize("point, problem", [("9.5,0.5", "is off the grid"),

@@ -787,6 +787,24 @@ def test_full_read_of_a_grid_heavy_dem_holds_the_array_and_a_small_block(tmp_pat
     assert peak < 11e6, peak
 
 
+@pytest.mark.parametrize("blank", ["\x0b", "\x0c", "\xa0"], ids=["VT", "FF", "NBSP"])
+def test_one_line_body_is_cut_at_any_blank(blank):
+    # str.split separates tokens at these as at a space; a line cut only at
+    # spaces and tabs was one piece, token list and all (20.8 MB against 9.8
+    # MB for 200,000 values)
+    def peak(sep):
+        tracemalloc.start()
+        try:
+            text = ("ncols 500\nnrows 400\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+                    + sep.join(["12.5"] * 200_000))
+            assert (read_ascii_grid(io.StringIO(text)).values == 12.5).all()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(blank) < 1.1 * peak(" ")
+
+
 def traced_round_trip(grid, path):
     """``grid`` written to ``path`` and read back, and the read's
     tracemalloc peak in bytes."""
