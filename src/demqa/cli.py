@@ -20,18 +20,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import json
 import math
-import os
-import shutil
 import sys
-import tempfile
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -301,15 +299,15 @@ def _floats(column: np.ndarray) -> list[str]:
     return [repr(v) if v == v else "" for v in column.tolist()]
 
 
-def _provenance_comment(command: str) -> str:
-    return f"# generated by demqa {__version__} ({command})"
+def _provenance(command: str) -> str:
+    return f"generated by demqa {__version__} ({command})"
 
 
 def _write_csv(
-    path: str | Path, command: str, header: list[str], columns: Sequence[Sequence[str]]
+    dest: str | Path | TextIO, command: str, header: list[str], columns: Sequence[Sequence[str]]
 ) -> None:
-    with _open_text(path, "w") as f:
-        f.write(_provenance_comment(command) + "\n")
+    with _open_text(dest, "w") as f:
+        f.write(f"# {_provenance(command)}\n")
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(zip(*columns))
@@ -321,35 +319,34 @@ def write_assess_outputs(
     out_dir: str | Path,
     legend: dict[int, str],
 ) -> list[Path]:
-    """Write report.json and the CSV tables atomically.
+    """Write report.json and the CSV tables, all or none of them.
 
     ``samples`` is every row with its screening status, in the order of
-    ``samples.csv``. All files land in a temp directory first and are
-    renamed into place only after every one of them has been produced.
+    ``samples.csv``. Each file is written to a new file beside its target
+    (see ``_open_text``); every one is flushed before any replaces its
+    target, so a failure while writing leaves all earlier files as they were.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tmpdir = Path(tempfile.mkdtemp(prefix=".demqa-tmp-", dir=out))
-    try:
-        _write_files(report, samples, tmpdir, legend)
-        written = []
-        for name in (REPORT_NAME, *CSV_NAMES):
-            os.replace(tmpdir / name, out / name)
-            written.append(out / name)
-        return written
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
+    written = [out / name for name in (REPORT_NAME, *CSV_NAMES)]
+    with contextlib.ExitStack() as stack:
+        files = {p.name: stack.enter_context(_open_text(p, "w")) for p in written}
+        _write_files(report, samples, files, legend)
+        for f in files.values():  # a full disk fails here, before any file replaces its target
+            f.flush()
+    return written
 
 
-def _write_files(report: dict, samples: SampleTable, tmpdir: Path, legend: dict[int, str]) -> None:
-    with _open_text(tmpdir / REPORT_NAME, "w") as f:
-        f.write(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+def _write_files(
+    report: dict, samples: SampleTable, files: dict[str, TextIO], legend: dict[int, str]
+) -> None:
+    files[REPORT_NAME].write(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
 
     floats = ("x", "y", "h_ref", "h_dem", "delta_h", "slope_deg", "aspect_deg")
     text = {c: _floats(getattr(samples, c)) for c in floats}
     codes = [None if c != c else int(c) for c in samples.class_code.tolist()]
     _write_csv(
-        tmpdir / "samples.csv", "assess",
+        files["samples.csv"], "assess",
         ["id", "x", "y", "h_ref", "h_dem", "delta_h", "class_code", "class_label",
          "slope_deg", "aspect_deg", "status"],
         [
@@ -370,7 +367,7 @@ def _write_files(report: dict, samples: SampleTable, tmpdir: Path, legend: dict[
             entry.get(k) for k in ("n", "mean", "sd", "rmse", "min", "max", "range")
         ])
     _write_csv(
-        tmpdir / "stats_by_class.csv", "assess",
+        files["stats_by_class.csv"], "assess",
         ["class_code", "label", "n", "mean", "sd", "rmse", "min", "max", "range"],
         [list(map(_fmt_cell, column)) for column in zip(*stats_rows)],
     )
@@ -379,7 +376,7 @@ def _write_files(report: dict, samples: SampleTable, tmpdir: Path, legend: dict[
         (key, b["lower"], b["count"]) for key, bins in report["histograms"].items() for b in bins
     ]
     _write_csv(
-        tmpdir / "histogram.csv", "assess",
+        files["histogram.csv"], "assess",
         ["class", "bin_lower", "count"],
         [list(map(_fmt_cell, column)) for column in zip(*hist_rows)],
     )
@@ -394,7 +391,7 @@ def _write_files(report: dict, samples: SampleTable, tmpdir: Path, legend: dict[
     ):
         rows = np.flatnonzero(use & ~np.isnan(getattr(samples, field_name))).tolist()
         _write_csv(
-            tmpdir / name, "assess",
+            files[name], "assess",
             ["id", field_name, "delta_h"],
             [[column[k] for k in rows] for column in
              (samples.ids, text[field_name], text["delta_h"])],
@@ -423,7 +420,7 @@ def cmd_terrain(args: argparse.Namespace) -> int:
     _check("--z-factor", args.z_factor, POSITIVE)
     dem = read_ascii_grid(args.dem)
     pair = slope_aspect(dem, z_factor=args.z_factor)
-    comment = _provenance_comment("terrain").lstrip("# ") + f" from {args.dem}"
+    comment = _provenance("terrain") + f" from {args.dem}"
     slope_path = f"{args.out_prefix}_slope.asc"
     aspect_path = f"{args.out_prefix}_aspect.asc"
     write_ascii_grid(pair.slope, slope_path, comment=comment)
@@ -446,10 +443,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     legend = read_legend_csv(args.legend) if args.legend else None
     boxes = train_parallelepiped(image, training, k=args.k, labels=legend)
     result = classify(image, boxes)
-    comment = (
-        _provenance_comment("classify").lstrip("# ")
-        + f" k={args.k} training={args.training}"
-    )
+    comment = _provenance("classify") + f" k={args.k} training={args.training}"
     write_ascii_grid(result, args.out, comment=comment)
     print(f"wrote {args.out} ({len(boxes)} classes)")
     cell_area = result.cellsize * result.cellsize
@@ -492,7 +486,7 @@ def cmd_moran(args: argparse.Namespace) -> int:
     cfg.validate(MORAN_OPTIONS)
     coords, values = _read_samples_csv(args.samples, args.field)
     out = moran_section(cfg, coords, values)
-    out["provenance"] = _provenance_comment("moran").lstrip("# ") + f" samples={args.samples}"
+    out["provenance"] = _provenance("moran") + f" samples={args.samples}"
     text = json.dumps(_jsonable(out), indent=2, sort_keys=True) + "\n"
     if args.out:
         with _open_text(args.out, "w") as f:
@@ -524,7 +518,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         ) if args.gcps_out else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    comment = _provenance_comment("synth").lstrip("# ") + f" kind={args.kind} seed={args.seed}"
+    comment = _provenance("synth") + f" kind={args.kind} seed={args.seed}"
     write_ascii_grid(grid, args.out, comment=comment)
     print(f"wrote {args.out}")
     if pts is not None:

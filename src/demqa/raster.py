@@ -19,15 +19,18 @@ it holds that array plus about one read.
 
 A file named by path whose body has at least ``_READ_BYTES`` bytes per
 worker is read in byte ranges, one per CPU this process may run on, each
-cut just after a line end (else a blank). Counting each range's tokens
-from its bytes (every byte up to 32 separates) gives it the index of its
-first cell. This process reads the first range; a forked child reads each
-other one through the same loop and sends back its named cells' values
-(all of them in a full read), or nothing if the range is not clean (a bad
-token, a count other than the one counted, bytes that are not UTF-8).
-After a range that is not clean the body is read again in this process
-alone, so values, errors, lines and columns do not depend on the number of
-workers. Pipes, in-memory streams and smaller bodies are read here alone.
+cut just after a line end (else a blank). The body starts at the UTF-8
+length of what the header loop read before it (a path's text keeps every
+line end as it is), plus 3 for a byte order mark. Counting each range's
+tokens from its bytes (every byte up to 32 separates) gives it the index
+of its first cell. This process reads the first range; a forked child
+reads each other one through the same loop and sends back its named cells'
+values (all of them in a full read), or nothing if the range is not clean
+(a bad token, a count other than the one counted, bytes that are not
+UTF-8). After a range that is not clean the body is read again in this
+process alone, so values, errors, lines and columns do not depend on the
+number of workers. Pipes, in-memory streams and smaller bodies are read
+here alone.
 
 A caller that reads only some cells (``assess`` reads the cells under its
 control points and their 3x3 windows) can name them: ``read_ascii_grid``
@@ -308,8 +311,10 @@ def _read_stream(
     header_line: dict[str, int] = {}
     lineno = 1  # the line being read
     raw = part = ""  # what is read of that line, and the last read
+    read = 0  # UTF-8 bytes of every read (a caller's stream may hold lone surrogates)
     while True:
         last, part = part, stream.readline(_BLOCK_CHARS)
+        read += len(part.encode("utf-8", "surrogatepass"))
         if part == "\n" and last.endswith("\r"):  # the LF of a CR LF pair the limit cut
             continue
         raw += part
@@ -374,7 +379,9 @@ def _read_stream(
     except (MemoryError, ValueError):  # ValueError: more than numpy can index
         raise ParseError(f"a grid of {expected} values needs {8 * expected} bytes, "
                          "more memory than can be allocated") from None
-    if not (from_path and size is not None and _read_parts(stream, raw, values, index)):
+    lo = read - len(raw.encode("utf-8", "surrogatepass"))  # the body's offset, less any BOM
+    if not (from_path and size is not None
+            and _read_parts(stream.fileno(), lo, size, values, index)):
         _read_body(iter(lambda: stream.read(_BLOCK_CHARS), ""), raw, lineno, values, index)
     if index is not None:  # every cell that is not named is NaN
         named = values[index]
@@ -383,16 +390,12 @@ def _read_stream(
     return Grid(**georef, values=values)
 
 
-def _read_parts(stream: TextIO, text: str, values: np.ndarray, cells: np.ndarray | None) -> bool:
-    """Read the body of a file, which starts with ``text`` just before where
-    ``stream`` stands, in byte ranges on every allowed core (see the module
-    docstring). False when the body is too small to pay for the forks or a
-    range is not clean; ``stream`` is left where it was, to read it again."""
-    fd = stream.fileno()
-    # tell() gives a byte offset, or from 2**64 up a cookie (a lone CR at the
-    # end of text): then hi - lo < 0, and one worker
-    lo = stream.tell() - len(text.encode("utf-8"))
-    hi = os.fstat(fd).st_size
+def _read_parts(fd: int, lo: int, hi: int, values: np.ndarray, cells: np.ndarray | None) -> bool:
+    """Read the body, bytes [lo, hi) of the file open as ``fd`` (``lo`` not
+    counting a byte order mark), in byte ranges on every allowed core (see
+    the module docstring). False when the body is too small to pay for the
+    forks or a range is not clean; the file's offset is left where it was."""
+    lo += 3 * (os.pread(fd, 3, 0) == codecs.BOM_UTF8)  # utf-8-sig dropped it from the text
     workers = _worker_count((hi - lo) // _READ_BYTES, hi - lo, _READ_BYTES)
     if workers < 2:
         return False

@@ -279,6 +279,51 @@ def test_no_partial_outputs_on_failure(tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
+def earlier_outputs(tmp_path):
+    """A closure scene's config, and its out/ holding files of an earlier run."""
+    dem, gcps = write_closure_scene(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    earlier = {}
+    for name in (demqa.cli.REPORT_NAME, *demqa.cli.CSV_NAMES):
+        earlier[name] = f"earlier {name}\n".encode()
+        (out / name).write_bytes(earlier[name])
+    return write_config(tmp_path, dem, gcps, out), out, earlier
+
+
+def assert_outputs_kept(out, earlier):
+    for name, data in earlier.items():
+        assert (out / name).read_bytes() == data, name
+    # no temporary file is left beside them
+    assert sorted(os.listdir(out)) == sorted([*demqa.cli.CSV_NAMES, demqa.cli.REPORT_NAME])
+
+
+def test_a_directory_target_replaces_no_output(tmp_path, capsys):
+    cfg, out, earlier = earlier_outputs(tmp_path)
+    (out / "histogram.csv").unlink()
+    (out / "histogram.csv").mkdir()
+    del earlier["histogram.csv"]
+    assert main(["assess", "--config", str(cfg)]) == 3
+    assert "histogram.csv" in capsys.readouterr().err
+    assert_outputs_kept(out, earlier)
+    assert not any((out / "histogram.csv").iterdir())
+
+
+def test_a_failing_table_replaces_no_output(tmp_path, monkeypatch, capsys):
+    cfg, out, earlier = earlier_outputs(tmp_path)
+    write_csv = demqa.cli._write_csv
+
+    def failing(dest, *args):
+        if "histogram.csv" in str(getattr(dest, "name", dest)):
+            raise OSError(28, "No space left on device")
+        write_csv(dest, *args)
+
+    monkeypatch.setattr(demqa.cli, "_write_csv", failing)
+    assert main(["assess", "--config", str(cfg)]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert_outputs_kept(out, earlier)
+
+
 def test_csv_format(tmp_path):
     dem, gcps = write_closure_scene(tmp_path)
     out = tmp_path / "out"

@@ -2,6 +2,7 @@
 values and errors at any worker count, no fork for small bodies, pipes or
 in-memory streams, and no child process left behind."""
 
+import codecs
 import io
 import os
 import re
@@ -111,11 +112,15 @@ def test_ranges_give_the_serial_reads_bits_or_error(tmp_path, monkeypatch, forks
         assert_no_child_left()
         if len(forks) > before:
             seen["forked", isinstance(serial, str), named is None] += 1
+            # lone-CR line ends, every line read whole: the header loop's last read ends in CR
+            lone_cr = b"\r" in data and b"\n" not in data
+            seen["forked", "lone CR"] += lone_cr and block_chars == 1 << 17
 
     check()
-    # the ranges were read, clean and not, full and windowed
+    # the ranges were read, clean and not, full and windowed, lone-CR files too
     assert all(seen["forked", error, full] >= 10 for error in (False, True)
                for full in (False, True)), seen
+    assert seen["forked", "lone CR"] >= 5, seen
 
 
 def test_ranges_of_a_large_body_match_the_serial_read(tmp_path, monkeypatch, forks):
@@ -141,6 +146,32 @@ def test_ranges_of_a_large_body_match_the_serial_read(tmp_path, monkeypatch, for
     with pytest.raises(ParseError, match=r"non-numeric token '\S*x' \(line 406, column 300\)$"):
         read_ascii_grid(path, cells=lambda g: named)
     assert len(forks) == 2 * (1 + 2) + 2
+
+
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8])
+def test_lone_cr_line_ends_are_read_in_ranges(tmp_path, monkeypatch, forks, bom):
+    # the body's byte offset is counted by the header loop, so a header line
+    # that ends in a lone CR does not keep the body from being split
+    rng = np.random.default_rng(6)
+    grid = Grid(ncols=500, nrows=400, xll=0, yll=0, cellsize=1,
+                values=rng.uniform(-500.0, 500.0, 200_000))
+    path = tmp_path / "g.asc"
+    write_ascii_grid(grid, path)
+    path.write_bytes(bom + path.read_bytes().replace(b"\n", b"\r"))
+    assert path.stat().st_size > 2 * raster._READ_BYTES
+    forks.clear()  # the writer's
+    named = np.arange(0, 200_000, 97)
+    monkeypatch.setattr(demqa._workers, "_WORKERS", 1)
+    full = read_ascii_grid(path).values.tobytes()
+    windowed = read_ascii_grid(path, cells=lambda g: named).values.tobytes()
+    assert full == grid.values.tobytes()
+    assert not forks
+    monkeypatch.setattr(demqa._workers, "_WORKERS", 2)
+    assert read_ascii_grid(path).values.tobytes() == full
+    assert len(forks) == 1
+    assert read_ascii_grid(path, cells=lambda g: named).values.tobytes() == windowed
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
 def test_a_range_without_tokens_is_read_again_here(tmp_path, monkeypatch, forks):

@@ -536,6 +536,15 @@ def test_grid_with_utf8_bom(tmp_path):
     assert not path.read_bytes().startswith(b"\xef\xbb\xbf")
 
 
+def test_stream_with_lone_surrogates():
+    # a caller's text stream is not UTF-8 bytes: counting the header's bytes
+    # must not fail on characters UTF-8 cannot encode
+    assert read_ascii_grid(io.StringIO("# \ud800\n" + make_text("5\n", 1, 1))).values[0, 0] == 5
+    with pytest.raises(ParseError) as exc:
+        read_ascii_grid(io.StringIO(make_text("5\udc80\n", 1, 1)))
+    assert str(exc.value) == "non-numeric token '5\udc80' (line 7, column 1)"
+
+
 # ---------------------------------------------------------------------------
 # The body is read _BLOCK_CHARS characters at a time and converted up to the
 # last line end (or blank) of each read. A small block constant makes small
