@@ -1,11 +1,11 @@
 """Ordered parts of one job on every CPU this process may run on.
 
-``_map_parts`` runs the first part in this process and each other one in
-a plain ``os.fork`` child (no ``multiprocessing``). A child sends its part
-back through a pipe as an 8-byte length and then that many bytes, and the
-parent hands the bytes on in part order, so the result cannot depend on
-how many parts there are. Callers split their work into one part per
-worker, ``_worker_count`` of them.
+``_map_parts`` runs ``part(lo, hi, send)`` for the first part in this
+process, where ``send`` hands each piece on, and for each other one in a
+plain ``os.fork`` child (no ``multiprocessing``), which sends its pieces
+through a pipe as an 8-byte total length and then the pieces. The parent
+hands the bytes on in part order, so the result cannot depend on how
+many parts there are. Callers split their work into one part per worker.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ def _worker_count(parts: int, work: int, per_worker: int) -> int:
     return max(1, min(cpus, parts, work // per_worker))
 
 
-def _fork_part(part: Callable[[int, int], bytes], lo: int, hi: int, what: str) -> tuple[int, int]:
-    """Start a child that writes part(lo, hi)'s length and bytes to a pipe;
-    return its pid and the pipe's read end."""
+def _fork_part(part: Callable[..., object], lo: int, hi: int, what: str) -> tuple[int, int]:
+    """Start a child that runs part(lo, hi, send) and writes its pieces'
+    total length and the pieces to a pipe; return its pid and the read end."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -53,10 +53,11 @@ def _fork_part(part: Callable[[int, int], bytes], lo: int, hi: int, what: str) -
         status = 1
         try:
             os.close(read_end)
-            data = part(lo, hi)
-            with open(write_end, "wb") as out:
-                out.write(len(data).to_bytes(_LENGTH_BYTES, "little"))
-                out.write(data)
+            pieces: list[bytes] = []
+            part(lo, hi, pieces.append)
+            with open(write_end, "wb") as pipe:
+                pipe.write(sum(map(len, pieces)).to_bytes(_LENGTH_BYTES, "little"))
+                pipe.writelines(pieces)
             status = 0
         except BaseException as exc:
             os.write(2, f"worker for {what} {lo}..{hi - 1}: {exc!r}\n".encode())
@@ -86,22 +87,20 @@ def _copy(fd: int, out: Callable[[bytes], object]) -> tuple[int, int | None]:
 
 
 def _map_parts(
-    here: Callable[[int, int], object],
-    part: Callable[[int, int], bytes],
+    part: Callable[[int, int, Callable[[bytes], object]], object],
     out: Callable[[bytes], object],
     bounds: Sequence[int],
     what: str,
 ) -> None:
-    """Deliver each part of consecutive ``bounds``, in order.
-
-    The first part runs here as ``here(lo, hi)``, which delivers it
-    itself; each other part runs in a forked child as ``part(lo, hi)``,
-    and its bytes reach ``out`` in chunks of at most ``_CHUNK_BYTES``, one
-    child after another. Every child is reaped before this returns or
-    raises; if this process raises, the children are killed first. A child
-    that exits non-zero or sends fewer bytes than it announced raises
-    ChildProcessError naming its ``what`` ("rows", say) lo..hi-1, its exit
-    status and the bytes received.
+    """Deliver the pieces that ``part(lo, hi, send)`` sends (bytes, or
+    buffers whose ``len`` counts bytes) for each part of consecutive
+    ``bounds`` to ``out``, in order: the first part runs here with ``out``
+    as ``send``, each other one in a forked child, whose bytes reach
+    ``out`` in chunks of at most ``_CHUNK_BYTES``. Every child is reaped
+    before this returns or raises; if this process raises, the children
+    are killed first. A child that exits non-zero or sends fewer bytes
+    than it announced raises ChildProcessError naming its ``what``
+    ("rows", say) lo..hi-1, its exit status and the bytes received.
     """
     parts = list(zip(bounds[:-1], bounds[1:]))
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
@@ -109,7 +108,7 @@ def _map_parts(
     try:
         for lo, hi in parts[1:]:
             children.append(_fork_part(part, lo, hi, what))
-        here(*parts[0])
+        part(*parts[0], out)
         for _, fd in children:
             received.append(_copy(fd, out))
     except BaseException:

@@ -23,14 +23,14 @@ cut just after a line end (else a blank). The body starts at the UTF-8
 length of what the header loop read before it (a path's text keeps every
 line end as it is), plus 3 for a byte order mark. Counting each range's
 tokens from its bytes (every byte up to 32 separates) gives it the index
-of its first cell. This process reads the first range; a forked child
-reads each other one through the same loop and sends back its named cells'
-values (all of them in a full read), or nothing if the range is not clean
-(a bad token, a count other than the one counted, bytes that are not
-UTF-8). After a range that is not clean the body is read again in this
-process alone, so values, errors, lines and columns do not depend on the
-number of workers. Pipes, in-memory streams and smaller bodies are read
-here alone.
+of its first cell. One function reads a range through the same loop, in
+this process for the first range and in a forked child for each other
+one, and sends its named cells' values (all of them in a full read, with
+no copy), or nothing if the range is not clean (a bad token, a count
+other than the one counted, bytes that are not UTF-8). After a range that
+is not clean the body is read again in this process alone, so values,
+errors, lines and columns do not depend on the number of workers. Pipes,
+in-memory streams and smaller bodies are read here alone.
 
 A caller that reads only some cells (``assess`` reads the cells under its
 control points and their 3x3 windows) can name them: ``read_ascii_grid``
@@ -47,10 +47,11 @@ allocated.
 
 Values are written with shortest round-trip precision, so
 ``read(write(g))`` reproduces ``g`` exactly. A large grid's body is
-formatted in contiguous row strips, one per CPU this process may run on:
-this process writes the first strip row by row while forked workers
-format the others, and their text is copied on in strip order, a bounded
-chunk at a time, so the bytes do not depend on the number of workers.
+formatted in contiguous row strips, one per CPU this process may run on,
+by one function that sends a strip a row at a time: this process writes
+each row of the first strip as it comes, forked workers keep the rows of
+the others, and their text is copied on in strip order, a bounded chunk
+at a time, so the bytes do not depend on the number of workers.
 A grid written to a path appears whole or not at all (see ``_open_text``).
 """
 
@@ -406,7 +407,8 @@ def _read_parts(fd: int, lo: int, hi: int, values: np.ndarray, cells: np.ndarray
         cut = _cut(os.pread(fd, end - at, at).decode("ascii", "replace"))
         bounds += [at + cut] * (cut > 0)
     bounds.append(hi)
-    counts = [_tokens(fd, a, b) for a, b in zip(bounds, bounds[1:])]
+    ranges = list(zip(bounds, bounds[1:]))
+    counts = [_tokens(fd, a, b) for a, b in ranges]
     if len(counts) < 2 or sum(counts) != values.size or 0 in counts:
         return False
     first = dict(zip(bounds, np.cumsum([0] + counts).tolist()))
@@ -418,33 +420,29 @@ def _read_parts(fd: int, lo: int, hi: int, values: np.ndarray, cells: np.ndarray
             return slice(first[a], first[b])
         return np.concatenate(([first[a]], _between(cells, first[a], first[b])))
 
-    def read(a: int, b: int) -> bool:  # False if range [a, b) is not clean
+    def read(a: int, b: int, send: Callable[[bytes], object]) -> None:
         named = None if cells is None else _between(cells, first[a], first[b]) - first[a]
         try:
             _read_body(_range_text(fd, a, b), "", 0, values[first[a] : first[b]], named)
         except (ParseError, UnicodeDecodeError):
-            return False
-        return True
+            return  # range [a, b) is not clean: it sends nothing
+        send(memoryview(values[sent(a, b)]).cast("B"))  # a full read's cells are not copied
 
-    if cells is None:  # the other ranges' values land in place
-        into = values[first[bounds[1]] :]
-    else:
-        tail = np.concatenate([sent(a, b) for a, b in zip(bounds[1:], bounds[2:])])
-        into = np.empty(tail.size)
-    view, got, clean = memoryview(into).cast("B"), 0, []
+    # a full read's values land in place, range 0's onto themselves
+    index = None if cells is None else np.concatenate([sent(a, b) for a, b in ranges])
+    into = values if index is None else np.empty(index.size)
+    view, got = memoryview(into).cast("B"), 0
 
     def out(chunk: bytes) -> None:
         nonlocal got
         view[got : got + len(chunk)] = chunk
         got += len(chunk)
 
-    _map_parts(lambda a, b: clean.append(read(a, b)),
-               lambda a, b: values[sent(a, b)].tobytes() if read(a, b) else b"",
-               out, bounds, "bytes")
-    if clean != [True] or got != view.nbytes:  # a range that is not clean sent nothing
+    _map_parts(read, out, bounds, "bytes")
+    if got != view.nbytes:  # a range that is not clean sent nothing
         return False
-    if cells is not None:
-        values[tail] = into
+    if index is not None:
+        values[index] = into
     return True
 
 
@@ -649,13 +647,10 @@ def write_ascii_grid(grid: Grid, dest: str | Path | TextIO, comment: str | None 
             stream.write(f"{key} {_grid_line([value])}")
         rows = grid.values
 
-        def strip(lo: int, hi: int) -> bytes:
-            return "".join(map(_grid_line, rows[lo:hi])).encode("ascii")
-
-        def here(lo: int, hi: int) -> None:
+        def strip(lo: int, hi: int, send: Callable[[bytes], object]) -> None:
             for row in rows[lo:hi]:
-                stream.write(_grid_line(row))
+                send(_grid_line(row).encode("ascii"))
 
         workers = _worker_count(grid.nrows, rows.size, _WRITE_CELLS)
         bounds = [k * grid.nrows // workers for k in range(workers + 1)]
-        _map_parts(here, strip, lambda chunk: stream.write(chunk.decode("ascii")), bounds, "rows")
+        _map_parts(strip, lambda chunk: stream.write(chunk.decode("ascii")), bounds, "rows")

@@ -21,7 +21,7 @@ linear in the number of candidate pairs; no n x n matrix is formed.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -452,7 +452,7 @@ def permutation_test(
     e_i = -1.0 / (w.n - 1)
     ref = abs(i_obs - e_i)
 
-    def span(lo: int, hi: int) -> bytes:
+    def span(lo: int, hi: int, send: Callable[[bytes], object]) -> None:
         # numpy gathers, ufuncs and sums only: a forked child must not
         # touch BLAS or a lock another thread may hold
         sims = np.empty(hi - lo)
@@ -461,12 +461,12 @@ def permutation_test(
             stream = np.random.SeedSequence(seed, spawn_key=(k,))
             perm = np.random.default_rng(stream).permutation(w.n)
             sims[k - lo] = scale * w.lag_products_sum(z[perm])
-        return sims.tobytes()
+        send(sims.tobytes())
 
     workers = _worker_count(n_perm, n_perm * (w.n + w.nnz), _SPAN_WORK)
     parts: list[bytes] = []
-    _map_parts(lambda lo, hi: parts.append(span(lo, hi)), span, parts.append,
-               [k * n_perm // workers for k in range(workers + 1)], "replicates")
+    _map_parts(span, parts.append, [k * n_perm // workers for k in range(workers + 1)],
+               "replicates")
     sims = np.frombuffer(b"".join(parts))
     extreme = int(np.sum(np.abs(sims - e_i) >= ref))
     return PermutationResult(

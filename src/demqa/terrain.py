@@ -65,11 +65,11 @@ def _horn(
         raise ValueError("z_factor must be finite and positive")
     a, b, c, d, f, g, h, i = (np.where(np.isnan(nb), centre, nb) for nb in neighbours)
 
-    dzdx = ((c + 2.0 * f + i) - (a + 2.0 * d + g)) / (8.0 * cellsize)
-    dzdy = ((g + 2.0 * h + i) - (a + 2.0 * b + c)) / (8.0 * cellsize)
-
-    slope_deg = np.degrees(np.arctan(z_factor * np.hypot(dzdx, dzdy)))
-    aspect_deg = np.mod(90.0 - np.degrees(np.arctan2(dzdy, -dzdx)), 360.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow's NaN: the writer names it
+        dzdx = ((c + 2.0 * f + i) - (a + 2.0 * d + g)) / (8.0 * cellsize)
+        dzdy = ((g + 2.0 * h + i) - (a + 2.0 * b + c)) / (8.0 * cellsize)
+        slope_deg = np.degrees(np.arctan(z_factor * np.hypot(dzdx, dzdy)))
+        aspect_deg = np.mod(90.0 - np.degrees(np.arctan2(dzdy, -dzdx)), 360.0)
     flat = (dzdx == 0.0) & (dzdy == 0.0)
     aspect_deg = np.where(flat, FLAT_ASPECT, aspect_deg)
 

@@ -790,6 +790,21 @@ def test_terrain_rejects_non_finite_cell(tmp_path, capsys, token):
     assert not (tmp_path / "d_slope.asc").exists()
 
 
+def test_terrain_overflowing_slope_exits_4_without_warnings(tmp_path, capsys):
+    # finite cells whose differences overflow: NaN slopes, once with four
+    # numpy RuntimeWarnings before the message
+    path = tmp_path / "dem.asc"
+    path.write_text("ncols 3\nnrows 3\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+                    "1e308 1e308 1e308\n-1e308 -1e308 -1e308\n1e308 1e308 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["terrain", str(path), "--out-prefix", str(tmp_path / "d")]) == 4
+    assert capsys.readouterr().err == ("degenerate statistics [terrain]: cannot write "
+                                       "non-finite value nan at row 1, column 0\n")
+    assert not (tmp_path / "d_slope.asc").exists()
+    assert not (tmp_path / "d_aspect.asc").exists()
+
+
 def claim(n):
     return f"ncols {n}\nnrows {n}\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3\n"
 

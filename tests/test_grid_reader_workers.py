@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import demqa._workers
@@ -97,7 +97,10 @@ def test_ranges_give_the_serial_reads_bits_or_error(tmp_path, monkeypatch, forks
     path = tmp_path / "g.asc"
     seen = Counter()
 
-    @settings(derandomize=True, max_examples=400, deadline=None)
+    # a fixed seed and no example database: the same 400 bodies whatever the
+    # source of check, so the floors below hold for a known draw
+    @seed(20260)
+    @settings(max_examples=400, deadline=None, database=None)
     @given(bodies())
     def check(body):
         data, named, workers, block_chars = body

@@ -85,27 +85,35 @@ def test_worker_count_follows_cpus_and_work(monkeypatch):
 
 
 def in_child(fn):
-    """A span that runs ``fn`` in forked children and counts lo..hi."""
+    """A span that runs ``fn`` in forked children and sends lo..hi-1."""
     parent = os.getpid()
 
-    def span(lo, hi):
+    def span(lo, hi, send):
         if os.getpid() != parent:
             fn(lo, hi)
-        return np.arange(lo, hi, dtype=np.float64).tobytes()
+        send(np.arange(lo, hi, dtype=np.float64).tobytes())
     return span
 
 
 def map_parts(span, bounds, out=None):
     parts = []
-    out = out or parts.append
-    demqa._workers._map_parts(lambda lo, hi: out(span(lo, hi)), span, out, bounds, "replicates")
+    demqa._workers._map_parts(span, out or parts.append, bounds, "replicates")
     return np.frombuffer(b"".join(parts))
 
 
 def test_spans_join_in_order():
-    got = map_parts(in_child(lambda lo, hi: None), [0, 3, 3, 10, 11])
-    assert got.tolist() == list(range(11))
-    assert_no_child_left()
+    for pieces in (
+        lambda v: [v],  # once, an empty part too
+        lambda v: [v] if len(v) else [],  # never for an empty part
+        lambda v: [b""] + [v[k : k + 8] for k in range(0, len(v), 8)],  # empty, then one per value
+    ):
+        def span(lo, hi, send):
+            for piece in pieces(memoryview(np.arange(lo, hi, dtype=np.float64)).cast("B")):
+                send(piece)
+
+        got = map_parts(span, [0, 3, 3, 10, 11])  # 0..2 here, the rest from three children
+        assert got.tolist() == list(range(11))
+        assert_no_child_left()
 
 
 def test_child_bytes_arrive_in_bounded_chunks(monkeypatch):
@@ -139,9 +147,9 @@ class ShortBytes(bytes):
 def test_short_data_from_a_child_raises():
     parent = os.getpid()
 
-    def short(lo, hi):
+    def short(lo, hi, send):
         data = np.zeros(hi - lo - (os.getpid() != parent)).tobytes()
-        return data if os.getpid() == parent else ShortBytes(data)
+        send(data if os.getpid() == parent else ShortBytes(data))
 
     with pytest.raises(ChildProcessError) as exc:
         map_parts(short, [0, 3, 10, 12])
@@ -152,11 +160,10 @@ def test_short_data_from_a_child_raises():
 def test_failing_parent_kills_and_reaps_its_children():
     parent = os.getpid()
 
-    def span(lo, hi):
+    def span(lo, hi, send):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(60)
-        return np.zeros(hi - lo).tobytes()
 
     t0 = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
