@@ -18,7 +18,7 @@ from .errors import (
     TrainingPointError,
     ZeroVarianceError,
 )
-from .raster import Grid, MultibandGrid, cell_of, cells_of, read_ascii_grid, write_ascii_grid
+from .raster import Grid, cell_of, cells_of, read_ascii_grid, write_ascii_grid
 from .sample import (
     SampleTable,
     attach_class,
@@ -49,7 +49,7 @@ from .stats import (
     summarize,
     two_tailed_p,
 )
-from .terrain import CellDerivatives, DerivativePair, slope_aspect, slope_aspect_at
+from .terrain import CellDerivatives, slope_aspect, slope_aspect_at
 from .landcover import ClassBox, classify, train_parallelepiped
 from .synth import (
     ControlPoint,
@@ -71,11 +71,9 @@ __all__ = [
     "DegenerateDataError",
     "DegenerateWeightsError",
     "DemqaError",
-    "DerivativePair",
     "Grid",
     "InsufficientDataError",
     "MoranResult",
-    "MultibandGrid",
     "NonFiniteGridError",
     "ParseError",
     "PermutationResult",

@@ -98,8 +98,10 @@ def _map_parts(
     as ``send``, each other one in a forked child, whose bytes reach
     ``out`` in chunks of at most ``_CHUNK_BYTES``. Every child is reaped
     before this returns or raises; if this process raises, the children
-    are killed first. A child that exits non-zero or sends fewer bytes
-    than it announced raises ChildProcessError naming its ``what``
+    are killed first. A child that raised (exit status 1) has its part run
+    again here, sending nothing, to raise its error; one that passes here,
+    or exits non-zero otherwise or sends fewer bytes than it announced,
+    raises ChildProcessError naming its ``what``
     ("rows", say) lo..hi-1, its exit status and the bytes received.
     """
     parts = list(zip(bounds[:-1], bounds[1:]))
@@ -117,6 +119,8 @@ def _map_parts(
     statuses = _reap(children, kill=False)
     for (lo, hi), status, (got, size) in zip(parts[1:], statuses, received):
         if status or size is None or got < size:
+            if status == 1:
+                part(lo, hi, lambda piece: None)
             of = "" if size is None else f" of {size}"
             raise ChildProcessError(f"worker for {what} {lo}..{hi - 1} exited with "
                                     f"status {status} after {got}{of} bytes")

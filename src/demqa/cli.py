@@ -37,7 +37,7 @@ from . import __version__
 from .errors import ConfigError, DegenerateDataError, ParseError
 from .landcover import read_legend_csv, read_training_csv, train_parallelepiped, classify
 from .pipeline import moran_section, run_assess
-from .raster import MultibandGrid, _csv_rows, _open_text, read_ascii_grid, write_ascii_grid
+from .raster import _csv_rows, _open_text, read_ascii_grid, write_ascii_grid
 from .sample import EXTRACTION_METHODS, SampleTable
 from .screen import FILTER_FIELDS
 from .spatial import ASSUMPTIONS, MAX_PERMUTATIONS, WEIGHT_SCHEMES
@@ -419,14 +419,16 @@ def cmd_assess(args: argparse.Namespace) -> int:
 def cmd_terrain(args: argparse.Namespace) -> int:
     _check("--z-factor", args.z_factor, POSITIVE)
     dem = read_ascii_grid(args.dem)
-    pair = slope_aspect(dem, z_factor=args.z_factor)
     comment = _provenance("terrain") + f" from {args.dem}"
-    slope_path = f"{args.out_prefix}_slope.asc"
-    aspect_path = f"{args.out_prefix}_aspect.asc"
-    write_ascii_grid(pair.slope, slope_path, comment=comment)
-    write_ascii_grid(pair.aspect, aspect_path, comment=comment)
-    print(f"wrote {slope_path}")
-    print(f"wrote {aspect_path}")
+    paths = [f"{args.out_prefix}_{name}.asc" for name in ("slope", "aspect")]
+    with contextlib.ExitStack() as stack:  # both files replace their targets, or neither
+        files = [stack.enter_context(_open_text(path, "w")) for path in paths]
+        for k, f in enumerate(files):  # Horn runs a block of rows at a time, in the writer
+            rows = lambda lo, hi, k=k: slope_aspect(dem, lo, hi, args.z_factor)[k]
+            write_ascii_grid(dem, f, comment=comment, rows=rows)
+            f.flush()  # a full disk fails here, before either file replaces its target
+    for path in paths:
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -438,11 +440,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
             raise ParseError(
                 f"band {k} ({path}) georeferencing differs from band 1 ({args.image[0]})"
             )
-    image = MultibandGrid(bands=bands)
     training = read_training_csv(args.training)
     legend = read_legend_csv(args.legend) if args.legend else None
-    boxes = train_parallelepiped(image, training, k=args.k, labels=legend)
-    result = classify(image, boxes)
+    boxes = train_parallelepiped(bands, training, k=args.k, labels=legend)
+    result = classify(bands, boxes)
     comment = _provenance("classify") + f" k={args.k} training={args.training}"
     write_ascii_grid(result, args.out, comment=comment)
     print(f"wrote {args.out} ({len(boxes)} classes)")

@@ -17,7 +17,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .errors import InsufficientDataError, ParseError, TrainingPointError
-from .raster import Grid, MultibandGrid, _csv_rows, cell_of
+from .raster import _WRITE_CELLS, Grid, _csv_rows, cell_of
 
 UNCLASSIFIED = 0
 
@@ -45,7 +45,7 @@ class ClassBox:
 
 
 def train_parallelepiped(
-    image: MultibandGrid,
+    bands: Sequence[Grid],
     labeled: Sequence[tuple[float, float, int]],
     k: float = 2.0,
     labels: dict[int, str] | None = None,
@@ -62,11 +62,11 @@ def train_parallelepiped(
         raise InsufficientDataError("no training points")
     by_class: dict[int, list[list[float]]] = {}
     for x, y, code in labeled:
-        rc = cell_of(image.bands[0], x, y)
+        rc = cell_of(bands[0], x, y)
         if rc is None:
             raise TrainingPointError(f"training point ({x}, {y}) is off the grid")
         pixel = []
-        for band in image.bands:
+        for band in bands:
             v = band.value_at(*rc)
             if v is None:
                 raise TrainingPointError(f"training point ({x}, {y}) lies on nodata")
@@ -94,37 +94,42 @@ def train_parallelepiped(
     return boxes
 
 
-def classify(image: MultibandGrid, boxes: Sequence[ClassBox]) -> Grid:
+def classify(bands: Sequence[Grid], boxes: Sequence[ClassBox]) -> Grid:
     """Assign each pixel the class whose box contains it on every band.
 
     Pixels inside no box get code 0 (unclassified); pixels inside
     several take the class with the smallest Euclidean distance to the
     class mean, ties to the lowest code. Nodata in any band propagates.
+    The bands share one georeferencing; they are read a block of rows at a time.
     """
     if not boxes:
         raise ValueError("no class boxes given")
     for box in boxes:
-        if box.n_bands != image.n_bands:
+        if box.n_bands != len(bands):
             raise ValueError(
-                f"class {box.class_code} has {box.n_bands} band bounds, image has {image.n_bands}"
+                f"class {box.class_code} has {box.n_bands} band bounds, image has {len(bands)}"
             )
-    ref = image.bands[0]
-    # Running best over classes in code order: a strict < keeps the lowest
-    # code on ties, and a distance that overflows to inf never wins.
-    best = np.full(ref.values.shape, np.inf)
+    ref = bands[0]
     out = np.full(ref.values.shape, float(UNCLASSIFIED))
-    for box in sorted(boxes, key=lambda b: b.class_code):
-        inside = np.ones(ref.values.shape, dtype=bool)
-        d2 = np.zeros(ref.values.shape)
-        for band, lo, hi, mean in zip(image.bands, box.lows, box.highs, box.means):
-            inside &= (band.values >= lo) & (band.values <= hi)
-            with np.errstate(over="ignore"):
-                d2 += (band.values - mean) ** 2
-        closer = inside & (d2 < best)
-        best[closer] = d2[closer]
-        out[closer] = box.class_code
-    for b in image.bands:
-        out[b.values == b.nodata] = ref.nodata
+    step = max(1, _WRITE_CELLS // ref.ncols)  # rows per block
+    for lo in range(0, ref.nrows, step):
+        block = [band.values[lo : lo + step] for band in bands]
+        codes = out[lo : lo + step]
+        # Running best over classes in code order: a strict < keeps the lowest
+        # code on ties, and a distance that overflows to inf never wins.
+        best = np.full(codes.shape, np.inf)
+        for box in sorted(boxes, key=lambda b: b.class_code):
+            inside = np.ones(codes.shape, dtype=bool)
+            d2 = np.zeros(codes.shape)
+            for values, low, high, mean in zip(block, box.lows, box.highs, box.means):
+                inside &= (values >= low) & (values <= high)
+                with np.errstate(over="ignore"):
+                    d2 += (values - mean) ** 2
+            closer = inside & (d2 < best)
+            best[closer] = d2[closer]
+            codes[closer] = box.class_code
+        for band, values in zip(bands, block):
+            codes[values == band.nodata] = ref.nodata
     return replace(ref, values=out)
 
 

@@ -48,10 +48,12 @@ allocated.
 Values are written with shortest round-trip precision, so
 ``read(write(g))`` reproduces ``g`` exactly. A large grid's body is
 formatted in contiguous row strips, one per CPU this process may run on,
-by one function that sends a strip a row at a time: this process writes
-each row of the first strip as it comes, forked workers keep the rows of
-the others, and their text is copied on in strip order, a bounded chunk
-at a time, so the bytes do not depend on the number of workers.
+by one function that takes a strip's values a block of rows at a time
+(computed by the caller's ``rows``, a slope map say, or from the grid),
+checks them and sends them a row at a time: this process writes each row
+of the first strip as it comes, forked workers keep the rows of the
+others, and their text is copied on in strip order, a bounded chunk at a
+time, so the bytes and errors do not depend on the number of workers.
 A grid written to a path appears whole or not at all (see ``_open_text``).
 """
 
@@ -65,7 +67,7 @@ import math
 import os
 import re
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO
 
@@ -179,25 +181,6 @@ def _check_georef(ncols: int, nrows: int, xll: float, yll: float, cellsize: floa
         raise ValueError("cellsize must be positive")
     if not all(map(math.isfinite, (xll, yll, cellsize))):
         raise ValueError("xll, yll and cellsize must be finite")
-
-
-@dataclass
-class MultibandGrid:
-    """An ordered stack of grids sharing identical georeferencing."""
-
-    bands: list[Grid] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.bands:
-            raise ValueError("at least one band required")
-        first = self.bands[0]
-        for i, b in enumerate(self.bands[1:], start=2):
-            if not first.same_georef(b):
-                raise ValueError(f"band {i} georeferencing differs from band 1")
-
-    @property
-    def n_bands(self) -> int:
-        return len(self.bands)
 
 
 def _cell_units(grid: Grid, x, y):
@@ -483,14 +466,12 @@ def _read_body(
 ) -> None:
     """Convert the grid body, which starts with ``text`` on file line
     ``lineno`` and goes on with ``reads``, into ``values``, whose size is the
-    count it must have.
+    count it must have; each read is cut by ``_cut``.
 
-    Each read, after the text carried from the last, is converted up to
-    ``_cut`` and the rest is carried on. With ``cells`` (sorted flat
-    indices) only those cells are stored; a piece that ``_scan`` accepts is
-    checked without ``float()``. Every piece is
-    counted, also after a bad one, so a wrong count wins over a bad token,
-    whose line and column come from re-scanning only its piece.
+    With ``cells`` (sorted flat indices) only those cells are stored; a
+    piece that ``_scan`` accepts is checked without ``float()``. Every piece
+    is counted, also after a bad one, so a wrong count wins over a bad
+    token, whose line and column come from re-scanning only its piece.
     """
     expected = values.size
     got = column = 0  # values so far, and values so far on line lineno
@@ -620,23 +601,44 @@ def _grid_line(values) -> str:
     return text.replace(".0 ", " ").replace(".0\n", "\n")
 
 
-def write_ascii_grid(grid: Grid, dest: str | Path | TextIO, comment: str | None = None) -> None:
+def _check_finite(values: np.ndarray, row: int) -> None:
+    """Raise NonFiniteGridError naming the first NaN or infinite value of
+    ``values``, rows of a grid from ``row`` on."""
+    if not np.isfinite(values).all():
+        r, c = (int(k[0]) for k in np.nonzero(~np.isfinite(values)))
+        raise NonFiniteGridError(
+            f"cannot write non-finite value {values[r, c]} at row {row + r}, column {c}"
+        )
+
+
+def write_ascii_grid(grid: Grid, dest: str | Path | TextIO, comment: str | None = None,
+                     rows: Callable[[int, int], np.ndarray] | None = None) -> None:
     """Write a grid as ASCII text.
 
     ``comment`` (optional) is emitted as leading ``#`` lines; the reader
-    skips them, so round-tripping is unaffected. A NaN or infinite value
-    raises NonFiniteGridError naming its row and column (0-based from the
-    top-left cell) before anything is written. With enough cells the rows
-    are formatted in strips by forked workers (see the module docstring); a
-    worker that fails raises ChildProcessError naming its rows.
+    skips them, so round-tripping is unaffected. ``rows(lo, hi)``, if given,
+    gives the values of rows lo..hi-1 in place of ``grid.values``, a block
+    of rows at a time. A NaN or infinite value raises NonFiniteGridError
+    naming its row and column (0-based from the top-left cell) before its
+    block is written (a stream keeps the rows before it), and before
+    anything is if it is in ``grid.values``. With enough cells the rows are
+    formatted in strips by forked workers (see the module docstring); a
+    worker that fails otherwise raises ChildProcessError naming its rows.
     """
-    if not np.isfinite(grid.values).all():
-        r, c = (int(k[0]) for k in np.nonzero(~np.isfinite(grid.values)))
-        raise NonFiniteGridError(
-            f"cannot write non-finite value {grid.values[r, c]} at row {r}, column {c}"
-        )
+    _check_finite(grid.values, 0)
     if not math.isfinite(grid.nodata):
         raise NonFiniteGridError(f"cannot write non-finite nodata {grid.nodata}")
+    if rows is None:
+        rows = lambda lo, hi: grid.values[lo:hi]
+    step = max(1, _WRITE_CELLS // grid.ncols)  # rows per block
+
+    def strip(lo: int, hi: int, send: Callable[[bytes], object]) -> None:
+        for at in range(lo, hi, step):
+            block = rows(at, min(at + step, hi))
+            _check_finite(block, at)
+            for row in block:
+                send(_grid_line(row).encode("ascii"))
+
     with _open_text(dest, "w") as stream:
         if comment:
             for ln in comment.splitlines():
@@ -645,12 +647,6 @@ def write_ascii_grid(grid: Grid, dest: str | Path | TextIO, comment: str | None 
         for key, value in (("xllcorner", grid.xll), ("yllcorner", grid.yll),
                            ("cellsize", grid.cellsize), ("NODATA_value", grid.nodata)):
             stream.write(f"{key} {_grid_line([value])}")
-        rows = grid.values
-
-        def strip(lo: int, hi: int, send: Callable[[bytes], object]) -> None:
-            for row in rows[lo:hi]:
-                send(_grid_line(row).encode("ascii"))
-
-        workers = _worker_count(grid.nrows, rows.size, _WRITE_CELLS)
+        workers = _worker_count(grid.nrows, grid.values.size, _WRITE_CELLS)
         bounds = [k * grid.nrows // workers for k in range(workers + 1)]
         _map_parts(strip, lambda chunk: stream.write(chunk.decode("ascii")), bounds, "rows")

@@ -12,15 +12,15 @@ degrees; aspect is atan2(dz/dy, -dz/dx) remapped to compass degrees
 neighbours take the window's centre value, so edge cells still get
 values; cells whose centre is nodata stay nodata.
 
-``slope_aspect`` computes every cell of a DEM (``demqa terrain``);
-``slope_aspect_at`` reads only the windows of the cells it is given
-(``assess`` needs the cells under its control points). Both run the one
-kernel, ``_horn``, so a cell gets the same bits from either.
+``slope_aspect`` computes a block of rows (``demqa terrain`` writes its
+grids a block at a time); ``slope_aspect_at`` reads only the windows of
+the cells it is given (``assess`` needs the cells under its control
+points). Both run the one kernel, ``_horn``, so a cell gets the same bits
+from either, and from any split of the rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,17 +33,10 @@ FLAT_ASPECT = -1.0
 _OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
-@dataclass(frozen=True)
-class DerivativePair:
-    """Slope (degrees, [0, 90]) and aspect (degrees, [0, 360) or -1 flat)."""
-
-    slope: Grid
-    aspect: Grid
-
-
 class CellDerivatives(NamedTuple):
-    """Slope and aspect at requested cells: 1-D float64 arrays, NaN where
-    the cell is nodata."""
+    """Slope (degrees, [0, 90]) and aspect (degrees, [0, 360) or -1 flat):
+    float64 arrays over the given cells or rows; nodata cells hold NaN
+    (``slope_aspect_at``) or the DEM's nodata value (``slope_aspect``)."""
 
     slope: np.ndarray
     aspect: np.ndarray
@@ -76,22 +69,25 @@ def _horn(
     return np.where(invalid, fill, slope_deg), np.where(invalid, fill, aspect_deg)
 
 
-def slope_aspect(dem: Grid, z_factor: float = 1.0) -> DerivativePair:
-    """Slope and aspect grids of a DEM.
+def slope_aspect(dem: Grid, lo: int, hi: int, z_factor: float = 1.0) -> CellDerivatives:
+    """Slope and aspect of rows ``lo..hi-1`` of a DEM, read with the rows
+    beside them; ValueError for rows off the grid.
 
     ``z_factor`` converts vertical units to the horizontal units before
     the slope angle is taken (1 when both are metres).
     """
-    invalid = dem.values == dem.nodata
-    work = np.where(invalid, np.nan, dem.values)
-    padded = np.pad(work, 1, mode="constant", constant_values=np.nan)
+    if not 0 <= lo <= hi <= dem.nrows:
+        raise ValueError("rows off the grid")
+    top, bottom = max(lo - 1, 0), min(hi + 1, dem.nrows)
+    invalid = dem.values[top:bottom] == dem.nodata
+    padded = np.pad(np.where(invalid, np.nan, dem.values[top:bottom]), 1, constant_values=np.nan)
+    at = 1 + lo - top  # row lo of padded, whose edges are NaN
     neighbours = [
-        padded[1 + dr : 1 + dr + dem.nrows, 1 + dc : 1 + dc + dem.ncols] for dr, dc in _OFFSETS
+        padded[at + dr : at + dr + hi - lo, 1 + dc : 1 + dc + dem.ncols] for dr, dc in _OFFSETS
     ]
-    slope_deg, aspect_deg = _horn(work, neighbours, invalid, dem.cellsize, z_factor, dem.nodata)
-    return DerivativePair(
-        slope=replace(dem, values=slope_deg), aspect=replace(dem, values=aspect_deg)
-    )
+    centre, invalid = padded[at : at + hi - lo, 1:-1], invalid[lo - top : hi - top]
+    slope, aspect = _horn(centre, neighbours, invalid, dem.cellsize, z_factor, dem.nodata)
+    return CellDerivatives(slope=slope, aspect=aspect)
 
 
 def slope_aspect_at(

@@ -348,6 +348,17 @@ def test_terrain_command(tmp_path):
     assert np.allclose(aspect.values[1:-1, 1:-1], 270.0, atol=1e-9)
 
 
+def test_terrain_directory_target_replaces_neither_file(tmp_path, capsys):
+    write_ascii_grid(make_plane(1.0, 0.0, 0.0, 6, 6), tmp_path / "plane.asc")
+    (tmp_path / "drv_slope.asc").write_bytes(b"an earlier slope\n")
+    (tmp_path / "drv_aspect.asc").mkdir()
+    argv = ["terrain", str(tmp_path / "plane.asc"), "--out-prefix", str(tmp_path / "drv")]
+    assert main(argv) == 3
+    assert "drv_aspect.asc" in capsys.readouterr().err
+    assert (tmp_path / "drv_slope.asc").read_bytes() == b"an earlier slope\n"
+    assert sorted(os.listdir(tmp_path)) == ["drv_aspect.asc", "drv_slope.asc", "plane.asc"]
+
+
 def test_moran_command_analytic_only(tmp_path, capsys):
     samples = tmp_path / "s.csv"
     rng = np.random.default_rng(5)
@@ -803,6 +814,26 @@ def test_terrain_overflowing_slope_exits_4_without_warnings(tmp_path, capsys):
                                        "non-finite value nan at row 1, column 0\n")
     assert not (tmp_path / "d_slope.asc").exists()
     assert not (tmp_path / "d_aspect.asc").exists()
+
+
+def test_terrain_overflow_in_a_forked_strip_exits_4(tmp_path, monkeypatch, capfd):
+    # the NaN slope is computed in the second strip's worker, which raises;
+    # its strip runs again here and names the cell as one process would
+    values = np.arange(60.0).reshape(10, 6)
+    values[-3:] = [[1e308], [-1e308], [1e308]]
+    write_ascii_grid(Grid(ncols=6, nrows=10, xll=0, yll=0, cellsize=1, values=values),
+                     tmp_path / "dem.asc")
+    last = []
+    for workers in (2, 1):
+        monkeypatch.setattr(demqa._workers, "_WORKERS", workers)
+        argv = ["terrain", str(tmp_path / "dem.asc"), "--out-prefix", str(tmp_path / "d")]
+        assert main(argv) == 4
+        err = capfd.readouterr().err
+        assert "Traceback" not in err
+        last.append(err.splitlines()[-1])
+        assert sorted(os.listdir(tmp_path)) == ["dem.asc"]
+    assert last[0] == last[1] == ("degenerate statistics [terrain]: cannot write non-finite "
+                                  "value nan at row 8, column 0")
 
 
 def claim(n):

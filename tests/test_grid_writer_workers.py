@@ -5,6 +5,8 @@ behind."""
 import io
 import os
 import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ import demqa._workers
 import demqa.raster
 from demqa.cli import main
 from demqa.raster import Grid, read_ascii_grid, write_ascii_grid
+from demqa.synth import make_smoothed_noise
+from demqa.terrain import slope_aspect
 
 
 def assert_no_child_left():
@@ -134,3 +138,23 @@ def test_failing_writer_child_exits_3(monkeypatch, tmp_path, capfd):
         # no partial grid and no temporary file; an earlier grid keeps its bytes
         assert os.listdir(tmp_path) == ([] if before is None else ["g.asc"])
         assert before is None or out.read_bytes() == before
+
+
+def test_computed_rows_are_held_a_block_at_a_time(monkeypatch, tmp_path):
+    # Horn's ~16 temporaries of a default 32,768-cell block (about 4.2 MB)
+    # outweigh this DEM's 2.88 MB, so the blocks here are 4,096 cells: the
+    # peak follows the block, not the grid
+    monkeypatch.setattr(demqa._workers, "_WORKERS", 1)
+    monkeypatch.setattr(demqa.raster, "_WRITE_CELLS", 1 << 12)
+    dem = make_smoothed_noise(5.0, 3, 600, 600, seed=7)
+    tracemalloc.start()
+    try:
+        write_ascii_grid(dem, tmp_path / "blocks.asc",
+                         rows=lambda lo, hi: slope_aspect(dem, lo, hi).slope)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= dem.values.nbytes / 4
+    write_ascii_grid(replace(dem, values=slope_aspect(dem, 0, dem.nrows).slope),
+                     tmp_path / "whole.asc")
+    assert (tmp_path / "blocks.asc").read_bytes() == (tmp_path / "whole.asc").read_bytes()

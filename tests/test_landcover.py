@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import demqa.landcover
 from demqa.errors import InsufficientDataError, ParseError
 from demqa.landcover import (
     ClassBox,
@@ -12,14 +13,12 @@ from demqa.landcover import (
     read_training_csv,
     train_parallelepiped,
 )
-from demqa.raster import Grid, MultibandGrid
+from demqa.raster import Grid
 
 
 def one_band_image(values, ncols, nrows, nodata=-9999.0):
-    return MultibandGrid(bands=[
-        Grid(ncols=ncols, nrows=nrows, xll=0, yll=0, cellsize=1,
-             nodata=nodata, values=values)
-    ])
+    return [Grid(ncols=ncols, nrows=nrows, xll=0, yll=0, cellsize=1,
+                 nodata=nodata, values=values)]
 
 
 def box(code, lo, hi, mean, label=None):
@@ -154,10 +153,10 @@ def synthetic_scene(seed=0):
         m = truth == code
         b1[m] = m1 + rng.uniform(-3.0, 3.0, m.sum())
         b2[m] = m2 + rng.uniform(-3.0, 3.0, m.sum())
-    image = MultibandGrid(bands=[
+    image = [
         Grid(ncols=ncols, nrows=nrows, xll=0, yll=0, cellsize=1, values=b1),
         Grid(ncols=ncols, nrows=nrows, xll=0, yll=0, cellsize=1, values=b2),
-    ])
+    ]
     return image, truth
 
 
@@ -169,14 +168,14 @@ def test_synthetic_disjoint_classes_fully_recovered():
         rows, cols = np.nonzero(truth == code)
         pick = rng.choice(len(rows), size=12, replace=False)
         for idx in pick:
-            x, y = image.bands[0].cell_center(int(rows[idx]), int(cols[idx]))
+            x, y = image[0].cell_center(int(rows[idx]), int(cols[idx]))
             training.append((x, y, code))
     boxes = train_parallelepiped(image, training, k=8.0)
     out = classify(image, boxes)
     assert np.array_equal(out.values.astype(int), truth)
 
 
-def test_classify_deterministic():
+def test_classify_deterministic(monkeypatch):
     image, _ = synthetic_scene(seed=9)
     rng = np.random.default_rng(2)
     training = [
@@ -189,6 +188,9 @@ def test_classify_deterministic():
     a = classify(image, boxes)
     b = classify(image, boxes)
     assert np.array_equal(a.values, b.values)
+    for cells in (1, 50):  # blocks of one row, and of two
+        monkeypatch.setattr(demqa.landcover, "_WRITE_CELLS", cells)
+        assert classify(image, boxes) == a
 
 
 def test_output_codes_in_declared_set():

@@ -136,6 +136,22 @@ def test_failing_child_raises_in_the_parent(capfd):
     assert capfd.readouterr().err == "worker for replicates 3..9: ValueError('worker broke')\n"
 
 
+def test_a_child_that_raises_has_its_error_raised_here(capfd):
+    # the part runs again in this process, which raises the child's own error
+    def fail(lo, hi, send):
+        if lo >= 3:
+            raise ValueError(f"no value at {lo}")
+        send(np.arange(lo, hi, dtype=np.float64).tobytes())
+
+    with pytest.raises(ValueError, match="^no value at 3$"):
+        map_parts(fail, [0, 3, 10, 12])
+    assert_no_child_left()
+    assert sorted(capfd.readouterr().err.splitlines()) == [  # the children write in any order
+        "worker for replicates 10..11: ValueError('no value at 10')",
+        "worker for replicates 3..9: ValueError('no value at 3')",
+    ]
+
+
 class ShortBytes(bytes):
     """Bytes that claim one float64 more than they hold: a child that sends
     them announces 8 bytes it never writes."""

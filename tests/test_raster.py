@@ -14,7 +14,6 @@ from demqa.raster import (
     _REQUIRED_KEYS,
     DEFAULT_NODATA,
     Grid,
-    MultibandGrid,
     _csv_rows,
     _open_text,
     cell_of,
@@ -227,14 +226,6 @@ def test_grid_values_read_only():
     g = Grid(ncols=2, nrows=1, xll=0, yll=0, cellsize=1, values=[1, 2])
     with pytest.raises(ValueError):
         g.values[0, 0] = 5
-
-
-def test_multiband_georef_check():
-    a = Grid(ncols=2, nrows=1, xll=0, yll=0, cellsize=1, values=[1, 2])
-    b = Grid(ncols=2, nrows=1, xll=0, yll=0, cellsize=2, values=[1, 2])
-    with pytest.raises(ValueError, match="band 2"):
-        MultibandGrid(bands=[a, b])
-    assert MultibandGrid(bands=[a, a]).n_bands == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -255,7 +256,8 @@ def test_attach_derivatives_equals_full_grid_lookup():
     xy = np.column_stack([rng.uniform(95, 130, 200), rng.uniform(45, 72, 200)])
     recs = extract_coincident(dem, table([pt(float(x), float(y), pid=f"p{k}")
                                           for k, (x, y) in enumerate(xy)]))
-    pair = slope_aspect(dem, z_factor=1.7)
+    slope_grid, aspect_grid = (replace(dem, values=v)
+                               for v in slope_aspect(dem, 0, dem.nrows, z_factor=1.7))
     out = attach_derivatives(dem, recs, z_factor=1.7)
     assert out.ids == recs.ids
     assert np.isnan(out.slope_deg).any()
@@ -263,8 +265,8 @@ def test_attach_derivatives_equals_full_grid_lookup():
     got = zip(out.x.tolist(), out.y.tolist(), listed(out.slope_deg), listed(out.aspect_deg))
     for x, y, slope, aspect in got:
         rc = cell_of(dem, x, y)
-        want_s = None if rc is None else pair.slope.value_at(*rc)
-        want_a = None if rc is None else pair.aspect.value_at(*rc)
+        want_s = None if rc is None else slope_grid.value_at(*rc)
+        want_a = None if rc is None else aspect_grid.value_at(*rc)
         assert (slope, aspect) == (want_s, want_a)
 
 
