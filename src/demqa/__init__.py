@@ -7,111 +7,40 @@ aspect derivatives, correlation of errors with terrain, and one-way
 ANOVA across land-cover strata.
 """
 
-from .errors import (
-    ConfigError,
-    DegenerateDataError,
-    DegenerateWeightsError,
-    DemqaError,
-    InsufficientDataError,
-    NonFiniteGridError,
-    ParseError,
-    TrainingPointError,
-    ZeroVarianceError,
-)
-from .raster import Grid, cell_of, cells_of, read_ascii_grid, write_ascii_grid
-from .sample import (
-    SampleTable,
-    attach_class,
-    attach_derivatives,
-    extract_coincident,
-    read_gcp_csv,
-)
-from .screen import TukeyFences, quartiles, tukey_filter, validity_filter
-from .spatial import (
-    MoranResult,
-    PermutationResult,
-    WeightsMatrix,
-    build_weights,
-    morans_i,
-    morans_significance,
-    permutation_test,
-)
-from .stats import (
-    AnovaTable,
-    CorrelationResult,
-    SummaryStats,
-    anova_decompose,
-    f_cdf,
-    f_test,
-    histogram,
-    normal_cdf,
-    pearson_r,
-    summarize,
-    two_tailed_p,
-)
-from .terrain import CellDerivatives, slope_aspect, slope_aspect_at
-from .landcover import ClassBox, classify, train_parallelepiped
-from .synth import (
-    ControlPoint,
-    make_checkerboard,
-    make_plane,
-    make_smoothed_noise,
-    scatter_points,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnovaTable",
-    "CellDerivatives",
-    "ClassBox",
-    "ConfigError",
-    "ControlPoint",
-    "CorrelationResult",
-    "DegenerateDataError",
-    "DegenerateWeightsError",
-    "DemqaError",
-    "Grid",
-    "InsufficientDataError",
-    "MoranResult",
-    "NonFiniteGridError",
-    "ParseError",
-    "PermutationResult",
-    "SampleTable",
-    "SummaryStats",
-    "TrainingPointError",
-    "TukeyFences",
-    "WeightsMatrix",
-    "ZeroVarianceError",
-    "anova_decompose",
-    "attach_class",
-    "attach_derivatives",
-    "build_weights",
-    "cell_of",
-    "cells_of",
-    "classify",
-    "extract_coincident",
-    "f_cdf",
-    "f_test",
-    "histogram",
-    "make_checkerboard",
-    "make_plane",
-    "make_smoothed_noise",
-    "morans_i",
-    "morans_significance",
-    "normal_cdf",
-    "pearson_r",
-    "permutation_test",
-    "quartiles",
-    "read_ascii_grid",
-    "read_gcp_csv",
-    "scatter_points",
-    "slope_aspect",
-    "slope_aspect_at",
-    "summarize",
-    "train_parallelepiped",
-    "tukey_filter",
-    "two_tailed_p",
-    "validity_filter",
-    "write_ascii_grid",
-]
+# The public names, each under the module that defines it. A name is
+# imported on first use (PEP 562), so ``import demqa`` compiles nothing else
+# and each command compiles only the modules it runs.
+_HOMES = {
+    "errors": ("ConfigError", "DegenerateDataError", "DegenerateWeightsError", "DemqaError",
+               "InsufficientDataError", "NonFiniteGridError", "ParseError",
+               "TrainingPointError", "ZeroVarianceError"),
+    "raster": ("Grid", "cell_of", "cells_of", "read_ascii_grid", "write_ascii_grid"),
+    "sample": ("SampleTable", "attach_class", "attach_derivatives", "extract_coincident",
+               "read_gcp_csv"),
+    "screen": ("TukeyFences", "quartiles", "tukey_filter", "validity_filter"),
+    "spatial": ("MoranResult", "PermutationResult", "WeightsMatrix", "build_weights",
+                "morans_i", "morans_significance", "permutation_test"),
+    "stats": ("AnovaTable", "CorrelationResult", "SummaryStats", "anova_decompose", "f_cdf",
+              "f_test", "histogram", "normal_cdf", "pearson_r", "summarize", "two_tailed_p"),
+    "terrain": ("CellDerivatives", "slope_aspect", "slope_aspect_at"),
+    "landcover": ("ClassBox", "classify", "train_parallelepiped"),
+    "synth": ("ControlPoint", "make_checkerboard", "make_plane", "make_smoothed_noise",
+              "scatter_points"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name: str):
+    if name not in _HOME_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME_OF[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

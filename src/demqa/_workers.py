@@ -1,11 +1,17 @@
 """Ordered parts of one job on every CPU this process may run on.
 
-``_map_parts`` runs ``part(lo, hi, send)`` for the first part in this
-process, where ``send`` hands each piece on, and for each other one in a
-plain ``os.fork`` child (no ``multiprocessing``), which sends its pieces
-through a pipe as an 8-byte total length and then the pieces. The parent
-hands the bytes on in part order, so the result cannot depend on how
-many parts there are. Callers split their work into one part per worker.
+``_map_parts`` runs ``part(lo, hi, *sends)`` for each part of a job, with
+one ``send`` per output stream. The first part runs in this process, whose
+``send``s hand each piece straight to its stream. Each other part runs in
+a plain ``os.fork`` child (no ``multiprocessing``), which keeps one list of
+pieces per stream and, when its part ends, sends through a pipe one 8-byte
+length per stream and then each stream's pieces. The parent hands the
+bytes on in part order, so the result cannot depend on how many parts
+there are. A child whose part raises sends its message instead: the
+parent runs that part again, to raise the error as a serial run would,
+and prints the child's message only if it does not. Callers split their
+work into one part per worker (the grid writer into rounds of them, so a
+child holds a bounded text).
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ _WORKERS: int | None = None
 # Bytes copied from a child's pipe at a time.
 _CHUNK_BYTES = 1 << 16
 _LENGTH_BYTES = 8
+# Sent in place of the first length by a child whose part raised; its
+# message follows.
+_FAILED = (1 << 64) - 1
 
 
 def _worker_count(parts: int, work: int, per_worker: int) -> int:
@@ -37,9 +46,11 @@ def _worker_count(parts: int, work: int, per_worker: int) -> int:
     return max(1, min(cpus, parts, work // per_worker))
 
 
-def _fork_part(part: Callable[..., object], lo: int, hi: int, what: str) -> tuple[int, int]:
-    """Start a child that runs part(lo, hi, send) and writes its pieces'
-    total length and the pieces to a pipe; return its pid and the read end."""
+def _fork_part(part: Callable[..., object], lo: int, hi: int, streams: int,
+               what: str) -> tuple[int, int]:
+    """Start a child that runs part(lo, hi, *sends) with ``streams`` sends
+    and writes to a pipe what ``_send_part`` writes; return its pid and the
+    read end."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -53,74 +64,93 @@ def _fork_part(part: Callable[..., object], lo: int, hi: int, what: str) -> tupl
         status = 1
         try:
             os.close(read_end)
-            pieces: list[bytes] = []
-            part(lo, hi, pieces.append)
-            with open(write_end, "wb") as pipe:
-                pipe.write(sum(map(len, pieces)).to_bytes(_LENGTH_BYTES, "little"))
-                pipe.writelines(pieces)
-            status = 0
-        except BaseException as exc:
-            os.write(2, f"worker for {what} {lo}..{hi - 1}: {exc!r}\n".encode())
+            status = _send_part(part, lo, hi, streams, what, write_end)
         finally:
             os._exit(status)
     os.close(write_end)
     return pid, read_end
 
 
-def _copy(fd: int, out: Callable[[bytes], object]) -> tuple[int, int | None]:
-    """Pass a child's bytes from pipe ``fd`` to ``out`` in bounded chunks;
-    return the bytes received and the length the child announced (None if
-    it sent none)."""
+def _send_part(part: Callable[..., object], lo: int, hi: int, streams: int, what: str,
+               fd: int) -> int:
+    """Run part(lo, hi, *sends) and write to pipe ``fd`` the total length of
+    each stream's pieces and then the pieces, stream by stream; or, if the
+    part raises, ``_FAILED`` and a line naming the part and the error.
+    Return the exit status: 0, or 1 if the part raised."""
+    pieces: list[list[bytes]] = [[] for _ in range(streams)]
+    status = 0
+    try:
+        part(lo, hi, *(p.append for p in pieces))
+        lengths = [sum(map(len, p)) for p in pieces]
+    except BaseException as exc:
+        status, lengths = 1, [_FAILED]
+        pieces = [[f"worker for {what} {lo}..{hi - 1}: {exc!r}\n".encode()]]
+    with open(fd, "wb") as pipe:
+        pipe.writelines(n.to_bytes(_LENGTH_BYTES, "little") for n in lengths)
+        for stream in pieces:
+            pipe.writelines(stream)
+    return status
+
+
+def _copy(fd: int, outs: Sequence[Callable[[bytes], object]]) -> tuple[int, int | None, bytes]:
+    """Pass a child's bytes from pipe ``fd`` to ``outs``, stream by stream
+    in bounded chunks; return the bytes received, the total the child
+    announced (None if it announced none) and its message (empty unless
+    its part raised)."""
     with open(fd, "rb", closefd=False) as pipe:
-        head = pipe.read(_LENGTH_BYTES)
-        if len(head) < _LENGTH_BYTES:
-            return 0, None
-        size = int.from_bytes(head, "little")
+        head = pipe.read(_LENGTH_BYTES * len(outs))
+        lengths = [int.from_bytes(head[k : k + _LENGTH_BYTES], "little")
+                   for k in range(0, len(head) - _LENGTH_BYTES + 1, _LENGTH_BYTES)]
+        if lengths[:1] == [_FAILED]:
+            return 0, None, head[_LENGTH_BYTES:] + pipe.read()
+        if len(lengths) < len(outs):
+            return 0, None, b""
         got = 0
-        while got < size:
-            chunk = pipe.read(min(_CHUNK_BYTES, size - got))
-            if not chunk:
-                break
-            out(chunk)
-            got += len(chunk)
-    return got, size
+        for out, size in zip(outs, lengths):
+            end = got + size
+            while got < end and (chunk := pipe.read(min(_CHUNK_BYTES, end - got))):
+                out(chunk)
+                got += len(chunk)
+    return got, sum(lengths), b""
 
 
 def _map_parts(
-    part: Callable[[int, int, Callable[[bytes], object]], object],
-    out: Callable[[bytes], object],
+    part: Callable[..., object],
+    outs: Sequence[Callable[[bytes], object]],
     bounds: Sequence[int],
     what: str,
 ) -> None:
-    """Deliver the pieces that ``part(lo, hi, send)`` sends (bytes, or
-    buffers whose ``len`` counts bytes) for each part of consecutive
-    ``bounds`` to ``out``, in order: the first part runs here with ``out``
-    as ``send``, each other one in a forked child, whose bytes reach
-    ``out`` in chunks of at most ``_CHUNK_BYTES``. Every child is reaped
-    before this returns or raises; if this process raises, the children
-    are killed first. A child that raised (exit status 1) has its part run
-    again here, sending nothing, to raise its error; one that passes here,
-    or exits non-zero otherwise or sends fewer bytes than it announced,
-    raises ChildProcessError naming its ``what``
+    """Deliver the pieces that ``part(lo, hi, *sends)`` sends to each of its
+    streams (bytes, or buffers whose ``len`` counts bytes) for each part of
+    consecutive ``bounds`` to that stream's ``outs`` entry, in part order:
+    the first part runs here with ``outs`` as its ``sends``, each other one
+    in a forked child, whose bytes reach ``outs`` in chunks of at most
+    ``_CHUNK_BYTES``. Every child is reaped before this returns or raises;
+    if this process raises, the children are killed first. A child that
+    raised (exit status 1) has its part run again here, sending nothing,
+    to raise its error; if that passes, the child's message goes to stderr.
+    Such a child, and one that exits non-zero otherwise or sends fewer bytes
+    than it announced, raises ChildProcessError naming its ``what``
     ("rows", say) lo..hi-1, its exit status and the bytes received.
     """
     parts = list(zip(bounds[:-1], bounds[1:]))
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    received = []  # (bytes, length announced) of each child
+    received = []  # (bytes, length announced, message) of each child
     try:
         for lo, hi in parts[1:]:
-            children.append(_fork_part(part, lo, hi, what))
-        part(*parts[0], out)
+            children.append(_fork_part(part, lo, hi, len(outs), what))
+        part(*parts[0], *outs)
         for _, fd in children:
-            received.append(_copy(fd, out))
+            received.append(_copy(fd, outs))
     except BaseException:
         _reap(children, kill=True)
         raise
     statuses = _reap(children, kill=False)
-    for (lo, hi), status, (got, size) in zip(parts[1:], statuses, received):
+    for (lo, hi), status, (got, size, message) in zip(parts[1:], statuses, received):
         if status or size is None or got < size:
             if status == 1:
-                part(lo, hi, lambda piece: None)
+                part(lo, hi, *[lambda piece: None] * len(outs))
+                os.write(2, message)
             of = "" if size is None else f" of {size}"
             raise ChildProcessError(f"worker for {what} {lo}..{hi - 1} exited with "
                                     f"status {status} after {got}{of} bytes")

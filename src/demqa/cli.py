@@ -12,6 +12,10 @@ values. Every report echoes the full resolved configuration, because most
 of the knobs (weights scheme, quantile convention, extraction method)
 change numbers.
 
+Each subcommand imports the modules it runs when it starts, so ``terrain``
+compiles neither the pipeline nor the statistics; the legal values that
+the options and the parser check come from :mod:`demqa.choices`.
+
 Exit codes: 0 success, 2 configuration error, 3 input parse error,
 4 degenerate statistics.
 """
@@ -29,20 +33,24 @@ import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 import numpy as np
 
 from . import __version__
+from .choices import (
+    ASSUMPTIONS,
+    EXTRACTION_METHODS,
+    FILTER_FIELDS,
+    MAX_PERMUTATIONS,
+    SCENE_KINDS,
+    WEIGHT_SCHEMES,
+)
 from .errors import ConfigError, DegenerateDataError, ParseError
-from .landcover import read_legend_csv, read_training_csv, train_parallelepiped, classify
-from .pipeline import moran_section, run_assess
 from .raster import _csv_rows, _open_text, read_ascii_grid, write_ascii_grid
-from .sample import EXTRACTION_METHODS, SampleTable
-from .screen import FILTER_FIELDS
-from .spatial import ASSUMPTIONS, MAX_PERMUTATIONS, WEIGHT_SCHEMES
-from .synth import SCENE_KINDS, make_checkerboard, make_plane, make_smoothed_noise, scatter_points
-from .terrain import FLAT_ASPECT, slope_aspect
+
+if TYPE_CHECKING:
+    from .sample import SampleTable
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -340,6 +348,8 @@ def write_assess_outputs(
 def _write_files(
     report: dict, samples: SampleTable, files: dict[str, TextIO], legend: dict[int, str]
 ) -> None:
+    from .terrain import FLAT_ASPECT
+
     files[REPORT_NAME].write(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
 
     floats = ("x", "y", "h_ref", "h_dem", "delta_h", "slope_deg", "aspect_deg")
@@ -403,6 +413,8 @@ def _write_files(
 
 
 def cmd_assess(args: argparse.Namespace) -> int:
+    from .pipeline import run_assess
+
     cfg = _config(args, OPTIONS)
     report, samples, legend = run_assess(cfg)
     written = write_assess_outputs(report, samples, cfg.out_dir, legend)
@@ -417,22 +429,24 @@ def cmd_assess(args: argparse.Namespace) -> int:
 
 
 def cmd_terrain(args: argparse.Namespace) -> int:
+    from .terrain import slope_aspect
+
     _check("--z-factor", args.z_factor, POSITIVE)
     dem = read_ascii_grid(args.dem)
     comment = _provenance("terrain") + f" from {args.dem}"
     paths = [f"{args.out_prefix}_{name}.asc" for name in ("slope", "aspect")]
-    with contextlib.ExitStack() as stack:  # both files replace their targets, or neither
-        files = [stack.enter_context(_open_text(path, "w")) for path in paths]
-        for k, f in enumerate(files):  # Horn runs a block of rows at a time, in the writer
-            rows = lambda lo, hi, k=k: slope_aspect(dem, lo, hi, args.z_factor)[k]
-            write_ascii_grid(dem, f, comment=comment, rows=rows)
-            f.flush()  # a full disk fails here, before either file replaces its target
+    # one Horn pass, a block of rows at a time in the writer, gives both
+    # files; both replace their targets, or neither
+    write_ascii_grid(dem, paths, comment=comment,
+                     rows=lambda lo, hi: slope_aspect(dem, lo, hi, args.z_factor))
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from .landcover import classify, read_legend_csv, read_training_csv, train_parallelepiped
+
     _check("--k", args.k, POSITIVE)
     bands = [read_ascii_grid(p) for p in args.image]
     for k, (path, band) in enumerate(zip(args.image, bands), start=1):
@@ -483,6 +497,8 @@ def _read_samples_csv(path: str, field_name: str) -> tuple[list[tuple[float, flo
 
 
 def cmd_moran(args: argparse.Namespace) -> int:
+    from .pipeline import moran_section
+
     cfg = _config(args, MORAN_OPTIONS)
     cfg.validate(MORAN_OPTIONS)
     coords, values = _read_samples_csv(args.samples, args.field)
@@ -499,6 +515,8 @@ def cmd_moran(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import make_checkerboard, make_plane, make_smoothed_noise, scatter_points
+
     geo = {"cellsize": args.cellsize, "xll": args.xll, "yll": args.yll}
     build = {
         "plane": lambda: make_plane(args.a, args.b, args.c, args.nrows, args.ncols, **geo),

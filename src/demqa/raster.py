@@ -46,15 +46,19 @@ needs a character and a separator) is an error before anything is
 allocated.
 
 Values are written with shortest round-trip precision, so
-``read(write(g))`` reproduces ``g`` exactly. A large grid's body is
-formatted in contiguous row strips, one per CPU this process may run on,
-by one function that takes a strip's values a block of rows at a time
-(computed by the caller's ``rows``, a slope map say, or from the grid),
-checks them and sends them a row at a time: this process writes each row
-of the first strip as it comes, forked workers keep the rows of the
-others, and their text is copied on in strip order, a bounded chunk at a
-time, so the bytes and errors do not depend on the number of workers.
-A grid written to a path appears whole or not at all (see ``_open_text``).
+``read(write(g))`` reproduces ``g`` exactly. One write may fill several
+files of one georeferencing (slope and aspect) from one computation. A
+large grid's body is formatted in contiguous row strips, one per CPU this
+process may run on, in rounds that leave each worker at most
+``_ROUND_CELLS`` cells, by one function that takes a strip's values a
+block of rows at a time (computed by the caller's ``rows``, a slope map
+say, or from the grid), checks them and sends them a row at a time to
+each output: this process writes each row of the first strip as it
+comes, forked workers keep the rows of the others, and their text is
+copied on in strip order, a bounded chunk at a time, so the bytes and
+errors do not depend on the number of workers. Grids written to paths
+appear whole or not at all, all of one write together (see
+``_open_text``).
 """
 
 from __future__ import annotations
@@ -105,6 +109,14 @@ _DENSE_FRACTION = 1 / 8
 # the second vCPU took work at once, but lost at 22,500-62,500 cells in a
 # run where it did not, and won 15 of 15 from 90,000 cells in every run.
 _WRITE_CELLS = 1 << 15
+# Most cells whose text a grid-writing worker holds at once, over all the
+# outputs of one write (about 19 MB): the rows go to the workers in rounds
+# of one strip each, so a child's memory does not grow with the grid. Each
+# round costs a fork and leaves the second CPU idle while this process
+# copies the child's text: on 2 vCPUs a 3000 x 3000 terrain (9 rounds)
+# peaked at 114 MB over the process tree and ran no slower than at 1 << 19
+# (18 rounds, 108 MB). One round covers the bench's grids.
+_ROUND_CELLS = 1 << 20
 # Least body bytes each grid-reading worker reads, so a body forks from
 # twice this (2 MiB: not the bench's 0.73 MB DEM or 2.0 MB class map). On 2
 # vCPUs a fork, its start and its reaping took about 5 ms, counting tokens
@@ -421,7 +433,7 @@ def _read_parts(fd: int, lo: int, hi: int, values: np.ndarray, cells: np.ndarray
         view[got : got + len(chunk)] = chunk
         got += len(chunk)
 
-    _map_parts(read, out, bounds, "bytes")
+    _map_parts(read, [out], bounds, "bytes")
     if got != view.nbytes:  # a range that is not clean sent nothing
         return False
     if index is not None:
@@ -601,52 +613,85 @@ def _grid_line(values) -> str:
     return text.replace(".0 ", " ").replace(".0\n", "\n")
 
 
-def _check_finite(values: np.ndarray, row: int) -> None:
+def _check_finite(blocks: Sequence[np.ndarray], row: int) -> None:
     """Raise NonFiniteGridError naming the first NaN or infinite value of
-    ``values``, rows of a grid from ``row`` on."""
-    if not np.isfinite(values).all():
-        r, c = (int(k[0]) for k in np.nonzero(~np.isfinite(values)))
-        raise NonFiniteGridError(
-            f"cannot write non-finite value {values[r, c]} at row {row + r}, column {c}"
-        )
+    the first of ``blocks`` (the same rows, from ``row`` on, of one or more
+    grids) that holds one."""
+    for values in blocks:
+        if not np.isfinite(values).all():
+            r, c = (int(k[0]) for k in np.nonzero(~np.isfinite(values)))
+            raise NonFiniteGridError(
+                f"cannot write non-finite value {values[r, c]} at row {row + r}, column {c}"
+            )
 
 
-def write_ascii_grid(grid: Grid, dest: str | Path | TextIO, comment: str | None = None,
-                     rows: Callable[[int, int], np.ndarray] | None = None) -> None:
-    """Write a grid as ASCII text.
+def write_ascii_grid(
+    grid: Grid,
+    dest: str | Path | TextIO | Sequence[str | Path | TextIO],
+    comment: str | None = None,
+    rows: Callable[[int, int], np.ndarray | Sequence[np.ndarray]] | None = None,
+) -> None:
+    """Write a grid as ASCII text, or several grids of its georeferencing.
 
-    ``comment`` (optional) is emitted as leading ``#`` lines; the reader
-    skips them, so round-tripping is unaffected. ``rows(lo, hi)``, if given,
-    gives the values of rows lo..hi-1 in place of ``grid.values``, a block
-    of rows at a time. A NaN or infinite value raises NonFiniteGridError
-    naming its row and column (0-based from the top-left cell) before its
-    block is written (a stream keeps the rows before it), and before
-    anything is if it is in ``grid.values``. With enough cells the rows are
-    formatted in strips by forked workers (see the module docstring); a
-    worker that fails otherwise raises ChildProcessError naming its rows.
+    ``dest`` is one destination, or a list or tuple of them, each written
+    with the grid's header; the paths among them replace their targets
+    together, or none does. ``comment`` (optional) is emitted as leading
+    ``#`` lines; the reader skips them, so round-tripping is unaffected.
+    ``rows(lo, hi)``, if given, gives the values of rows lo..hi-1 in place
+    of ``grid.values``, a block of rows at a time: one array, or one per
+    destination of a list or tuple (slope and aspect from one Horn pass,
+    say). A NaN or infinite value raises NonFiniteGridError naming its row
+    and column (0-based from the top-left cell) before its block is written
+    (a stream keeps the rows before it), and before anything is if it is in
+    ``grid.values``. The value named is in the first block of
+    ``_WRITE_CELLS // ncols`` rows, counted from row 0, that holds one: the
+    first output's first there, else the next output's, whatever the
+    number of workers. With enough cells the rows are formatted in strips
+    by forked workers (see the module docstring); a worker that fails
+    otherwise raises ChildProcessError naming its rows.
     """
-    _check_finite(grid.values, 0)
+    _check_finite([grid.values], 0)
     if not math.isfinite(grid.nodata):
         raise NonFiniteGridError(f"cannot write non-finite nodata {grid.nodata}")
+    several = isinstance(dest, (list, tuple))
+    dests = list(dest) if several else [dest]
     if rows is None:
-        rows = lambda lo, hi: grid.values[lo:hi]
+        blocks = lambda lo, hi: [grid.values[lo:hi]] * len(dests)
+    else:
+        blocks = rows if several else lambda lo, hi: [rows(lo, hi)]
     step = max(1, _WRITE_CELLS // grid.ncols)  # rows per block
 
-    def strip(lo: int, hi: int, send: Callable[[bytes], object]) -> None:
-        for at in range(lo, hi, step):
-            block = rows(at, min(at + step, hi))
-            _check_finite(block, at)
-            for row in block:
-                send(_grid_line(row).encode("ascii"))
+    def strip(lo: int, hi: int, *sends: Callable[[bytes], object]) -> None:
+        cuts = [lo, *range(lo - lo % step + step, hi, step), hi]  # blocks counted from row 0
+        for at, end in zip(cuts, cuts[1:]):
+            block = blocks(at, end)
+            if not all(np.isfinite(values).all() for values in block):
+                # the value named is decided over the whole block, whichever
+                # strips hold its rows
+                first = at - at % step
+                _check_finite(blocks(first, min(first + step, grid.nrows)), first)
+                _check_finite(block, at)  # unreached while rows() gives the same values
+            for values, send in zip(block, sends):
+                for row in values:
+                    send(_grid_line(row).encode("ascii"))
 
-    with _open_text(dest, "w") as stream:
-        if comment:
-            for ln in comment.splitlines():
-                stream.write(f"# {ln}\n")
-        stream.write(f"ncols {grid.ncols}\nnrows {grid.nrows}\n")
-        for key, value in (("xllcorner", grid.xll), ("yllcorner", grid.yll),
-                           ("cellsize", grid.cellsize), ("NODATA_value", grid.nodata)):
-            stream.write(f"{key} {_grid_line([value])}")
-        workers = _worker_count(grid.nrows, grid.values.size, _WRITE_CELLS)
-        bounds = [k * grid.nrows // workers for k in range(workers + 1)]
-        _map_parts(strip, lambda chunk: stream.write(chunk.decode("ascii")), bounds, "rows")
+    head = "".join(f"# {ln}\n" for ln in (comment or "").splitlines())
+    head += f"ncols {grid.ncols}\nnrows {grid.nrows}\n" + "".join(
+        f"{key} {_grid_line([value])}" for key, value in (
+            ("xllcorner", grid.xll), ("yllcorner", grid.yll),
+            ("cellsize", grid.cellsize), ("NODATA_value", grid.nodata)))
+    workers = _worker_count(grid.nrows, grid.values.size * len(dests), _WRITE_CELLS)
+    # each round's strips, one per worker, hold at most _ROUND_CELLS cells each
+    rounds = -(-grid.nrows // (workers * max(1, _ROUND_CELLS // (grid.ncols * len(dests)))))
+    with contextlib.ExitStack() as stack:
+        streams = [stack.enter_context(_open_text(d, "w")) for d in dests]
+        for stream in streams:
+            stream.write(head)
+        outs = [lambda chunk, s=s: s.write(chunk.decode("ascii")) for s in streams]
+        for r in range(rounds):
+            lo, hi = r * grid.nrows // rounds, (r + 1) * grid.nrows // rounds
+            parts = min(workers, hi - lo)
+            _map_parts(strip, outs, [lo + k * (hi - lo) // parts for k in range(parts + 1)],
+                       "rows")
+        for stream in streams:  # a full disk fails here, before any path replaces its target
+            stream.flush()

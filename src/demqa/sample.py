@@ -21,11 +21,10 @@ from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
+from .choices import EXTRACTION_METHODS
 from .errors import ConfigError, ParseError
 from .raster import Grid, _csv_rows, cells_of
 from .terrain import slope_aspect_at
-
-EXTRACTION_METHODS = ("nearest", "bilinear")
 
 # The value columns of a table, in field order.
 COLUMNS = ("x", "y", "h_ref", "h_dem", "delta_h", "class_code", "slope_deg", "aspect_deg")

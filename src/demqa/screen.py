@@ -20,12 +20,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .choices import FILTER_FIELDS
 from .errors import InsufficientDataError
 from .sample import SampleTable
 
 FENCE_MULTIPLIER = 1.5
-
-FILTER_FIELDS = ("delta_h", "h_dem")
 
 
 @dataclass(frozen=True)

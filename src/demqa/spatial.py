@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ._workers import _map_parts, _worker_count
+from .choices import ASSUMPTIONS, MAX_PERMUTATIONS, WEIGHT_SCHEMES
 from .errors import (
     ConfigError,
     DegenerateWeightsError,
@@ -36,16 +37,10 @@ from .errors import (
 )
 from .stats import two_tailed_p
 
-WEIGHT_SCHEMES = ("inverse_distance", "fixed_band")
-ASSUMPTIONS = ("randomization", "normality")
-
 # More weights than an assessment needs (about 10 per point in practice);
 # reached when one outlying point makes the ``auto`` band span a cluster.
 # At 3.5 million weights the build peaked at about 400 MB.
 MAX_WEIGHTS = 5_000_000
-# More replicates than a pseudo p-value needs (999 is usual); each
-# replicate builds its own seed stream, in the worker that draws it.
-MAX_PERMUTATIONS = 1_000_000
 
 # Least work, replicates x (n + nnz), for each worker, so forking starts at
 # twice this (8.4 M). On 2 cores (numpy 2.4) a replicate cost about 20 us +
@@ -465,7 +460,7 @@ def permutation_test(
 
     workers = _worker_count(n_perm, n_perm * (w.n + w.nnz), _SPAN_WORK)
     parts: list[bytes] = []
-    _map_parts(span, parts.append, [k * n_perm // workers for k in range(workers + 1)],
+    _map_parts(span, [parts.append], [k * n_perm // workers for k in range(workers + 1)],
                "replicates")
     sims = np.frombuffer(b"".join(parts))
     extreme = int(np.sum(np.abs(sims - e_i) >= ref))

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .choices import SCENE_KINDS
 from .errors import DegenerateDataError
 from .raster import Grid, _check_georef, cell_of
-
-SCENE_KINDS = ("plane", "checkerboard", "smoothed_noise")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import pytest
 import demqa._workers
 import demqa.raster
 from demqa.cli import main
+from demqa.errors import NonFiniteGridError
 from demqa.raster import Grid, read_ascii_grid, write_ascii_grid
 from demqa.synth import make_smoothed_noise
 from demqa.terrain import slope_aspect
@@ -158,3 +159,103 @@ def test_computed_rows_are_held_a_block_at_a_time(monkeypatch, tmp_path):
     write_ascii_grid(replace(dem, values=slope_aspect(dem, 0, dem.nrows).slope),
                      tmp_path / "whole.asc")
     assert (tmp_path / "blocks.asc").read_bytes() == (tmp_path / "whole.asc").read_bytes()
+
+
+def several_with(monkeypatch, workers, dem, dests, rounds_at_least=1):
+    """Write slope and aspect of ``dem`` with one Horn pass to ``dests``
+    (two paths or two streams); return their bytes."""
+    monkeypatch.setattr(demqa._workers, "_WORKERS", workers)
+    calls = []
+    map_parts = demqa.raster._map_parts
+    monkeypatch.setattr(demqa.raster, "_map_parts",
+                        lambda *args: calls.append(1) or map_parts(*args))
+    write_ascii_grid(dem, dests, comment="two outputs",
+                     rows=lambda lo, hi: slope_aspect(dem, lo, hi))
+    assert_no_child_left()
+    assert len(calls) >= rounds_at_least
+    return [d.getvalue().encode() if isinstance(d, io.StringIO) else d.read_bytes() for d in dests]
+
+
+@pytest.mark.parametrize("to", ["path", "stream"])
+@pytest.mark.parametrize("round_cells", [None, 100], ids=["one_round", "rounds"])
+def test_several_outputs_give_the_bytes_of_single_writes(monkeypatch, tmp_path, to, round_cells):
+    dem = make_smoothed_noise(5.0, 2, 23, 17, seed=5)
+    dem.values.flags.writeable = True
+    dem.values[4, 6] = dem.nodata
+    monkeypatch.setattr(demqa.raster, "_WRITE_CELLS", 40)  # blocks of 2 rows
+    if round_cells is not None:  # 2 rows of both outputs a worker a round
+        monkeypatch.setattr(demqa.raster, "_ROUND_CELLS", round_cells)
+    singles = []
+    for k in range(2):
+        dest = io.StringIO()
+        write_ascii_grid(dem, dest, comment="two outputs",
+                         rows=lambda lo, hi, k=k: slope_aspect(dem, lo, hi)[k])
+        singles.append(dest.getvalue().encode())
+    for workers in (1, 2, 3):
+        dests = ([tmp_path / f"s{workers}.asc", tmp_path / f"a{workers}.asc"] if to == "path"
+                 else [io.StringIO(), io.StringIO()])
+        rounds = 1 if round_cells is None else 3
+        assert several_with(monkeypatch, workers, dem, dests, rounds) == singles
+    # a list of one destination takes a list of one array
+    one = io.StringIO()
+    write_ascii_grid(dem, [one], comment="two outputs", rows=lambda lo, hi: [dem.values[lo:hi]])
+    plain = io.StringIO()
+    write_ascii_grid(dem, plain, comment="two outputs")
+    assert one.getvalue() == plain.getvalue()
+
+
+def test_rounds_bound_what_a_worker_holds(monkeypatch, tmp_path):
+    # 40 rows of 10 cells, two outputs, two workers, at most 100 cells a
+    # worker a round: 5 rows each, so 4 rounds of two 5-row strips
+    monkeypatch.setattr(demqa._workers, "_WORKERS", 2)
+    monkeypatch.setattr(demqa.raster, "_ROUND_CELLS", 100)
+    bounds = []
+    map_parts = demqa.raster._map_parts
+    monkeypatch.setattr(demqa.raster, "_map_parts", lambda part, outs, b, what: (
+        bounds.append(b) or map_parts(part, outs, b, what)))
+    grid = Grid(ncols=10, nrows=40, xll=0, yll=0, cellsize=1, values=np.arange(400.0) / 3)
+    write_ascii_grid(grid, [tmp_path / "a.asc", tmp_path / "b.asc"])
+    assert bounds == [[0, 5, 10], [10, 15, 20], [20, 25, 30], [30, 35, 40]]
+    assert read_ascii_grid(tmp_path / "a.asc") == read_ascii_grid(tmp_path / "b.asc") == grid
+
+
+@pytest.mark.parametrize("aspect_cell, named", [
+    ((3, 0), "nan at row 5, column 1"),  # in the slope's block: checked after the slope
+    ((1, 2), "inf at row 1, column 2"),  # in a block above it: named first
+], ids=["same_block", "block_above"])
+def test_first_output_is_checked_first_within_a_block(monkeypatch, tmp_path, aspect_cell, named):
+    # blocks of 3 rows counted from row 0; three workers cut the strips at
+    # rows 4 and 8, inside the block of rows 3-5: the cell named is the same
+    grid = Grid(ncols=4, nrows=12, xll=0, yll=0, cellsize=1, values=np.zeros((12, 4)))
+    slope, aspect = np.ones((12, 4)), np.ones((12, 4))
+    slope[5, 1] = np.nan
+    aspect[aspect_cell] = np.nan if aspect_cell == (3, 0) else np.inf
+    monkeypatch.setattr(demqa.raster, "_WRITE_CELLS", 12)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(demqa._workers, "_WORKERS", workers)
+        with pytest.raises(NonFiniteGridError) as exc:
+            write_ascii_grid(grid, [tmp_path / "s.asc", tmp_path / "a.asc"],
+                             rows=lambda lo, hi: (slope[lo:hi], aspect[lo:hi]))
+        assert_no_child_left()
+        assert str(exc.value) == f"cannot write non-finite value {named}"
+        assert os.listdir(tmp_path) == []  # neither file, and no temporary file
+
+
+def test_terrain_names_a_nan_aspect_in_a_block_above_the_first_nan_slope(
+        monkeypatch, tmp_path, capfd):
+    # rows of 1e308, -1e308, 1e308 at 7-9: the aspect is NaN from row 7, the
+    # slope only at row 8. In one block the slope's cell is named (see
+    # test_terrain_overflow_in_a_forked_strip_exits_4); with blocks of 8 rows
+    # row 7 is a block above it, so the aspect's cell is
+    values = np.arange(60.0).reshape(10, 6)
+    values[-3:] = [[1e308], [-1e308], [1e308]]
+    write_ascii_grid(Grid(ncols=6, nrows=10, xll=0, yll=0, cellsize=1, values=values),
+                     tmp_path / "dem.asc")
+    monkeypatch.setattr(demqa.raster, "_WRITE_CELLS", 48)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(demqa._workers, "_WORKERS", workers)
+        argv = ["terrain", str(tmp_path / "dem.asc"), "--out-prefix", str(tmp_path / "d")]
+        assert main(argv) == 4
+        assert capfd.readouterr().err == ("degenerate statistics [terrain]: cannot write "
+                                          "non-finite value nan at row 7, column 0\n")
+        assert sorted(os.listdir(tmp_path)) == ["dem.asc"]
