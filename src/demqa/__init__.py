@@ -24,8 +24,8 @@ _HOMES = {
     "screen": ("TukeyFences", "quartiles", "tukey_filter", "validity_filter"),
     "spatial": ("MoranResult", "PermutationResult", "WeightsMatrix", "build_weights",
                 "morans_i", "morans_significance", "permutation_test"),
-    "stats": ("AnovaTable", "CorrelationResult", "SummaryStats", "anova_decompose", "f_cdf",
-              "f_test", "histogram", "normal_cdf", "pearson_r", "summarize", "two_tailed_p"),
+    "stats": ("AnovaTable", "CorrelationResult", "SummaryStats", "anova_decompose", "f_test",
+              "histogram", "pearson_r", "summarize", "two_tailed_p"),
     "terrain": ("CellDerivatives", "slope_aspect", "slope_aspect_at"),
     "landcover": ("ClassBox", "classify", "train_parallelepiped"),
     "synth": ("ControlPoint", "make_checkerboard", "make_plane", "make_smoothed_noise",

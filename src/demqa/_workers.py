@@ -9,9 +9,9 @@ length per stream and then each stream's pieces. The parent hands the
 bytes on in part order, so the result cannot depend on how many parts
 there are. A child whose part raises sends its message instead: the
 parent runs that part again, to raise the error as a serial run would,
-and prints the child's message only if it does not. Callers split their
-work into one part per worker (the grid writer into rounds of them, so a
-child holds a bounded text).
+and prints the child's message only if it does not. At most one child per
+worker is alive at once, so a job may have more parts than workers (the
+grid writer's strips, which bound the text a child holds).
 """
 
 from __future__ import annotations
@@ -118,51 +118,56 @@ def _map_parts(
     part: Callable[..., object],
     outs: Sequence[Callable[[bytes], object]],
     bounds: Sequence[int],
+    workers: int,
     what: str,
 ) -> None:
     """Deliver the pieces that ``part(lo, hi, *sends)`` sends to each of its
     streams (bytes, or buffers whose ``len`` counts bytes) for each part of
-    consecutive ``bounds`` to that stream's ``outs`` entry, in part order:
-    the first part runs here with ``outs`` as its ``sends``, each other one
-    in a forked child, whose bytes reach ``outs`` in chunks of at most
-    ``_CHUNK_BYTES``. Every child is reaped before this returns or raises;
-    if this process raises, the children are killed first. A child that
-    raised (exit status 1) has its part run again here, sending nothing,
-    to raise its error; if that passes, the child's message goes to stderr.
-    Such a child, and one that exits non-zero otherwise or sends fewer bytes
-    than it announced, raises ChildProcessError naming its ``what``
-    ("rows", say) lo..hi-1, its exit status and the bytes received.
+    consecutive ``bounds`` to that stream's ``outs`` entry, in part order.
+    The first part runs here with ``outs`` as its ``sends`` while the next
+    ``workers - 1`` run in forked children; each later part is forked once
+    a child's bytes have reached ``outs`` (in chunks of at most
+    ``_CHUNK_BYTES``) and it is reaped, so at most ``workers`` are alive.
+    One worker runs every part here. If this process raises, the children
+    are killed and reaped first. A child that raised (exit status 1) has its
+    part run again here, sending nothing, to raise its error; if that
+    passes, the child's message goes to stderr. Such a child, and one that
+    exits non-zero otherwise or sends fewer bytes than it announced, raises
+    ChildProcessError naming its ``what`` ("rows", say) lo..hi-1, its exit
+    status and the bytes received.
     """
     parts = list(zip(bounds[:-1], bounds[1:]))
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    received = []  # (bytes, length announced, message) of each child
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe) in part order
+    forked = 1  # the next part to fork
     try:
-        for lo, hi in parts[1:]:
-            children.append(_fork_part(part, lo, hi, len(outs), what))
-        part(*parts[0], *outs)
-        for _, fd in children:
-            received.append(_copy(fd, outs))
+        for k, (lo, hi) in enumerate(parts):
+            # while part k runs here or is copied from its child, the parts
+            # after it up to part k + workers - 1 run in children
+            for a, b in parts[max(forked, k + 1) : k + workers]:
+                children.append(_fork_part(part, a, b, len(outs), what))
+            forked = max(forked, k + workers)
+            if k == 0 or workers < 2:
+                part(lo, hi, *outs)
+                continue
+            got, size, message = _copy(children[0][1], outs)
+            status = _reap(*children.pop(0), kill=False)
+            if status or size is None or got < size:
+                if status == 1:
+                    part(lo, hi, *[lambda piece: None] * len(outs))
+                    os.write(2, message)
+                of = "" if size is None else f" of {size}"
+                raise ChildProcessError(f"worker for {what} {lo}..{hi - 1} exited with "
+                                        f"status {status} after {got}{of} bytes")
     except BaseException:
-        _reap(children, kill=True)
+        for pid, fd in children:
+            _reap(pid, fd, kill=True)
         raise
-    statuses = _reap(children, kill=False)
-    for (lo, hi), status, (got, size, message) in zip(parts[1:], statuses, received):
-        if status or size is None or got < size:
-            if status == 1:
-                part(lo, hi, *[lambda piece: None] * len(outs))
-                os.write(2, message)
-            of = "" if size is None else f" of {size}"
-            raise ChildProcessError(f"worker for {what} {lo}..{hi - 1} exited with "
-                                    f"status {status} after {got}{of} bytes")
 
 
-def _reap(children: list[tuple[int, int]], kill: bool) -> list[int]:
-    """Close each child's pipe, kill it first if ``kill``, and wait for it;
-    return the exit codes."""
-    statuses = []
-    for pid, fd in children:
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        os.close(fd)
-        statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    return statuses
+def _reap(pid: int, fd: int, kill: bool) -> int:
+    """Close a child's pipe, kill the child first if ``kill``, and wait for
+    it; return its exit code."""
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    os.close(fd)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])

@@ -537,6 +537,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         ) if args.gcps_out else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    except MemoryError:  # the scene's arrays
+        raise ConfigError(f"a {args.nrows} x {args.ncols} grid needs "
+                          f"{8 * args.nrows * args.ncols} bytes, more memory than can be "
+                          "allocated") from None
     comment = _provenance("synth") + f" kind={args.kind} seed={args.seed}"
     write_ascii_grid(grid, args.out, comment=comment)
     print(f"wrote {args.out}")

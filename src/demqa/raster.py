@@ -48,14 +48,14 @@ allocated.
 Values are written with shortest round-trip precision, so
 ``read(write(g))`` reproduces ``g`` exactly. One write may fill several
 files of one georeferencing (slope and aspect) from one computation. A
-large grid's body is formatted in contiguous row strips, one per CPU this
-process may run on, in rounds that leave each worker at most
-``_ROUND_CELLS`` cells, by one function that takes a strip's values a
-block of rows at a time (computed by the caller's ``rows``, a slope map
-say, or from the grid), checks them and sends them a row at a time to
-each output: this process writes each row of the first strip as it
-comes, forked workers keep the rows of the others, and their text is
-copied on in strip order, a bounded chunk at a time, so the bytes and
+large grid's body is formatted in contiguous row strips of at most
+``_PART_CELLS`` cells over all outputs, at least one per CPU this process
+may run on, by one function that takes a strip's values a block of rows
+at a time (computed by the caller's ``rows``, a slope map say, or from the
+grid), checks them and sends them a row at a time to each output: this
+process writes each row of the first strip as it comes, a forked worker
+per other strip (at most one per CPU alive) keeps its rows, and their text
+is copied on in strip order, a bounded chunk at a time, so the bytes and
 errors do not depend on the number of workers. Grids written to paths
 appear whole or not at all, all of one write together (see
 ``_open_text``).
@@ -110,13 +110,9 @@ _DENSE_FRACTION = 1 / 8
 # run where it did not, and won 15 of 15 from 90,000 cells in every run.
 _WRITE_CELLS = 1 << 15
 # Most cells whose text a grid-writing worker holds at once, over all the
-# outputs of one write (about 19 MB): the rows go to the workers in rounds
-# of one strip each, so a child's memory does not grow with the grid. Each
-# round costs a fork and leaves the second CPU idle while this process
-# copies the child's text: on 2 vCPUs a 3000 x 3000 terrain (9 rounds)
-# peaked at 114 MB over the process tree and ran no slower than at 1 << 19
-# (18 rounds, 108 MB). One round covers the bench's grids.
-_ROUND_CELLS = 1 << 20
+# outputs of one write (about 19 MB), so a child's memory does not grow
+# with the grid. One strip per worker covers the bench's grids.
+_PART_CELLS = 1 << 20
 # Least body bytes each grid-reading worker reads, so a body forks from
 # twice this (2 MiB: not the bench's 0.73 MB DEM or 2.0 MB class map). On 2
 # vCPUs a fork, its start and its reaping took about 5 ms, counting tokens
@@ -433,7 +429,7 @@ def _read_parts(fd: int, lo: int, hi: int, values: np.ndarray, cells: np.ndarray
         view[got : got + len(chunk)] = chunk
         got += len(chunk)
 
-    _map_parts(read, [out], bounds, "bytes")
+    _map_parts(read, [out], bounds, workers, "bytes")
     if got != view.nbytes:  # a range that is not clean sent nothing
         return False
     if index is not None:
@@ -681,17 +677,13 @@ def write_ascii_grid(
             ("xllcorner", grid.xll), ("yllcorner", grid.yll),
             ("cellsize", grid.cellsize), ("NODATA_value", grid.nodata)))
     workers = _worker_count(grid.nrows, grid.values.size * len(dests), _WRITE_CELLS)
-    # each round's strips, one per worker, hold at most _ROUND_CELLS cells each
-    rounds = -(-grid.nrows // (workers * max(1, _ROUND_CELLS // (grid.ncols * len(dests)))))
+    parts = max(workers, -(-grid.nrows // max(1, _PART_CELLS // (grid.ncols * len(dests)))))
     with contextlib.ExitStack() as stack:
         streams = [stack.enter_context(_open_text(d, "w")) for d in dests]
         for stream in streams:
             stream.write(head)
         outs = [lambda chunk, s=s: s.write(chunk.decode("ascii")) for s in streams]
-        for r in range(rounds):
-            lo, hi = r * grid.nrows // rounds, (r + 1) * grid.nrows // rounds
-            parts = min(workers, hi - lo)
-            _map_parts(strip, outs, [lo + k * (hi - lo) // parts for k in range(parts + 1)],
-                       "rows")
+        _map_parts(strip, outs, [k * grid.nrows // parts for k in range(parts + 1)], workers,
+                   "rows")
         for stream in streams:  # a full disk fails here, before any path replaces its target
             stream.flush()

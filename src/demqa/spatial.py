@@ -461,7 +461,7 @@ def permutation_test(
     workers = _worker_count(n_perm, n_perm * (w.n + w.nnz), _SPAN_WORK)
     parts: list[bytes] = []
     _map_parts(span, [parts.append], [k * n_perm // workers for k in range(workers + 1)],
-               "replicates")
+               workers, "replicates")
     sims = np.frombuffer(b"".join(parts))
     extreme = int(np.sum(np.abs(sims - e_i) >= ref))
     return PermutationResult(

@@ -152,7 +152,10 @@ def f_test(
         f, p, infinite_f = math.inf, 0.0, True
     else:
         f, infinite_f = ms_between / ms_within, False
-        p = min(max(1.0 - f_cdf(f, df_between, df_within), 0.0), 1.0)
+        # the upper tail itself, I_{d2/(d2 + d1 F)}(d2/2, d1/2), not 1 - cdf,
+        # which is 0 below about 1e-16
+        p = regularized_incomplete_beta(df_within / 2.0, df_between / 2.0,
+                                        df_within / (df_within + df_between * f))
     return AnovaTable(
         ss_between=ss_between,
         df_between=df_between,
@@ -228,26 +231,10 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def f_cdf(x: float, d1: float, d2: float) -> float:
-    """CDF of the F distribution with (d1, d2) degrees of freedom."""
-    if d1 < 1 or d2 < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    if x < 0:
-        raise ValueError("F statistic must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    z = d1 * x / (d1 * x + d2)
-    return regularized_incomplete_beta(d1 / 2.0, d2 / 2.0, z)
-
-
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF via erf."""
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
 def two_tailed_p(z: float) -> float:
-    """Two-tailed p-value of a standard normal score."""
-    return 2.0 * (1.0 - normal_cdf(abs(z)))
+    """Two-tailed p-value of a standard normal score, from erfc: 1 - erf
+    would give 0 from |z| of about 8.5 on."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def histogram(

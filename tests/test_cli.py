@@ -504,6 +504,27 @@ def test_synth_non_finite_origin_exit_2_without_warning(tmp_path, capsys, kind, 
     assert not (tmp_path / "p.asc").exists()
 
 
+def _overcommits_always():
+    with contextlib.suppress(OSError):
+        return Path("/proc/sys/vm/overcommit_memory").read_text().strip() == "1"
+    return False
+
+
+@pytest.mark.skipif(_overcommits_always(), reason="a 7 TiB allocation would not fail at once")
+@pytest.mark.parametrize("kind", ["plane", "checkerboard", "smoothed_noise"])
+def test_synth_grid_too_big_for_memory_exit_2(tmp_path, capsys, kind):
+    # 10^12 cells: numpy refuses the 7.3 TiB of the first full-size array at
+    # once; the scene's own small arrays (a plane's 10^6 x and y) come first
+    out = tmp_path / "big.asc"
+    argv = ["synth", "--kind", kind, "--nrows", "1000000", "--ncols", "1000000",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("config error [synth]: a 1000000 x 1000000 grid needs "
+                                       "8000000000000 bytes, more memory than can be "
+                                       "allocated\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_flag_overrides_config(tmp_path):
     dem, gcps = write_closure_scene(tmp_path)
     out1 = tmp_path / "o1"

@@ -161,30 +161,37 @@ def test_computed_rows_are_held_a_block_at_a_time(monkeypatch, tmp_path):
     assert (tmp_path / "blocks.asc").read_bytes() == (tmp_path / "whole.asc").read_bytes()
 
 
-def several_with(monkeypatch, workers, dem, dests, rounds_at_least=1):
+def several_with(monkeypatch, workers, dem, dests, parts_at_least=1):
     """Write slope and aspect of ``dem`` with one Horn pass to ``dests``
     (two paths or two streams); return their bytes."""
     monkeypatch.setattr(demqa._workers, "_WORKERS", workers)
-    calls = []
-    map_parts = demqa.raster._map_parts
-    monkeypatch.setattr(demqa.raster, "_map_parts",
-                        lambda *args: calls.append(1) or map_parts(*args))
+    bounds = record_bounds(monkeypatch)
     write_ascii_grid(dem, dests, comment="two outputs",
                      rows=lambda lo, hi: slope_aspect(dem, lo, hi))
     assert_no_child_left()
-    assert len(calls) >= rounds_at_least
+    assert len(bounds) == 1 and len(bounds[0]) - 1 >= parts_at_least
     return [d.getvalue().encode() if isinstance(d, io.StringIO) else d.read_bytes() for d in dests]
 
 
+def record_bounds(monkeypatch):
+    """The list to which each of the writer's ``_map_parts`` calls appends
+    its part bounds."""
+    bounds = []
+    map_parts = demqa.raster._map_parts
+    monkeypatch.setattr(demqa.raster, "_map_parts", lambda part, outs, b, *rest: (
+        bounds.append(b) or map_parts(part, outs, b, *rest)))
+    return bounds
+
+
 @pytest.mark.parametrize("to", ["path", "stream"])
-@pytest.mark.parametrize("round_cells", [None, 100], ids=["one_round", "rounds"])
-def test_several_outputs_give_the_bytes_of_single_writes(monkeypatch, tmp_path, to, round_cells):
+@pytest.mark.parametrize("part_cells", [None, 100], ids=["one_round", "parts"])
+def test_several_outputs_give_the_bytes_of_single_writes(monkeypatch, tmp_path, to, part_cells):
     dem = make_smoothed_noise(5.0, 2, 23, 17, seed=5)
     dem.values.flags.writeable = True
     dem.values[4, 6] = dem.nodata
     monkeypatch.setattr(demqa.raster, "_WRITE_CELLS", 40)  # blocks of 2 rows
-    if round_cells is not None:  # 2 rows of both outputs a worker a round
-        monkeypatch.setattr(demqa.raster, "_ROUND_CELLS", round_cells)
+    if part_cells is not None:  # strips of 2 rows of both outputs
+        monkeypatch.setattr(demqa.raster, "_PART_CELLS", part_cells)
     singles = []
     for k in range(2):
         dest = io.StringIO()
@@ -194,8 +201,8 @@ def test_several_outputs_give_the_bytes_of_single_writes(monkeypatch, tmp_path, 
     for workers in (1, 2, 3):
         dests = ([tmp_path / f"s{workers}.asc", tmp_path / f"a{workers}.asc"] if to == "path"
                  else [io.StringIO(), io.StringIO()])
-        rounds = 1 if round_cells is None else 3
-        assert several_with(monkeypatch, workers, dem, dests, rounds) == singles
+        parts = workers if part_cells is None else 12
+        assert several_with(monkeypatch, workers, dem, dests, parts) == singles
     # a list of one destination takes a list of one array
     one = io.StringIO()
     write_ascii_grid(dem, [one], comment="two outputs", rows=lambda lo, hi: [dem.values[lo:hi]])
@@ -204,19 +211,85 @@ def test_several_outputs_give_the_bytes_of_single_writes(monkeypatch, tmp_path, 
     assert one.getvalue() == plain.getvalue()
 
 
-def test_rounds_bound_what_a_worker_holds(monkeypatch, tmp_path):
+def forty_rows():
+    return Grid(ncols=10, nrows=40, xll=0, yll=0, cellsize=1, values=np.arange(400.0) / 3)
+
+
+def test_parts_bound_what_a_worker_holds(monkeypatch, tmp_path):
     # 40 rows of 10 cells, two outputs, two workers, at most 100 cells a
-    # worker a round: 5 rows each, so 4 rounds of two 5-row strips
+    # part: 5 rows each, so eight 5-row strips
     monkeypatch.setattr(demqa._workers, "_WORKERS", 2)
-    monkeypatch.setattr(demqa.raster, "_ROUND_CELLS", 100)
-    bounds = []
-    map_parts = demqa.raster._map_parts
-    monkeypatch.setattr(demqa.raster, "_map_parts", lambda part, outs, b, what: (
-        bounds.append(b) or map_parts(part, outs, b, what)))
-    grid = Grid(ncols=10, nrows=40, xll=0, yll=0, cellsize=1, values=np.arange(400.0) / 3)
-    write_ascii_grid(grid, [tmp_path / "a.asc", tmp_path / "b.asc"])
-    assert bounds == [[0, 5, 10], [10, 15, 20], [20, 25, 30], [30, 35, 40]]
-    assert read_ascii_grid(tmp_path / "a.asc") == read_ascii_grid(tmp_path / "b.asc") == grid
+    monkeypatch.setattr(demqa.raster, "_PART_CELLS", 100)
+    bounds = record_bounds(monkeypatch)
+    write_ascii_grid(forty_rows(), [tmp_path / "a.asc", tmp_path / "b.asc"])
+    assert bounds == [list(range(0, 41, 5))]
+    assert read_ascii_grid(tmp_path / "a.asc") == read_ascii_grid(tmp_path / "b.asc")
+    assert read_ascii_grid(tmp_path / "a.asc") == forty_rows()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_at_most_one_child_per_worker_is_alive(monkeypatch, tmp_path, workers):
+    # eight strips: this process writes the first while workers - 1
+    # children run, then each strip is forked as a child ahead of it is reaped
+    monkeypatch.setattr(demqa._workers, "_WORKERS", workers)
+    monkeypatch.setattr(demqa.raster, "_PART_CELLS", 50)
+    alive, most, forked = [0], [0], []
+    fork_part, reap = demqa._workers._fork_part, demqa._workers._reap
+
+    def counted_fork(part, lo, hi, *rest):
+        child = fork_part(part, lo, hi, *rest)
+        forked.append(lo)
+        alive[0] += 1
+        most[0] = max(most[0], alive[0])
+        return child
+
+    def counted_reap(*args, **kwargs):
+        alive[0] -= 1
+        return reap(*args, **kwargs)
+
+    monkeypatch.setattr(demqa._workers, "_fork_part", counted_fork)
+    monkeypatch.setattr(demqa._workers, "_reap", counted_reap)
+    write_ascii_grid(forty_rows(), tmp_path / "g.asc")
+    assert_no_child_left()
+    assert forked == list(range(5, 40, 5)) and alive == [0] and most == [workers]
+    assert read_ascii_grid(tmp_path / "g.asc") == forty_rows()
+
+
+def test_a_strip_that_raises_inside_the_window_raises_here(monkeypatch, tmp_path, capfd):
+    # two workers and eight strips: the child of rows 20..24 fails while the
+    # child of rows 25..29 runs; the error is the one a serial run raises
+    monkeypatch.setattr(demqa._workers, "_WORKERS", 2)
+    monkeypatch.setattr(demqa.raster, "_PART_CELLS", 50)
+    grid = forty_rows()
+    forked = []
+    fork_part = demqa._workers._fork_part
+    monkeypatch.setattr(demqa._workers, "_fork_part",
+                        lambda part, lo, *rest: forked.append(lo) or fork_part(part, lo, *rest))
+
+    def rows(lo, hi):
+        if lo >= 20:
+            raise ValueError(f"no slope at row {lo}")
+        return grid.values[lo:hi]
+
+    with pytest.raises(ValueError, match="^no slope at row 20$"):
+        write_ascii_grid(grid, tmp_path / "g.asc", rows=rows)
+    assert forked == [5, 10, 15, 20, 25]
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == []  # no grid and no temporary file
+    assert capfd.readouterr().err == ""
+
+
+def test_one_worker_never_forks(monkeypatch, tmp_path):
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(demqa._workers, "_WORKERS", 1)
+    monkeypatch.setattr(demqa.raster, "_PART_CELLS", 50)
+    monkeypatch.setattr(os, "fork", no_fork)
+    bounds = record_bounds(monkeypatch)
+    write_ascii_grid(forty_rows(), tmp_path / "g.asc")
+    assert bounds == [list(range(0, 41, 5))]  # eight strips, all written here
+    assert read_ascii_grid(tmp_path / "g.asc") == forty_rows()
 
 
 @pytest.mark.parametrize("aspect_cell, named", [

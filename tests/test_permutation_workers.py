@@ -95,9 +95,11 @@ def in_child(fn):
     return span
 
 
-def map_parts(span, bounds, out=None):
+def map_parts(span, bounds, out=None, workers=None):
+    """Run ``span`` over ``bounds`` with one worker a part unless told."""
     parts = []
-    demqa._workers._map_parts(span, [out or parts.append], bounds, "replicates")
+    demqa._workers._map_parts(span, [out or parts.append], bounds,
+                              workers or len(bounds) - 1, "replicates")
     return np.frombuffer(b"".join(parts))
 
 

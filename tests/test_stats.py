@@ -9,10 +9,8 @@ from demqa.errors import ConfigError, InsufficientDataError, ZeroVarianceError
 from demqa.stats import (
     MAX_HISTOGRAM_BINS,
     anova_decompose,
-    f_cdf,
     f_test,
     histogram,
-    normal_cdf,
     pearson_r,
     summarize,
     two_tailed_p,
@@ -186,45 +184,73 @@ def f_cdf_oracle(x, d1, d2):
     return val
 
 
+def f_upper(x, d1, d2):
+    """The upper tail 1 - F_cdf(x; d1, d2), as f_test's p for an F ratio of
+    x (to within an ulp of x)."""
+    return f_test(x * d1, d1, float(d2), d2).p
+
+
+# The f_cdf tests check the upper tail that f_test reports against the
+# complement of the CDF oracle, with the bounds they had on the CDF.
 def test_f_cdf_trivials():
-    assert f_cdf(0.0, 3, 10) == 0.0
-    assert f_cdf(1.0, 7, 7) == pytest.approx(0.5, abs=1e-12)
-    assert f_cdf(1.0, 493, 493) == pytest.approx(0.5, abs=1e-12)
+    assert f_upper(0.0, 3, 10) == 1.0
+    assert f_upper(1.0, 7, 7) == pytest.approx(0.5, abs=1e-12)
+    assert f_upper(1.0, 493, 493) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_f_cdf_against_quadrature():
     for d1 in (1, 3, 10, 100, 493):
         for d2 in (1, 3, 10, 100, 493):
             for x in (0.1, 0.5, 1.0, 2.0, 5.944, 10.0):
-                assert f_cdf(x, d1, d2) == pytest.approx(
-                    f_cdf_oracle(x, d1, d2), abs=1e-6
+                assert f_upper(x, d1, d2) == pytest.approx(
+                    1 - f_cdf_oracle(x, d1, d2), abs=1e-6
                 ), (x, d1, d2)
 
 
 def test_f_cdf_frozen_value():
-    # 1 - this is the p attached to the published first-site F ratio.
-    assert f_cdf(5.944, 3, 493) == pytest.approx(0.9994, abs=2e-4)
+    # the p attached to the published first-site F ratio
+    assert f_upper(5.944, 3, 493) == pytest.approx(1 - 0.9994, abs=2e-4)
 
 
 def test_f_cdf_monotone_and_bounded():
     xs = np.linspace(0.0, 20.0, 200)
     for d1, d2 in ((1, 1), (3, 493), (100, 10)):
-        vals = [f_cdf(float(x), d1, d2) for x in xs]
+        vals = [f_upper(float(x), d1, d2) for x in xs]
         assert all(0.0 <= v <= 1.0 for v in vals)
-        assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
+        assert all(b <= a + 1e-14 for a, b in zip(vals, vals[1:]))
 
 
 def test_f_cdf_bad_args():
+    with pytest.raises(InsufficientDataError):
+        f_test(1.0, 0, 5.0, 5)
     with pytest.raises(ValueError):
-        f_cdf(1.0, 0, 5)
-    with pytest.raises(ValueError):
-        f_cdf(-1.0, 3, 5)
+        f_test(-1.0, 3, 5.0, 5)
 
 
 def test_normal_cdf_basics():
-    assert normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-    assert normal_cdf(1.959963984540054) == pytest.approx(0.975, abs=1e-10)
-    assert normal_cdf(-6) == pytest.approx(9.865876450377018e-10, rel=1e-6)
+    # the two-tailed p is 2 (1 - cdf(|z|))
+    assert two_tailed_p(0.0) == pytest.approx(1.0, abs=1e-15)
+    assert two_tailed_p(1.959963984540054) == pytest.approx(0.05, abs=2e-10)
+    assert two_tailed_p(-6) == pytest.approx(2 * 9.865876450377018e-10, rel=1e-6)
+
+
+def test_tail_p_values_match_scipy_down_to_1e_300():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    # the deep tails 1 - cdf lost: 0.0 at z = 9 and at F = 40 on (3, 700)
+    assert two_tailed_p(9.0) == pytest.approx(2.257176811907681e-19, rel=1e-10)
+    assert f_upper(40.0, 3, 700) == pytest.approx(
+        scipy_stats.f.sf(40.0, 3, 700), rel=1e-10)
+    for z in np.linspace(0.0, 37.5, 301):
+        want = 2 * scipy_stats.norm.sf(z)
+        if want >= 1e-300:
+            assert two_tailed_p(float(z)) == pytest.approx(want, rel=1e-10), z
+    for d1 in (1, 2, 3, 10, 100, 493):
+        for d2 in (1, 3, 10, 100, 700, 5000):
+            for x in np.geomspace(1e-3, 1e6, 46):
+                table = f_test(float(x) * d1, d1, float(d2), d2)
+                want = scipy_stats.f.sf(table.f, d1, d2)
+                if want >= 1e-300:
+                    assert table.p == pytest.approx(want, rel=1e-10), (x, d1, d2)
 
 
 def test_two_tailed_published_pair():
