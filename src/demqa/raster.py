@@ -38,7 +38,7 @@ then converts only those, and every other cell holds NaN, a value no full
 read gives. Every token is still checked. A block whose tokens are all
 plain decimals (``[+-]?(D+(.D*)?|.D+)``, at most 300 characters, so
 ``float()`` gives each a finite value) is checked with array operations on
-its bytes; any other block is converted in full as before, so a bad token
+its bytes; any other block is converted and stored whole, so a bad token
 gives the same error, line and column whichever cells were named.
 
 A path's header that claims more values than the file has bytes for (each
@@ -476,8 +476,9 @@ def _read_body(
     ``lineno`` and goes on with ``reads``, into ``values``, whose size is the
     count it must have; each read is cut by ``_cut``.
 
-    With ``cells`` (sorted flat indices) only those cells are stored; a
-    piece that ``_scan`` accepts is checked without ``float()``. Every piece
+    With ``cells`` (sorted flat indices), a piece that ``_scan`` accepts is
+    checked without ``float()`` and stores only those cells; any other
+    piece is stored whole (the caller sets the cells not named). Every piece
     is counted, also after a bad one, so a wrong count wins over a bad
     token, whose line and column come from re-scanning only its piece.
     """
@@ -498,7 +499,7 @@ def _read_body(
         else:
             tokens = piece.split()
             n = len(tokens)
-            if bad is None and got + n <= expected and not _convert(tokens, values, got, cells):
+            if bad is None and got + n <= expected and not _convert(tokens, values, got):
                 bad = (lineno, column, piece)
             del tokens  # before the next read: one token list at a time
         got += n
@@ -566,10 +567,9 @@ def _scan(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     return starts, ends
 
 
-def _convert(tokens: list[str], values: np.ndarray, at: int, cells: np.ndarray | None) -> bool:
-    """Convert ``tokens``, the values of cells ``at``, ``at + 1``, ...; store
-    all of them, or only ``cells`` when given. False if one is not a
-    finite number."""
+def _convert(tokens: list[str], values: np.ndarray, at: int) -> bool:
+    """Convert ``tokens`` into the cells ``at``, ``at + 1``, ... of
+    ``values``. False if one is not a finite number."""
     # map(float) keeps Python's number syntax whatever the numpy version.
     try:
         parsed = np.fromiter(map(float, tokens), np.float64, count=len(tokens))
@@ -577,11 +577,7 @@ def _convert(tokens: list[str], values: np.ndarray, at: int, cells: np.ndarray |
         return False
     if not np.isfinite(parsed).all():
         return False
-    if cells is None:
-        values[at : at + parsed.size] = parsed
-    else:
-        k = _between(cells, at, at + parsed.size)
-        values[k] = parsed[k - at]
+    values[at : at + parsed.size] = parsed
     return True
 
 

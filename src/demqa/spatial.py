@@ -31,11 +31,12 @@ from ._workers import _map_parts, _worker_count
 from .choices import ASSUMPTIONS, MAX_PERMUTATIONS, WEIGHT_SCHEMES
 from .errors import (
     ConfigError,
+    DegenerateDataError,
     DegenerateWeightsError,
     InsufficientDataError,
     ZeroVarianceError,
 )
-from .stats import two_tailed_p
+from .stats import _finite, two_tailed_p
 
 # More weights than an assessment needs (about 10 per point in practice);
 # reached when one outlying point makes the ``auto`` band span a cluster.
@@ -361,20 +362,26 @@ def build_weights(
     return WeightsMatrix(n, rows[nonzero], cols[nonzero], vals[nonzero], threshold)
 
 
-def _deviations(values: Sequence[float], w: WeightsMatrix) -> np.ndarray:
+def _deviations(values: Sequence[float], w: WeightsMatrix) -> tuple[np.ndarray, float]:
+    """The deviations z of ``values`` from their mean, and sum z^2."""
     x = np.asarray(values, dtype=np.float64)
     if x.size != w.n:
         raise ValueError(f"got {x.size} values for {w.n} locations")
-    z = x - x.mean()
-    if float(np.sum(z * z)) == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite names an overflow
+        z = x - x.mean()
+        ss = float(np.sum(z * z))
+    if ss == 0.0:
         raise ZeroVarianceError("Moran's I undefined for a constant field")
-    return z
+    return z, _finite(ss, "Moran's I: the sum of squared deviations")
 
 
 def morans_i(values: Sequence[float], w: WeightsMatrix) -> float:
-    """Global Moran's I of ``values`` under weights ``w``."""
-    z = _deviations(values, w)
-    return (w.n / w.s0) * w.lag_products_sum(z) / float(np.sum(z * z))
+    """Global Moran's I of ``values`` under weights ``w``; DegenerateDataError
+    when a sum of squares or weighted products overflows."""
+    z, ss = _deviations(values, w)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite names an overflow
+        i = (w.n / w.s0) * w.lag_products_sum(z) / ss
+    return _finite(i, "Moran's I: the weighted sum of products of deviations")
 
 
 def morans_significance(
@@ -390,12 +397,15 @@ def morans_significance(
         raise ValueError(f"unknown assumption '{assumption}'")
     if w.n < 4:
         raise InsufficientDataError(f"need n >= 4 for the variance of I, got {w.n}")
-    z = _deviations(values, w)
+    z, ss = _deviations(values, w)
     n = w.n
-    m2 = float(np.sum(z**2)) / n
-    m4 = float(np.sum(z**4)) / n
+    m2 = ss / n
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite names an overflow
+        m4 = _finite(float(np.sum(z**4)), "Moran's I: the sum of fourth powers") / n
+    if m2 * m2 == 0.0:
+        raise DegenerateDataError("Moran's I: the squared variance underflows float64")
     b2 = m4 / (m2 * m2)
-    i_obs = (n / w.s0) * w.lag_products_sum(z) / float(np.sum(z * z))
+    i_obs = morans_i(values, w)
     e_i = -1.0 / (n - 1)
     s0sq = w.s0 * w.s0
     if assumption == "randomization":
@@ -440,10 +450,11 @@ def permutation_test(
         raise ValueError(f"n_perm must be at least 99, got {n_perm}")
     if n_perm > MAX_PERMUTATIONS:
         raise ValueError(f"n_perm must be at most {MAX_PERMUTATIONS}, got {n_perm}")
-    z = _deviations(values, w)
-    denom = float(np.sum(z * z))
-    scale = w.n / (w.s0 * denom)
-    i_obs = scale * w.lag_products_sum(z)
+    z, denom = _deviations(values, w)
+    scale = w.n / _finite(w.s0 * denom, "Moran's I: S0 times the sum of squared deviations")
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite names an overflow
+        i_obs = scale * w.lag_products_sum(z)
+    _finite(i_obs, "Moran's I: the weighted sum of products of deviations")
     e_i = -1.0 / (w.n - 1)
     ref = abs(i_obs - e_i)
 
@@ -451,11 +462,12 @@ def permutation_test(
         # numpy gathers, ufuncs and sums only: a forked child must not
         # touch BLAS or a lock another thread may hold
         sims = np.empty(hi - lo)
-        for k in range(lo, hi):
-            # stream k of SeedSequence(seed).spawn(n_perm), built where it is used
-            stream = np.random.SeedSequence(seed, spawn_key=(k,))
-            perm = np.random.default_rng(stream).permutation(w.n)
-            sims[k - lo] = scale * w.lag_products_sum(z[perm])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+            for k in range(lo, hi):
+                # stream k of SeedSequence(seed).spawn(n_perm), built where it is used
+                stream = np.random.SeedSequence(seed, spawn_key=(k,))
+                perm = np.random.default_rng(stream).permutation(w.n)
+                sims[k - lo] = scale * w.lag_products_sum(z[perm])
         send(sims.tobytes())
 
     workers = _worker_count(n_perm, n_perm * (w.n + w.nnz), _SPAN_WORK)
@@ -463,6 +475,9 @@ def permutation_test(
     _map_parts(span, [parts.append], [k * n_perm // workers for k in range(workers + 1)],
                workers, "replicates")
     sims = np.frombuffer(b"".join(parts))
+    if not np.isfinite(sims).all():
+        raise DegenerateDataError("Moran's I of a permuted field: the weighted sum of products "
+                                  "of deviations overflows float64")
     extreme = int(np.sum(np.abs(sims - e_i) >= ref))
     return PermutationResult(
         i_obs=i_obs,

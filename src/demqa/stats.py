@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError, ZeroVarianceError
+from .errors import ConfigError, DegenerateDataError, InsufficientDataError, ZeroVarianceError
 
 # More bins than a plot or a CSV table can use; reached only by a bin width
 # far below the spread of the values.
@@ -69,15 +69,19 @@ def summarize(deltas: Sequence[float]) -> SummaryStats:
     Mean and SD (n-1 denominator) describe the spread about the bias;
     RMSE (n denominator) is the root mean square of the raw differences.
 
-    Raises InsufficientDataError for fewer than two values.
+    Raises InsufficientDataError for fewer than two values, and
+    DegenerateDataError when a sum of squares overflows.
     """
     d = np.asarray(deltas, dtype=np.float64)
     n = d.size
     if n < 2:
         raise InsufficientDataError(f"need at least 2 values, got {n}")
-    mean = float(d.mean())
-    sd = float(math.sqrt(np.sum((d - mean) ** 2) / (n - 1)))
-    rmse = float(math.sqrt(np.sum(d**2) / n))
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite names an overflow
+        mean = float(d.mean())
+        ss = float(np.sum((d - mean) ** 2))
+        sq = float(np.sum(d**2))
+    sd = math.sqrt(_finite(ss, "standard deviation: the sum of squared deviations") / (n - 1))
+    rmse = math.sqrt(_finite(sq, "RMSE: the sum of squares") / n)
     lo = float(d.min())
     hi = float(d.max())
     return SummaryStats(n=n, mean=mean, sd=sd, rmse=rmse, min=lo, max=hi, range=hi - lo)
@@ -86,8 +90,9 @@ def summarize(deltas: Sequence[float]) -> SummaryStats:
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Pearson product-moment correlation between two equal-length samples.
 
-    Raises ZeroVarianceError if either variable is constant and
-    InsufficientDataError for n < 3.
+    Raises ZeroVarianceError if either variable is constant,
+    InsufficientDataError for n < 3 and DegenerateDataError when the
+    product of the sums of squares is not a positive float64.
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
@@ -96,12 +101,17 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     n = xa.size
     if n < 3:
         raise InsufficientDataError(f"need at least 3 pairs, got {n}")
-    dx = xa - xa.mean()
-    dy = ya - ya.mean()
-    sxx = float(np.sum(dx * dx))
-    syy = float(np.sum(dy * dy))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        dx = xa - xa.mean()
+        dy = ya - ya.mean()
+        sxx = float(np.sum(dx * dx))
+        syy = float(np.sum(dy * dy))
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVarianceError("correlation undefined for a constant variable")
+    if not 0.0 < sxx * syy < math.inf:
+        raise DegenerateDataError(
+            "correlation: the product of the sums of squares overflows or underflows float64"
+        )
     r = float(np.sum(dx * dy)) / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
     return CorrelationResult(r=r, n=n)
@@ -112,7 +122,8 @@ def anova_decompose(
 ) -> tuple[float, int, float, int]:
     """Between/within sum-of-squares decomposition for one-way ANOVA.
 
-    Returns (ss_between, df_between, ss_within, df_within).
+    Returns (ss_between, df_between, ss_within, df_within); raises
+    DegenerateDataError when a sum of squares overflows.
     """
     if len(groups) < 2:
         raise InsufficientDataError("need at least 2 groups")
@@ -125,10 +136,16 @@ def anova_decompose(
         raise InsufficientDataError(
             f"total n ({n_total}) must exceed number of groups ({k})"
         )
-    grand = sum(float(a.sum()) for a in arrays) / n_total
-    ss_between = sum(a.size * (float(a.mean()) - grand) ** 2 for a in arrays)
-    ss_within = sum(float(np.sum((a - a.mean()) ** 2)) for a in arrays)
-    return float(ss_between), k - 1, float(ss_within), n_total - k
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite names an overflow
+            ss_within = sum(float(np.sum((a - a.mean()) ** 2)) for a in arrays)
+            grand = sum(float(a.sum()) for a in arrays) / n_total
+            ss_between = sum(a.size * (float(a.mean()) - grand) ** 2 for a in arrays)
+    except OverflowError:  # a float's ** raises where numpy's gives inf
+        ss_between = math.inf
+    ss_between = _finite(float(ss_between), "ANOVA: the between-group sum of squares")
+    ss_within = _finite(float(ss_within), "ANOVA: the within-group sum of squares")
+    return ss_between, k - 1, ss_within, n_total - k
 
 
 def f_test(
@@ -138,7 +155,8 @@ def f_test(
 
     Zero within-group variance is reported as a distinct infinite-F flag
     with p = 0 rather than a NaN; with no variance at all F is 0/0, and
-    ZeroVarianceError is raised.
+    ZeroVarianceError is raised. An F ratio that overflows raises
+    DegenerateDataError.
     """
     if df_between < 1 or df_within < 1:
         raise InsufficientDataError("degrees of freedom must be positive")
@@ -151,7 +169,7 @@ def f_test(
     if ms_within == 0.0:
         f, p, infinite_f = math.inf, 0.0, True
     else:
-        f, infinite_f = ms_between / ms_within, False
+        f, infinite_f = _finite(ms_between / ms_within, "ANOVA: the F ratio"), False
         # the upper tail itself, I_{d2/(d2 + d1 F)}(d2/2, d1/2), not 1 - cdf,
         # which is 0 below about 1e-16
         p = regularized_incomplete_beta(df_within / 2.0, df_between / 2.0,
@@ -169,42 +187,34 @@ def f_test(
     )
 
 
+def _finite(value: float, what: str) -> float:
+    """``value``, or DegenerateDataError naming ``what`` when an overflow
+    made it infinite or NaN."""
+    if not math.isfinite(value):
+        raise DegenerateDataError(f"{what} overflows float64")
+    return value
+
+
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     max_iter = 500
     eps = 3e-16
     fpmin = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
+
+    def guard(v: float) -> float:  # keeps a NaN, which then never converges
+        return fpmin if abs(v) < fpmin else v
+
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
+    h = d = 1.0 / guard(1.0 - (a + b) * x / (a + 1.0))
     for m in range(1, max_iter + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
+        # the fraction's even coefficient, then its odd one
+        for aa in (m * (b - m) * x / (((a - 1.0) + m2) * (a + m2)),
+                   -(a + m) * ((a + b) + m) * x / ((a + m2) * ((a + 1.0) + m2))):
+            d = 1.0 / guard(1.0 + aa * d)
+            c = guard(1.0 + aa / c)
+            h *= d * c
+        if abs(d * c - 1.0) < eps:
             return h
     raise ArithmeticError(f"incomplete beta failed to converge (a={a}, b={b}, x={x})")
 

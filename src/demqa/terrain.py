@@ -12,11 +12,13 @@ degrees; aspect is atan2(dz/dy, -dz/dx) remapped to compass degrees
 neighbours take the window's centre value, so edge cells still get
 values; cells whose centre is nodata stay nodata.
 
-``slope_aspect`` computes a block of rows (``demqa terrain`` writes its
-grids a block at a time); ``slope_aspect_at`` reads only the windows of
-the cells it is given (``assess`` needs the cells under its control
-points). Both run the one kernel, ``_horn``, so a cell gets the same bits
-from either, and from any split of the rows.
+The one kernel, ``_horn``, takes the heights with a one-cell border, NaN
+off the grid and on nodata, and slices each cell's eight neighbours from
+it. ``slope_aspect`` gives it a block of rows with the rows beside them
+(``demqa terrain`` writes its grids a block at a time);
+``slope_aspect_at`` gives it one 3x3 window per cell (``assess`` needs
+the cells under its control points). So a cell gets the same bits from
+either, and from any split of the rows.
 """
 
 from __future__ import annotations
@@ -43,20 +45,18 @@ class CellDerivatives(NamedTuple):
 
 
 def _horn(
-    centre: np.ndarray,
-    neighbours: Sequence[np.ndarray],
-    invalid: np.ndarray,
-    cellsize: float,
-    z_factor: float,
-    fill: float,
+    padded: np.ndarray, invalid: np.ndarray, cellsize: float, z_factor: float, fill: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Slope and aspect from the centre values and the eight neighbour
-    arrays in ``_OFFSETS`` order, NaN where a neighbour is off the grid or
-    nodata; such a neighbour takes the centre value. Cells flagged
-    ``invalid`` (nodata centres) get ``fill``."""
+    """Slope and aspect of the cells inside the one-cell border of the last
+    two axes of ``padded``, whose NaN cells are off the grid or nodata; such
+    a neighbour takes the centre value. Cells flagged ``invalid`` (nodata
+    centres) get ``fill``."""
     if not (np.isfinite(z_factor) and z_factor > 0):
         raise ValueError("z_factor must be finite and positive")
-    a, b, c, d, f, g, h, i = (np.where(np.isnan(nb), centre, nb) for nb in neighbours)
+    rows, cols = padded.shape[-2] - 2, padded.shape[-1] - 2
+    centre, *around = (padded[..., 1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols]
+                       for dr, dc in ((0, 0), *_OFFSETS))
+    a, b, c, d, f, g, h, i = (np.where(np.isnan(nb), centre, nb) for nb in around)
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow's NaN: the writer names it
         dzdx = ((c + 2.0 * f + i) - (a + 2.0 * d + g)) / (8.0 * cellsize)
@@ -81,12 +81,9 @@ def slope_aspect(dem: Grid, lo: int, hi: int, z_factor: float = 1.0) -> CellDeri
     top, bottom = max(lo - 1, 0), min(hi + 1, dem.nrows)
     invalid = dem.values[top:bottom] == dem.nodata
     padded = np.pad(np.where(invalid, np.nan, dem.values[top:bottom]), 1, constant_values=np.nan)
-    at = 1 + lo - top  # row lo of padded, whose edges are NaN
-    neighbours = [
-        padded[at + dr : at + dr + hi - lo, 1 + dc : 1 + dc + dem.ncols] for dr, dc in _OFFSETS
-    ]
-    centre, invalid = padded[at : at + hi - lo, 1:-1], invalid[lo - top : hi - top]
-    slope, aspect = _horn(centre, neighbours, invalid, dem.cellsize, z_factor, dem.nodata)
+    at = lo - top  # row lo - 1 of padded, whose edges are NaN
+    slope, aspect = _horn(padded[at : at + hi - lo + 2], invalid[at : at + hi - lo],
+                          dem.cellsize, z_factor, dem.nodata)
     return CellDerivatives(slope=slope, aspect=aspect)
 
 
@@ -105,15 +102,10 @@ def slope_aspect_at(
         raise ValueError("rows and cols must have the same length")
     if ((rows < 0) | (rows >= dem.nrows) | (cols < 0) | (cols >= dem.ncols)).any():
         raise ValueError("cell off the grid")
-    vals = dem.values
-    centre = vals[rows, cols]
-    invalid = centre == dem.nodata
-    centre = np.where(invalid, np.nan, centre)
-    neighbours = []
-    for dr, dc in _OFFSETS:
-        r, c = rows + dr, cols + dc
-        inside = (r >= 0) & (r < dem.nrows) & (c >= 0) & (c < dem.ncols)
-        v = vals[np.clip(r, 0, dem.nrows - 1), np.clip(c, 0, dem.ncols - 1)]
-        neighbours.append(np.where(inside & (v != dem.nodata), v, np.nan))
-    slope, aspect = _horn(centre, neighbours, invalid, dem.cellsize, z_factor, np.nan)
-    return CellDerivatives(slope=slope, aspect=aspect)
+    step = np.arange(-1, 2)
+    r, c = rows.reshape(-1, 1, 1) + step[:, None], cols.reshape(-1, 1, 1) + step
+    v = dem.values[np.clip(r, 0, dem.nrows - 1), np.clip(c, 0, dem.ncols - 1)]
+    inside = (r >= 0) & (r < dem.nrows) & (c >= 0) & (c < dem.ncols)
+    windows = np.where(inside & (v != dem.nodata), v, np.nan)
+    slope, aspect = _horn(windows, np.isnan(windows[:, 1:2, 1:2]), dem.cellsize, z_factor, np.nan)
+    return CellDerivatives(slope=slope.reshape(rows.shape), aspect=aspect.reshape(rows.shape))

@@ -5,13 +5,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from demqa.errors import ConfigError, InsufficientDataError, ZeroVarianceError
+from demqa.errors import (
+    ConfigError,
+    DegenerateDataError,
+    InsufficientDataError,
+    ZeroVarianceError,
+)
 from demqa.stats import (
     MAX_HISTOGRAM_BINS,
     anova_decompose,
     f_test,
     histogram,
     pearson_r,
+    regularized_incomplete_beta,
     summarize,
     two_tailed_p,
 )
@@ -165,6 +171,28 @@ def test_f_test_without_any_variance_raises():
     assert f_test(0.0, 1, 1.0, 4).f == 0.0
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: summarize([1e200, -1e200]),
+     "standard deviation: the sum of squared deviations overflows"),
+    (lambda: summarize([1e200, 1e200]), "RMSE: the sum of squares overflows"),
+    (lambda: pearson_r([1e200, -1e200, 0.0], [1.0, 2.0, 4.0]),
+     "correlation: the product of the sums of squares overflows or underflows"),
+    (lambda: pearson_r([1e-160, -1e-160, 0.0], [1e-160, 0.0, -1e-160]),
+     "correlation: the product of the sums of squares overflows or underflows"),
+    # a Python float's ** raises OverflowError where numpy gives inf
+    (lambda: anova_decompose([[1e200, 1e200], [-1e200, -1e200]]),
+     "ANOVA: the between-group sum of squares overflows"),
+    (lambda: anova_decompose([[1e200, -1e200], [0.0, 0.0]]),
+     "ANOVA: the within-group sum of squares overflows"),
+    (lambda: f_test(1e300, 1, 1e-300, 10), "ANOVA: the F ratio overflows"),
+], ids=["sd", "rmse", "pearson-over", "pearson-under", "anova-between", "anova-within", "f"])
+def test_sums_beyond_float64_raise_degenerate_data(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateDataError, match=f"^{message} float64$"):
+            call()
+
+
 def _f_logpdf(x, d1, d2):
     return (
         0.5 * d1 * math.log(d1 / d2)
@@ -251,6 +279,61 @@ def test_tail_p_values_match_scipy_down_to_1e_300():
                 want = scipy_stats.f.sf(table.f, d1, d2)
                 if want >= 1e-300:
                     assert table.p == pytest.approx(want, rel=1e-10), (x, d1, d2)
+
+
+# float.hex of I_x(a, b) as the continued fraction computes it; the scipy
+# checks at 1e-10 relative would miss a last-bit change, which changes the
+# bytes of a report's anova.p. Both sides of the symmetry switch
+# x < (a + 1) / (a + b + 2), shapes from 0.01 to 1e4, x near 0 and near 1.
+INCOMPLETE_BETA_BITS = [
+    (0.5, 0.5, 0.3, "0x1.79ddc9edb550ap-2"),
+    (0.5, 0.5, 0.7, "0x1.43111b092557dp-1"),
+    (0.01, 0.01, 0.25, "0x1.fa7501fdcbe74p-2"),
+    (0.01, 0.01, 0.75, "0x1.02c57f011a0c6p-1"),
+    (0.01, 0.01, 1e-300, "0x1.062fbeb9120bap-11"),
+    (0.01, 10000.0, 1e-300, "0x1.2113467b21771p-10"),
+    (0.01, 10000.0, 1e-06, "0x1.ebb298af454a6p-1"),
+    (10000.0, 0.01, 0.9999999999999999, "0x1.e3ef12b0172ecp-3"),
+    (10000.0, 0.01, 0.999999, "0x1.44d6750b43b60p-5"),
+    (10000.0, 10000.0, 0.49, "0x1.3252b2c8832ecp-9"),
+    (10000.0, 10000.0, 0.5, "0x1.fffffffffe1b6p-2"),
+    (10000.0, 10000.0, 0.51, "0x1.fecdad4d377cdp-1"),
+    (2.0, 3.0, 1e-10, "0x1.1b578c9638d81p-64"),
+    (2.0, 3.0, 0.9, "0x1.fe1b089a02752p-1"),
+    (3.0, 2.0, 1e-100, "0x1.56e1fc2f8efecp-995"),
+    (3.0, 2.0, 0.6, "0x1.e69ad42c3c9f2p-2"),
+    (100.0, 0.01, 0.999, "0x1.29c75290e3ac0p-6"),
+    (0.01, 100.0, 0.001, "0x1.f6b1c56b78e4fp-1"),
+    (5.0, 5.0, 0.5, "0x1.0000000000006p-1"),
+    (7.5, 2.5, 0.75, "0x1.cdabec3fecba4p-2"),
+    (10000.0, 100.0, 0.99, "0x1.c9d56178674c0p-2"),
+    (100.0, 10000.0, 0.0099, "0x1.06809e26c8d2fp-1"),
+    # the paper-sized ANOVA, 3 and 700 degrees of freedom: p for F = 0.05,
+    # 0.5, 1, 1.43, 2.6, 5, 10, 40 and 400 is I_{700/(700 + 3F)}(350, 1.5)
+    (350.0, 1.5, 0.9997857601942441, "0x1.f86dd7092ea4fp-1"),
+    (350.0, 1.5, 0.9978617248752673, "0x1.5d62bbe17aac1p-1"),
+    (350.0, 1.5, 0.9957325746799431, "0x1.91b30ee6dab60p-2"),
+    (350.0, 1.5, 0.9939087591759077, "0x1.dcba632cb560cp-3"),
+    (350.0, 1.5, 0.9889799378355468, "0x1.a3513b3a745edp-5"),
+    (350.0, 1.5, 0.9790209790209791, "0x1.fe855cb642deap-10"),
+    (350.0, 1.5, 0.958904109589041, "0x1.f0581e8c17ad4p-20"),
+    (350.0, 1.5, 0.8536585365853658, "0x1.18af24f6f3740p-77"),
+    (350.0, 1.5, 0.3684210526315789, "0x1.d41ca4f8f07eep-501"),
+]
+
+
+@pytest.mark.parametrize("a, b, x, bits", INCOMPLETE_BETA_BITS)
+def test_incomplete_beta_bits(a, b, x, bits):
+    assert regularized_incomplete_beta(a, b, x).hex() == bits
+
+
+@pytest.mark.parametrize(
+    "a, b, x", [(math.nan, 1.0, 0.5), (1.0, math.nan, 0.5), (1.0, 2.0, math.nan)]
+)
+def test_incomplete_beta_of_nan_does_not_converge(a, b, x):
+    # the tiny-value guard keeps a NaN a NaN, so no step ever converges
+    with pytest.raises(ArithmeticError, match="failed to converge"):
+        regularized_incomplete_beta(a, b, x)
 
 
 def test_two_tailed_published_pair():
