@@ -45,19 +45,28 @@ A path's header that claims more values than the file has bytes for (each
 needs a character and a separator) is an error before anything is
 allocated.
 
-Values are written with shortest round-trip precision, so
-``read(write(g))`` reproduces ``g`` exactly. One write may fill several
-files of one georeferencing (slope and aspect) from one computation. A
-large grid's body is formatted in contiguous row strips of at most
-``_PART_CELLS`` cells over all outputs, at least one per CPU this process
-may run on, by one function that takes a strip's values a block of rows
-at a time (computed by the caller's ``rows``, a slope map say, or from the
-grid), checks them and sends them a row at a time to each output: this
-process writes each row of the first strip as it comes, a forked worker
-per other strip (at most one per CPU alive) keeps its rows, and their text
-is copied on in strip order, a bounded chunk at a time, so the bytes and
-errors do not depend on the number of workers. Grids written to paths
-appear whole or not at all, all of one write together (see
+Each value is written as Python's ``repr`` writes it, the shortest text
+that reads back as the same double, so ``read(write(g))`` reproduces ``g``
+exactly; integral values below 1e16 lose the ".0" and -0.0 is written as
+0. A numpy kernel (``_gridtext``, imported on the first write) computes
+this text a block of rows at a time: integral values below 1e16 as
+integers, and every other value in [1e-4, 1e16) from an exact product of
+the value and a power of ten. The rest are formatted by ``repr`` itself:
+values below 1e-4 or from 1e16 up (which ``repr`` writes with an
+exponent) and values whose rounding is an exact tie or lands exactly half
+an ulp away. So no byte depends on which path a value took.
+
+One write may fill several files of one georeferencing (slope and aspect)
+from one computation. A large grid's body is formatted in contiguous row
+strips of at most ``_PART_CELLS`` cells over all outputs, at least one per
+CPU this process may run on, by one function that takes a strip's values
+a block of rows at a time (computed by the caller's ``rows``, a slope map
+say, or from the grid), checks them and sends each output the block's
+text: this process writes each block of the first strip as it comes, a
+forked worker per other strip (at most one per CPU alive) keeps its text,
+and that is copied on in strip order, a bounded chunk at a time, so the
+bytes and errors do not depend on the number of workers. Grids written
+to paths appear whole or not at all, all of one write together (see
 ``_open_text``).
 """
 
@@ -102,12 +111,13 @@ _CLASSES = bytes(
 _MAX_TOKEN = 300
 # A read that names more than this share of the cells converts them all.
 _DENSE_FRACTION = 1 / 8
-# Least cells each grid-writing worker formats, so forking starts at twice
-# this (65,536 cells, a 256 x 256 grid). On 2 vCPUs (numpy 2.4) a cell took
-# 0.8-1.3 us to format and a fork with its pipe and reaping about 2.7 ms;
-# two workers won 14-15 of 15 alternating runs from 10,000 cells up while
-# the second vCPU took work at once, but lost at 22,500-62,500 cells in a
-# run where it did not, and won 15 of 15 from 90,000 cells in every run.
+# Cells of a grid-writing block, whose values are checked and formatted
+# together (``landcover.classify`` computes its blocks of this size too).
+# Each writing worker formats at least twice this, so forking starts at
+# 131,072 cells (a 362 x 362 grid). On 2 vCPUs (numpy 2.4) a one-worker
+# write took 0.32-0.45 us a cell and a fork with its pipe and reaping 3-4
+# ms; of 15 alternating writes two workers won 4-12 at 65,536 cells (four
+# runs), 8-14 at 131,044 (three), 13-14 at 196,249 and 15 from 262,144.
 _WRITE_CELLS = 1 << 15
 # Most cells whose text a grid-writing worker holds at once, over all the
 # outputs of one write (about 19 MB), so a child's memory does not grow
@@ -597,12 +607,12 @@ def _number(text: str, what: str, line: int, column: int) -> float:
     return value
 
 
-def _grid_line(values) -> str:
-    """``values`` as one line of grid text: shortest round-trip ``repr``
-    each, integral values below 1e16 without ".0" and -0.0 as 0."""
-    # +0.0 turns -0.0 into 0.0; repr() writes integral values from 1e16 up with an exponent.
-    text = " ".join(map(repr, (np.asarray(values, dtype=np.float64) + 0.0).tolist())) + "\n"
-    return text.replace(".0 ", " ").replace(".0\n", "\n")
+def _grid_text(values: np.ndarray) -> bytes:
+    """The rows of 2-D ``values`` as grid text, a line each (see the module
+    docstring). Commands that write no grid never import the kernel."""
+    from ._gridtext import grid_text
+
+    return grid_text(values)
 
 
 def _check_finite(blocks: Sequence[np.ndarray], row: int) -> None:
@@ -664,15 +674,14 @@ def write_ascii_grid(
                 _check_finite(blocks(first, min(first + step, grid.nrows)), first)
                 _check_finite(block, at)  # unreached while rows() gives the same values
             for values, send in zip(block, sends):
-                for row in values:
-                    send(_grid_line(row).encode("ascii"))
+                send(_grid_text(values))
 
     head = "".join(f"# {ln}\n" for ln in (comment or "").splitlines())
     head += f"ncols {grid.ncols}\nnrows {grid.nrows}\n" + "".join(
-        f"{key} {_grid_line([value])}" for key, value in (
+        f"{key} {_grid_text(np.array([[value]])).decode()}" for key, value in (
             ("xllcorner", grid.xll), ("yllcorner", grid.yll),
             ("cellsize", grid.cellsize), ("NODATA_value", grid.nodata)))
-    workers = _worker_count(grid.nrows, grid.values.size * len(dests), _WRITE_CELLS)
+    workers = _worker_count(grid.nrows, grid.values.size * len(dests), 2 * _WRITE_CELLS)
     parts = max(workers, -(-grid.nrows // max(1, _PART_CELLS // (grid.ncols * len(dests)))))
     with contextlib.ExitStack() as stack:
         streams = [stack.enter_context(_open_text(d, "w")) for d in dests]

@@ -99,22 +99,26 @@ class WeightsMatrix:
         self.rows, self.cols, self.vals = rows, cols, vals
         for a in (rows, cols, vals):
             a.flags.writeable = False
-        self.s0 = float(vals.sum())
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            self.s0 = float(vals.sum())
+            row_sums = np.zeros(n)
+            col_sums = np.zeros(n)
+            np.add.at(row_sums, rows, vals)
+            np.add.at(col_sums, cols, vals)
+            # S1 over unordered pairs: each contributes (w_ij + w_ji)^2 once,
+            # added by Python's sum() in the order the pairs first appear.
+            pair = np.minimum(rows, cols).astype(np.int64) * n + np.maximum(rows, cols)
+            _, first, which = np.unique(pair, return_index=True, return_inverse=True)
+            t = np.zeros(first.size)
+            np.add.at(t, which, vals)
+            t = t[np.argsort(first)]
+            self.s1 = float(sum((t * t).tolist()))
+            self.s2 = float(np.sum((row_sums + col_sums) ** 2))
+        for name, value in (("S0", self.s0), ("S1", self.s1), ("S2", self.s2)):
+            if not math.isfinite(value):
+                raise DegenerateWeightsError(f"spatial weights: {name} overflows float64")
         if self.s0 <= 0.0:
             raise DegenerateWeightsError("all spatial weights are zero")
-        row_sums = np.zeros(n)
-        col_sums = np.zeros(n)
-        np.add.at(row_sums, rows, vals)
-        np.add.at(col_sums, cols, vals)
-        # S1 over unordered pairs: each contributes (w_ij + w_ji)^2 once, added
-        # by Python's sum() in the order the pairs first appear.
-        pair = np.minimum(rows, cols).astype(np.int64) * n + np.maximum(rows, cols)
-        _, first, which = np.unique(pair, return_index=True, return_inverse=True)
-        t = np.zeros(first.size)
-        np.add.at(t, which, vals)
-        t = t[np.argsort(first)]
-        self.s1 = float(sum((t * t).tolist()))
-        self.s2 = float(np.sum((row_sums + col_sums) ** 2))
 
     @property
     def nnz(self) -> int:

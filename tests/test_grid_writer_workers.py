@@ -78,34 +78,35 @@ def test_rows_split_over_workers(monkeypatch, tmp_path):
 
 def test_grid_below_the_threshold_never_forks(monkeypatch, tmp_path):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    cells = demqa.raster._WRITE_CELLS
+    cells = 2 * demqa.raster._WRITE_CELLS  # the least cells a writing worker formats
     assert demqa._workers._worker_count(2, 2 * cells, cells) == 2
 
     def no_fork():
         raise AssertionError("os.fork called")
 
-    monkeypatch.setattr(os, "fork", no_fork)
     ncols = 64
     nrows = (2 * cells - 1) // ncols
     grid = Grid(ncols=ncols, nrows=nrows, xll=0, yll=0, cellsize=1,
                 values=np.arange(nrows * ncols) / 7)
-    write_ascii_grid(grid, tmp_path / "g.asc")
-    assert read_ascii_grid(tmp_path / "g.asc") == grid
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", no_fork)
+        write_ascii_grid(grid, tmp_path / "g.asc")
+    assert read_ascii_grid(tmp_path / "g.asc") == grid  # a body this size is read in parts
 
 
 def test_failing_parent_kills_and_reaps_its_writer_children(monkeypatch, tmp_path):
     monkeypatch.setattr(demqa._workers, "_WORKERS", 3)
     parent = os.getpid()
-    line = demqa.raster._grid_line
+    text = demqa.raster._grid_text
 
-    def grid_line(values):
-        if os.getpid() == parent and np.size(values) == 5:  # a body row, not the header
+    def grid_text(values):
+        if os.getpid() == parent and np.size(values) > 1:  # body rows, not a header value
             raise KeyboardInterrupt
         if os.getpid() != parent:
             time.sleep(60)
-        return line(values)
+        return text(values)
 
-    monkeypatch.setattr(demqa.raster, "_grid_line", grid_line)
+    monkeypatch.setattr(demqa.raster, "_grid_text", grid_text)
     t0 = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         write_ascii_grid(edge_grid(7, 5), tmp_path / "g.asc")
@@ -116,14 +117,14 @@ def test_failing_parent_kills_and_reaps_its_writer_children(monkeypatch, tmp_pat
 def test_failing_writer_child_exits_3(monkeypatch, tmp_path, capfd):
     monkeypatch.setattr(demqa._workers, "_WORKERS", 2)
     parent = os.getpid()
-    line = demqa.raster._grid_line
+    text = demqa.raster._grid_text
 
-    def grid_line(values):
+    def grid_text(values):
         if os.getpid() != parent:
             raise ValueError("formatter broke")
-        return line(values)
+        return text(values)
 
-    monkeypatch.setattr(demqa.raster, "_grid_line", grid_line)
+    monkeypatch.setattr(demqa.raster, "_grid_text", grid_text)
     out = tmp_path / "g.asc"
     argv = ["synth", "--kind", "plane", "--nrows", "6", "--ncols", "4", "--out", str(out)]
     for before in (None, b"an earlier grid\n"):

@@ -170,3 +170,32 @@ def test_moran_with_any_finite_values_never_reports_nan(scene, capsys):
         check_outcome(code, capsys, out)
 
     check()
+
+
+# Two of the points 1e-160 apart: their inverse-distance weight is 1e160,
+# so S0 is finite but S1 and S2 (sums of squared weights) overflow.
+NEAR_POINTS = [(0.0, 0.0), (1e-160, 0.0), (10.0, 0.0), (0.0, 10.0), (10.0, 10.0)]
+
+
+def test_moran_weights_whose_sums_overflow_exit_4(tmp_path, capsys):
+    rows = "".join(f"{x!r},{y!r},{k + 1}\n" for k, (x, y) in enumerate(NEAR_POINTS))
+    (tmp_path / "s.csv").write_text("x,y,delta_h\n" + rows)
+    out = tmp_path / "moran.json"
+    code = run(["moran", "--samples", tmp_path / "s.csv", "--out", out])
+    assert_exit_4(code, capsys, "moran", "spatial weights: S1 overflows float64")
+    assert not out.exists()
+
+
+def test_assess_skips_moran_whose_weights_overflow(tmp_path, capsys):
+    dem = Grid(ncols=2, nrows=2, xll=-5.0, yll=-5.0, cellsize=10.0,
+               values=[[100.0, 101.0], [102.0, 104.0]])
+    write_ascii_grid(dem, tmp_path / "dem.asc")
+    heights = [102.5, 101.7, 104.2, 100.1, 101.4]  # DEM minus these: -0.5 .. 0.6
+    write_heights(tmp_path / "gcps.csv", heights, NEAR_POINTS)
+    out = tmp_path / "out"
+    assert run(["assess", "--dem", tmp_path / "dem.asc", "--gcps", tmp_path / "gcps.csv",
+                "--out", out]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert report["moran"] == {"skipped": "spatial weights: S1 overflows float64"}
+    assert non_finite_fields(report) == []
