@@ -47,7 +47,7 @@ from .choices import (
     WEIGHT_SCHEMES,
 )
 from .errors import ConfigError, DegenerateDataError, ParseError
-from .raster import _csv_rows, _open_text, read_ascii_grid, write_ascii_grid
+from .raster import _finite, _open_text, _read_table, read_ascii_grid, write_ascii_grid
 
 if TYPE_CHECKING:
     from .sample import SampleTable
@@ -295,16 +295,12 @@ def _jsonable(obj):
 
 
 def _fmt_cell(v) -> str:
-    if v is None:
+    """CSV text of a cell: "" where missing (None or NaN), repr for a float."""
+    if v is None or v != v:
         return ""
     if isinstance(v, float):
         return repr(float(v))  # plain float repr even for numpy scalars
     return str(v)
-
-
-def _floats(column: np.ndarray) -> list[str]:
-    """CSV text of a table column: repr per float, "" where missing (NaN)."""
-    return [repr(v) if v == v else "" for v in column.tolist()]
 
 
 def _provenance(command: str) -> str:
@@ -353,7 +349,7 @@ def _write_files(
     files[REPORT_NAME].write(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
 
     floats = ("x", "y", "h_ref", "h_dem", "delta_h", "slope_deg", "aspect_deg")
-    text = {c: _floats(getattr(samples, c)) for c in floats}
+    text = {c: list(map(_fmt_cell, getattr(samples, c).tolist())) for c in floats}
     codes = [None if c != c else int(c) for c in samples.class_code.tolist()]
     _write_csv(
         files["samples.csv"], "assess",
@@ -472,28 +468,16 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _read_samples_csv(path: str, field_name: str) -> tuple[list[tuple[float, float]], list[float]]:
-    rows = _csv_rows(path, "samples file")
-    cols = [c.strip().lower() for c in next(rows)[1]]
-    for needed in ("x", "y", field_name):
-        if needed not in cols:
-            raise ParseError(f"samples file lacks column '{needed}'")
-    coords, values = [], []
-    for lineno, fields in rows:
-        row = dict(zip(cols, fields))
-        if (row.get("status") or "kept").strip() != "kept":
-            continue
-        raw = (row.get(field_name) or "").strip()
-        if not raw:
-            continue
-        try:
-            point = float(row["x"]), float(row["y"]), float(raw)
-        except (KeyError, ValueError):
-            raise ParseError("bad numeric value in samples file", line=lineno) from None
-        if not all(map(math.isfinite, point)):
-            raise ParseError("non-finite value in samples file", line=lineno)
-        coords.append(point[:2])
-        values.append(point[2])
-    return coords, values
+    """(x, y) and ``field_name`` of each row whose status (if any) is kept
+    and whose ``field_name`` is not blank."""
+    columns = (("x", _finite), ("y", _finite), (field_name, _finite))
+
+    def keep(row: dict[str, str]) -> bool:
+        status, value = row.get("status") or "kept", row.get(field_name) or ""
+        return status.strip() == "kept" and bool(value.strip())
+
+    rows = [v for _, v in _read_table(path, "samples file", columns, by_name=True, keep=keep)]
+    return [(x, y) for x, y, _ in rows], [v for _, _, v in rows]
 
 
 def cmd_moran(args: argparse.Namespace) -> int:

@@ -24,7 +24,8 @@ class ParseError(DemqaError):
 
 
 class TrainingPointError(ParseError, ValueError):
-    """A training point off the image or on nodata (a ValueError too, as before)."""
+    """A training point off the image or on nodata, or a class code that is
+    the image's nodata value (a ValueError too, as before)."""
 
 
 class DegenerateDataError(DemqaError):

@@ -9,7 +9,6 @@ order classes were declared in.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence, TextIO
@@ -17,7 +16,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .errors import InsufficientDataError, ParseError, TrainingPointError
-from .raster import _WRITE_CELLS, Grid, _csv_rows, cell_of
+from .raster import _WRITE_CELLS, Grid, _code, _finite, _read_table, _text, cell_of
 
 UNCLASSIFIED = 0
 
@@ -99,17 +98,20 @@ def classify(bands: Sequence[Grid], boxes: Sequence[ClassBox]) -> Grid:
 
     Pixels inside no box get code 0 (unclassified); pixels inside
     several take the class with the smallest Euclidean distance to the
-    class mean, ties to the lowest code. Nodata in any band propagates.
+    class mean, ties to the lowest code. Nodata in any band propagates,
+    so no class may have the first band's nodata value as its code.
     The bands share one georeferencing; they are read a block of rows at a time.
     """
     if not boxes:
         raise ValueError("no class boxes given")
+    ref = bands[0]
     for box in boxes:
         if box.n_bands != len(bands):
             raise ValueError(
                 f"class {box.class_code} has {box.n_bands} band bounds, image has {len(bands)}"
             )
-    ref = bands[0]
+        if box.class_code == ref.nodata:
+            raise TrainingPointError(f"class code {box.class_code} is the image's nodata value")
     out = np.full(ref.values.shape, float(UNCLASSIFIED))
     step = max(1, _WRITE_CELLS // ref.ncols)  # rows per block
     for lo in range(0, ref.nrows, step):
@@ -134,36 +136,18 @@ def classify(bands: Sequence[Grid], boxes: Sequence[ClassBox]) -> Grid:
 
 
 def read_training_csv(source: str | Path | TextIO) -> list[tuple[float, float, int]]:
-    """Read labelled training points from CSV with header ``x,y,class_code``."""
-    rows = _csv_rows(source, "CSV file")
-    header_line, header = next(rows)
-    if [h.strip().lower() for h in header][:3] != ["x", "y", "class_code"]:
-        raise ParseError("expected header 'x,y,class_code'", line=header_line)
-    out = []
-    for lineno, fields in rows:
-        try:
-            x, y = float(fields[0]), float(fields[1])
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError
-            out.append((x, y, int(fields[2])))
-        except (ValueError, IndexError):
-            raise ParseError("bad training row", line=lineno) from None
-    return out
+    """Read labelled training points from CSV with header ``x,y,class_code``;
+    a code may not be 0, which marks unclassified cells."""
+    columns = (("x", _finite), ("y", _finite), ("class_code", lambda text: _code(text, least=1)))
+    return [tuple(values) for _, values in _read_table(source, "CSV file", columns)]
 
 
 def read_legend_csv(source: str | Path | TextIO) -> dict[int, str]:
     """Read class labels from CSV with header ``class_code,label``; each
     code may appear once."""
-    rows = _csv_rows(source, "CSV file")
-    header_line, header = next(rows)
-    if [h.strip().lower() for h in header][:2] != ["class_code", "label"]:
-        raise ParseError("expected header 'class_code,label'", line=header_line)
     legend = {}
-    for lineno, fields in rows:
-        try:
-            code, label = int(fields[0]), fields[1].strip()
-        except (ValueError, IndexError):
-            raise ParseError("bad legend row", line=lineno) from None
+    columns = (("class_code", _code), ("label", _text))
+    for lineno, (code, label) in _read_table(source, "CSV file", columns):
         if code in legend:
             raise ParseError(f"duplicate class code {code}", line=lineno)
         legend[code] = label

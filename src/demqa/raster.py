@@ -273,22 +273,104 @@ def _open_text(source: str | Path | TextIO, mode: str) -> Iterator[TextIO]:
 def _csv_rows(source: str | Path | TextIO, name: str) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(file line number, fields)`` for each CSV line that is not
     blank or a ``#`` comment; with no such line, raise ParseError "empty
-    <name>". Each reader checks its own header and rows.
+    <name>". ``_read_table`` checks the header and converts the fields.
 
-    A line is parsed on its own by ``csv.reader``, so an unbalanced quote
-    never joins it to the next; a line ``csv`` rejects (a field over its
-    size limit, say) raises ParseError naming the line."""
+    A line is parsed on its own by ``csv``, so an unbalanced quote never
+    joins it to the next; a line ``csv`` rejects (a field over its size
+    limit, say) raises ParseError naming the line."""
+    pending: list[str] = []  # one reader's input, a line at a time
+    reader = csv.reader(map(list.pop, itertools.repeat(pending)))
     with _open_text(source, "r") as stream:
         empty = True
         try:
             for lineno, line in enumerate(stream, start=1):
-                if line.strip() and not line.lstrip().startswith("#"):
+                text = line.lstrip()
+                if text and text[0] != "#":
                     empty = False
-                    yield lineno, next(csv.reader([line]))
+                    pending.append(line)
+                    try:
+                        fields = next(reader)
+                    except IndexError:  # a quote left open asked for the next line
+                        fields = next(csv.reader([line]))
+                    yield lineno, fields
         except csv.Error as exc:
             raise ParseError(f"bad CSV line: {exc}", line=lineno) from None
         if empty:
             raise ParseError(f"empty {name}")
+
+
+def _finite(text: str) -> float:
+    """A table field as a finite float; ``float()`` decides what is a number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError("non-numeric value") from None
+    if not math.isfinite(value):
+        raise ValueError("non-finite value")
+    return value
+
+
+def _code(text: str, least: int = 0) -> int:
+    """A table field as an integer class code of magnitude ``least`` to
+    2**53 (float64 grids and columns hold every such integer exactly)."""
+    try:
+        code = int(text)
+    except ValueError:
+        raise ValueError("non-integer class code") from None
+    if not least <= abs(code) <= 2**53:
+        raise ValueError("out-of-range class code")
+    return code
+
+
+_text = str.strip  # an id or a label
+
+
+def _read_table(
+    source: str | Path | TextIO, name: str, columns: Sequence[tuple[str, Callable]],
+    by_name: bool = False, keep: Callable[[dict[str, str]], object] | None = None,
+) -> Iterator[tuple[int, list]]:
+    """Yield ``(file line number, values)`` for each row of a CSV table:
+    the parse of each of ``columns``, (name, parse) pairs, of its field.
+
+    The header (case-insensitive) starts with the columns' names, and
+    fields are read by position; or, ``by_name``, it holds them anywhere
+    and a field is read under its name (the last of a repeated one). Other
+    fields are ignored. With ``keep``, a row is skipped unless it is true of
+    the row's {header name: field}. A row too short for the columns, or a
+    field its parse rejects (ValueError), raises ParseError naming the
+    line and, for a field, the reason, the text and the column.
+    """
+    rows = _csv_rows(source, name)
+    header_line, header = next(rows)
+    names = [h.strip().lower() for h in header]
+    wanted = [c for c, _ in columns]
+    if not by_name and names[: len(wanted)] != wanted:
+        raise ParseError(
+            f"expected header '{','.join(wanted)}', got '{','.join(header).strip()}'",
+            line=header_line,
+        )
+    where = {c: k for k, c in enumerate(names if by_name else wanted)}
+    for c in wanted:
+        if c not in where:
+            raise ParseError(f"{name} lacks column '{c}'", line=header_line)
+    at = [(where[c], parse) for c, parse in columns]
+    width = max(k for k, _ in at) + 1
+    for lineno, fields in rows:
+        if keep is not None and not keep(dict(zip(names, fields))):
+            continue
+        try:
+            values = [parse(fields[k]) for k, parse in at]
+        except (IndexError, ValueError):
+            if len(fields) < width:
+                raise ParseError(f"expected {width} columns, got {len(fields)}",
+                                 line=lineno) from None
+            for c, (k, parse) in zip(wanted, at):
+                try:
+                    parse(fields[k])
+                except ValueError as exc:
+                    raise ParseError(f"{exc} '{fields[k].strip()}' in column '{c}'",
+                                     line=lineno, column=k + 1) from None
+        yield lineno, values
 
 
 def read_ascii_grid(

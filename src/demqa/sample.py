@@ -14,7 +14,6 @@ statistics.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, TextIO
@@ -23,11 +22,12 @@ import numpy as np
 
 from .choices import EXTRACTION_METHODS
 from .errors import ConfigError, ParseError
-from .raster import Grid, _csv_rows, cells_of
+from .raster import Grid, _finite, _read_table, _text, cells_of
 from .terrain import slope_aspect_at
 
 # The value columns of a table, in field order.
 COLUMNS = ("x", "y", "h_ref", "h_dem", "delta_h", "class_code", "slope_deg", "aspect_deg")
+GCP_COLUMNS = (("id", _text), ("x", _finite), ("y", _finite), ("h", _finite))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,37 +99,14 @@ def read_gcp_csv(source: str | Path | TextIO) -> SampleTable:
     Lines starting with ``#`` are skipped. Point ids must be unique and
     x, y and h finite numbers.
     """
-    rows = _csv_rows(source, "control point file")
-    header_line, header_fields = next(rows)
-    header = [h.strip().lower() for h in header_fields]
-    if header[:4] != ["id", "x", "y", "h"]:
-        raise ParseError(
-            f"expected header 'id,x,y,h', got '{','.join(header_fields).strip()}'",
-            line=header_line,
-        )
-    ids: list[str] = []
-    xyh: list[tuple[float, float, float]] = []
-    seen: set[str] = set()
-    for lineno, fields in rows:
-        if len(fields) < 4:
-            raise ParseError(f"expected 4 columns, got {len(fields)}", line=lineno)
-        pid = fields[0].strip()
-        if pid in seen:
+    points: dict[str, list[float]] = {}
+    for lineno, xyh in _read_table(source, "control point file", GCP_COLUMNS):
+        pid = xyh.pop(0)
+        if pid in points:
             raise ParseError(f"duplicate point id '{pid}'", line=lineno)
-        seen.add(pid)
-        try:
-            values = (float(fields[1]), float(fields[2]), float(fields[3]))
-        except ValueError as exc:
-            raise ParseError(f"non-numeric coordinate or height: {exc}", line=lineno) from None
-        if not all(map(math.isfinite, values)):
-            col = next(c for c, v in enumerate(values, start=2) if not math.isfinite(v))
-            raise ParseError(
-                f"non-finite value '{fields[col - 1].strip()}'", line=lineno, column=col
-            )
-        ids.append(pid)
-        xyh.append(values)
-    x, y, h = np.array(xyh, dtype=np.float64).reshape(-1, 3).T.copy()
-    return SampleTable(ids=ids, x=x, y=y, h_ref=h)
+        points[pid] = xyh
+    x, y, h = np.array(list(points.values()), dtype=np.float64).reshape(-1, 3).T.copy()
+    return SampleTable(ids=list(points), x=x, y=y, h_ref=h)
 
 
 def extract_coincident(dem: Grid, points: SampleTable, method: str = "nearest") -> SampleTable:

@@ -727,24 +727,30 @@ CSV_ERRORS = [
     ("--gcps", "id,x,y,h\n\na,1,2\n", "expected 4 columns, got 3 (line 3)"),
     ("--gcps", "id,x,y,h\na,1,2,3\n# c\na,4,5,6\n", "duplicate point id 'a' (line 4)"),
     ("--gcps", "id,x,y,h\na,one,2,3\n",
-     "non-numeric coordinate or height: could not convert string to float: 'one' (line 2)"),
-    ("--gcps", "id,x,y,h\na,1,2,nan\n", "non-finite value 'nan' (line 2, column 4)"),
-    ("--gcps", "id,x,y,h\na,1,2,3\nb,inf,2,3\n", "non-finite value 'inf' (line 3, column 2)"),
-    ("--gcps", "id,x,y,h\na,1,1e400,3\n", "non-finite value '1e400' (line 2, column 3)"),
+     "non-numeric value 'one' in column 'x' (line 2, column 2)"),
+    ("--gcps", "id,x,y,h\na,1,2,nan\n", "non-finite value 'nan' in column 'h' (line 2, column 4)"),
+    ("--gcps", "id,x,y,h\na,1,2,3\nb,inf,2,3\n",
+     "non-finite value 'inf' in column 'x' (line 3, column 2)"),
+    ("--gcps", "id,x,y,h\na,1,1e400,3\n",
+     "non-finite value '1e400' in column 'y' (line 2, column 3)"),
     ("--legend", "", "empty CSV file"),
-    ("--legend", "# c\ncode,label\n", "expected header 'class_code,label' (line 2)"),
-    ("--legend", "class_code,label\n1,a\n\nx,oops\n", "bad legend row (line 4)"),
-    ("--legend", "class_code,label\n1\n", "bad legend row (line 2)"),
+    ("--legend", "# c\ncode,label\n",
+     "expected header 'class_code,label', got 'code,label' (line 2)"),
+    ("--legend", "class_code,label\n1,a\n\nx,oops\n",
+     "non-integer class code 'x' in column 'class_code' (line 4, column 1)"),
+    ("--legend", "class_code,label\n1\n", "expected 2 columns, got 1 (line 2)"),
     ("--training", "\n", "empty CSV file"),
-    ("--training", "x,y\n1,2\n", "expected header 'x,y,class_code' (line 1)"),
-    ("--training", "x,y,class_code\n# c\n1,2,z\n", "bad training row (line 3)"),
-    ("--training", "x,y,class_code\n1,nan,1\n", "bad training row (line 2)"),
+    ("--training", "x,y\n1,2\n", "expected header 'x,y,class_code', got 'x,y' (line 1)"),
+    ("--training", "x,y,class_code\n# c\n1,2,z\n",
+     "non-integer class code 'z' in column 'class_code' (line 3, column 3)"),
+    ("--training", "x,y,class_code\n1,nan,1\n",
+     "non-finite value 'nan' in column 'y' (line 2, column 2)"),
     ("--samples", "", "empty samples file"),
-    ("--samples", "x,z,delta_h\n1,2,3\n", "samples file lacks column 'y'"),
+    ("--samples", "x,z,delta_h\n1,2,3\n", "samples file lacks column 'y' (line 1)"),
     ("--samples", SAMPLES_HEAD + "1,2,0.5,kept\n3,4,oops,kept\n",
-     "bad numeric value in samples file (line 5)"),
+     "non-numeric value 'oops' in column 'delta_h' (line 5, column 3)"),
     ("--samples", SAMPLES_HEAD + "1,2,0.5,kept\n3,4,nan,kept\n",
-     "non-finite value in samples file (line 5)"),
+     "non-finite value 'nan' in column 'delta_h' (line 5, column 3)"),
     # a field over csv's size limit (131,072 characters) used to end in a traceback
     ("--gcps", "id,x,y,h\n" + "p" * 200_000 + ",1,2,3\n", LONG_FIELD + " (line 2)"),
     ("--legend", "class_code,label\n1," + "a" * 200_000 + "\n", LONG_FIELD + " (line 2)"),
@@ -754,6 +760,20 @@ CSV_ERRORS = [
     # the legend's twin of the duplicate point id row, added last so that
     # the rows above keep their ids; a repeated code used to keep its last label
     ("--legend", "class_code,label\n1,forest\n# c\n1,water\n", "duplicate class code 1 (line 4)"),
+    # class codes live in float64 grids, exact up to 2^53; 0 marks unclassified cells
+    ("--training", "x,y,class_code\n1.5,1.5,99999999999999999999\n",
+     "out-of-range class code '99999999999999999999' in column 'class_code' (line 2, column 3)"),
+    ("--training", "x,y,class_code\n1.5,1.5,1\n4.5,4.5, 0 \n",
+     "out-of-range class code '0' in column 'class_code' (line 3, column 3)"),
+    ("--legend", "class_code,label\n-9007199254740993,far\n",
+     "out-of-range class code '-9007199254740993' in column 'class_code' (line 2, column 1)"),
+    # a field error on a line wins over the caller's duplicate check of that line
+    ("--gcps", "id,x,y,h\na,1,2,3\na,1,x,3\n",
+     "non-numeric value 'x' in column 'y' (line 3, column 3)"),
+    # the samples file's columns are found by name, in any order
+    ("--samples", "status,delta_h,y,x\nkept,0.5,2\n", "expected 4 columns, got 3 (line 2)"),
+    ("--samples", "delta_h,x,y\n0.5,1,inf\n",
+     "non-finite value 'inf' in column 'y' (line 2, column 3)"),
 ]
 
 
@@ -954,6 +974,24 @@ def test_classify_without_training_points_exit_4(tmp_path, capsys):
     assert main(["classify", "--image", str(tmp_path / "b.asc"), "--training",
                  str(tmp_path / "t.csv"), "--out", str(tmp_path / "c.asc")]) == 4
     assert capsys.readouterr().err == "degenerate statistics [classify]: no training points\n"
+    assert not (tmp_path / "c.asc").exists()
+
+
+@pytest.mark.parametrize("code, message", [
+    # each exited 0: class 0 was counted as a class and as unclassified, the
+    # cells of class -9999 were written as nodata, and 1e20 was stored as
+    # 100000000000000000000.0 in the float64 map
+    ("0", "out-of-range class code '0' in column 'class_code' (line 2, column 3)"),
+    ("-9999", "class code -9999 is the image's nodata value"),
+    ("99999999999999999999",
+     "out-of-range class code '99999999999999999999' in column 'class_code' (line 2, column 3)"),
+])
+def test_classify_rejects_codes_the_class_map_cannot_hold(tmp_path, capsys, code, message):
+    write_ascii_grid(make_plane(1.0, 0.5, 0.0, 10, 10), tmp_path / "b.asc")
+    (tmp_path / "t.csv").write_text(f"x,y,class_code\n0.5,0.5,{code}\n5.5,5.5,{code}\n")
+    assert main(["classify", "--image", str(tmp_path / "b.asc"), "--training",
+                 str(tmp_path / "t.csv"), "--out", str(tmp_path / "c.asc")]) == 3
+    assert capsys.readouterr().err == f"parse error [classify]: {message}\n"
     assert not (tmp_path / "c.asc").exists()
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import demqa.landcover
-from demqa.errors import InsufficientDataError, ParseError
+from demqa.errors import InsufficientDataError, ParseError, TrainingPointError
 from demqa.landcover import (
     ClassBox,
     classify,
@@ -206,6 +206,26 @@ def test_output_codes_in_declared_set():
     out = classify(image, boxes)
     allowed = {0, 1, 2, 3, out.nodata}
     assert set(np.unique(out.values)).issubset(allowed)
+
+
+def test_class_code_limits_of_training_and_legend():
+    top = 2**53  # float64 holds every integer up to here exactly
+    text = f"x,y,class_code\n1,2,{top}\n3,4,{-top}\n"
+    assert read_training_csv(io.StringIO(text)) == [(1.0, 2.0, top), (3.0, 4.0, -top)]
+    assert read_legend_csv(io.StringIO(f"class_code,label\n0,none\n{top},far\n")) == {
+        0: "none", top: "far"}
+    for code in ("0", " -0 ", str(top + 1)):
+        with pytest.raises(ParseError, match=r"^out-of-range class code .* \(line 2, column 3\)$"):
+            read_training_csv(io.StringIO(f"x,y,class_code\n1,2,{code}\n"))
+    with pytest.raises(ParseError, match=r"^out-of-range class code .* \(line 2, column 1\)$"):
+        read_legend_csv(io.StringIO(f"class_code,label\n{-top - 1},far\n"))
+
+
+def test_classify_rejects_the_nodata_code():
+    band = Grid(ncols=2, nrows=1, xll=0, yll=0, cellsize=1, values=[1.0, 2.0], nodata=-5.0)
+    box = ClassBox(class_code=-5, label="x", lows=(0.0,), highs=(3.0,), means=(1.5,))
+    with pytest.raises(TrainingPointError, match="^class code -5 is the image's nodata value$"):
+        classify([band], [box])
 
 
 def test_read_training_and_legend_csv():
