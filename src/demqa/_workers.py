@@ -9,9 +9,12 @@ length per stream and then each stream's pieces. The parent hands the
 bytes on in part order, so the result cannot depend on how many parts
 there are. A child whose part raises sends its message instead: the
 parent runs that part again, to raise the error as a serial run would,
-and prints the child's message only if it does not. At most one child per
-worker is alive at once, so a job may have more parts than workers (the
-grid writer's strips, which bound the text a child holds).
+and prints the child's message only if it does not. Every caller relies
+on this rerun for its errors (the grid reader's byte ranges, the grid
+writer's strips, the permutation spans): a part raises, and never marks
+a failure by what it sends. At most one child per worker is alive at
+once, so a job may have more parts than workers (the grid writer's
+strips, which bound the text a child holds).
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ from .choices import (
     WEIGHT_SCHEMES,
 )
 from .errors import ConfigError, DegenerateDataError, ParseError
-from .raster import _finite, _open_text, _read_table, read_ascii_grid, write_ascii_grid
+from .raster import _code, _finite, _open_text, _read_table, read_ascii_grid, write_ascii_grid
 
 if TYPE_CHECKING:
     from .sample import SampleTable
@@ -143,12 +143,12 @@ def _parts(text: str) -> list[str]:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in _parts(text))
+    return tuple(map(_code, _parts(text)))
 
 
 def _remap(text: str) -> dict[int, int]:
     pairs = [p.split(":") for p in _parts(text)]
-    return {int(src): int(dst) for src, dst in pairs}
+    return {_code(src): _code(dst) for src, dst in pairs}
 
 
 def _bool(text: str) -> bool:
@@ -239,9 +239,10 @@ def load_config(path: str | Path) -> AssessConfig:
 
     Every (section, key), including keys a section inherits from
     ``[DEFAULT]``, must be a row of ``OPTIONS``; a misspelt one is an error,
-    not a silent fallback to the default.
+    not a silent fallback to the default. Values are read literally: a
+    ``%`` is part of the value, not an interpolation.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         with _open_text(path, "r") as f:
             parser.read_file(f)

@@ -139,7 +139,7 @@ def read_training_csv(source: str | Path | TextIO) -> list[tuple[float, float, i
     """Read labelled training points from CSV with header ``x,y,class_code``;
     a code may not be 0, which marks unclassified cells."""
     columns = (("x", _finite), ("y", _finite), ("class_code", lambda text: _code(text, least=1)))
-    return [tuple(values) for _, values in _read_table(source, "CSV file", columns)]
+    return [tuple(values) for _, values in _read_table(source, "training file", columns)]
 
 
 def read_legend_csv(source: str | Path | TextIO) -> dict[int, str]:
@@ -147,7 +147,7 @@ def read_legend_csv(source: str | Path | TextIO) -> dict[int, str]:
     code may appear once."""
     legend = {}
     columns = (("class_code", _code), ("label", _text))
-    for lineno, (code, label) in _read_table(source, "CSV file", columns):
+    for lineno, (code, label) in _read_table(source, "legend file", columns):
         if code in legend:
             raise ParseError(f"duplicate class code {code}", line=lineno)
         legend[code] = label

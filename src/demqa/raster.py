@@ -11,63 +11,11 @@ mark. Every value must be a finite number, ``ncols``/``nrows`` positive
 integers and ``cellsize`` positive; the reader raises ParseError naming
 the line (and column) of the first that is not.
 
-The reader asks for at most about 128 Ki characters a read, whatever the
-body's layout (a row per line, wrapped, all on one line). Each read is
-converted up to its last line end (or blank) into one preallocated array,
-and the partial line or token after it is carried into the next read, so
-it holds that array plus about one read.
-
-A file named by path whose body has at least ``_READ_BYTES`` bytes per
-worker is read in byte ranges, one per CPU this process may run on, each
-cut just after a line end (else a blank). The body starts at the UTF-8
-length of what the header loop read before it (a path's text keeps every
-line end as it is), plus 3 for a byte order mark. Counting each range's
-tokens from its bytes (every byte up to 32 separates) gives it the index
-of its first cell. One function reads a range through the same loop, in
-this process for the first range and in a forked child for each other
-one, and sends its named cells' values (all of them in a full read, with
-no copy), or nothing if the range is not clean (a bad token, a count
-other than the one counted, bytes that are not UTF-8). After a range that
-is not clean the body is read again in this process alone, so values,
-errors, lines and columns do not depend on the number of workers. Pipes,
-in-memory streams and smaller bodies are read here alone.
-
-A caller that reads only some cells (``assess`` reads the cells under its
-control points and their 3x3 windows) can name them: ``read_ascii_grid``
-then converts only those, and every other cell holds NaN, a value no full
-read gives. Every token is still checked. A block whose tokens are all
-plain decimals (``[+-]?(D+(.D*)?|.D+)``, at most 300 characters, so
-``float()`` gives each a finite value) is checked with array operations on
-its bytes; any other block is converted and stored whole, so a bad token
-gives the same error, line and column whichever cells were named.
-
-A path's header that claims more values than the file has bytes for (each
-needs a character and a separator) is an error before anything is
-allocated.
-
 Each value is written as Python's ``repr`` writes it, the shortest text
-that reads back as the same double, so ``read(write(g))`` reproduces ``g``
-exactly; integral values below 1e16 lose the ".0" and -0.0 is written as
-0. A numpy kernel (``_gridtext``, imported on the first write) computes
-this text a block of rows at a time: integral values below 1e16 as
-integers, and every other value in [1e-4, 1e16) from an exact product of
-the value and a power of ten. The rest are formatted by ``repr`` itself:
-values below 1e-4 or from 1e16 up (which ``repr`` writes with an
-exponent) and values whose rounding is an exact tie or lands exactly half
-an ulp away. So no byte depends on which path a value took.
-
-One write may fill several files of one georeferencing (slope and aspect)
-from one computation. A large grid's body is formatted in contiguous row
-strips of at most ``_PART_CELLS`` cells over all outputs, at least one per
-CPU this process may run on, by one function that takes a strip's values
-a block of rows at a time (computed by the caller's ``rows``, a slope map
-say, or from the grid), checks them and sends each output the block's
-text: this process writes each block of the first strip as it comes, a
-forked worker per other strip (at most one per CPU alive) keeps its text,
-and that is copied on in strip order, a bounded chunk at a time, so the
-bytes and errors do not depend on the number of workers. Grids written
-to paths appear whole or not at all, all of one write together (see
-``_open_text``).
+that reads back as the same double (see ``_gridtext``), so
+``read(write(g))`` reproduces ``g`` exactly; integral values below 1e16
+lose the ".0" and -0.0 is written as 0. Values, bytes, errors, lines and
+columns do not depend on how many workers read or write a grid.
 """
 
 from __future__ import annotations
@@ -299,15 +247,24 @@ def _csv_rows(source: str | Path | TextIO, name: str) -> Iterator[tuple[int, lis
             raise ParseError(f"empty {name}")
 
 
-def _finite(text: str) -> float:
-    """A table field as a finite float; ``float()`` decides what is a number."""
+def _finite(text: str, what: str = "value") -> float:
+    """``float(text)``, a finite number: ``float()`` decides what is a
+    number. Else ValueError "non-numeric <what>" or "non-finite <what>"."""
     try:
         value = float(text)
     except ValueError:
-        raise ValueError("non-numeric value") from None
+        raise ValueError(f"non-numeric {what}") from None
     if not math.isfinite(value):
-        raise ValueError("non-finite value")
+        raise ValueError(f"non-finite {what}")
     return value
+
+
+def _number(text: str, what: str, line: int, column: int) -> float:
+    """``_finite(text, what)``, its error a ParseError at (line, column)."""
+    try:
+        return _finite(text, what)
+    except ValueError as exc:
+        raise ParseError(f"{exc} '{text}'", line=line, column=column) from None
 
 
 def _code(text: str, least: int = 0) -> int:
@@ -380,9 +337,12 @@ def read_ascii_grid(
 
     ``cells``, when given, is called after the header with a grid of the
     file's georeferencing whose values are all NaN, and returns the sorted
-    flat indices of the cells the caller will read. Only those are
-    converted; every other cell stays NaN. Every token is still checked,
-    and a list longer than a fixed share of the grid reads every cell.
+    flat indices of the cells the caller will read (``assess`` names the
+    cells under its control points and their 3x3 windows). Only those are
+    converted; every other cell stays NaN, a value no full read gives.
+    Every token is still checked, with a full read's error, line and
+    column, and a list longer than a fixed share of the grid reads every
+    cell.
     """
     with _open_text(source, "r") as stream:
         return _read_stream(stream, cells, from_path=isinstance(source, (str, Path)))
@@ -391,6 +351,12 @@ def read_ascii_grid(
 def _read_stream(
     stream: TextIO, cells: Callable[[Grid], Sequence[int]] | None, from_path: bool
 ) -> Grid:
+    """Read the header a line at a time, at most ``_BLOCK_CHARS`` characters
+    a read, then the body: in byte ranges (``_read_parts``) if ``stream`` is
+    a path's regular file, else in this process (``_read_body``). A path's
+    header that claims more values than the file has bytes for (each needs
+    a character and a separator) is an error before anything is allocated.
+    """
     header: dict[str, float] = {}
     header_line: dict[str, int] = {}
     lineno = 1  # the line being read
@@ -475,10 +441,24 @@ def _read_stream(
 
 
 def _read_parts(fd: int, lo: int, hi: int, values: np.ndarray, cells: np.ndarray | None) -> bool:
-    """Read the body, bytes [lo, hi) of the file open as ``fd`` (``lo`` not
-    counting a byte order mark), in byte ranges on every allowed core (see
-    the module docstring). False when the body is too small to pay for the
-    forks or a range is not clean; the file's offset is left where it was."""
+    """Read the body, bytes [lo, hi) of the file open as ``fd``, into
+    ``values`` (its ``cells`` only, if given) in byte ranges, one per CPU
+    this process may run on with at least ``_READ_BYTES`` each, each cut
+    just after a line end (else a blank). ``lo`` is the UTF-8 length of
+    what the header loop read (a path's text keeps every line end as it
+    is), not counting a byte order mark. Counting a range's tokens from its
+    bytes (every byte up to 32 separates) gives the index of its first
+    cell. ``_read_body`` reads each range, the first in this process and
+    each other in a forked child (``_map_parts``), which sends back its
+    named cells' values (all of them in a full read, with no copy).
+
+    A range that is not clean (a bad token, a count other than the one
+    counted, bytes that are not UTF-8) raises: ``_map_parts`` runs a failed
+    child's range again here and kills the other children. Return False
+    then, or when the body is too small to pay for the forks, and the
+    caller reads the body again in this process alone, so values, errors,
+    lines and columns do not depend on the number of workers. The file's
+    offset is left where it was."""
     lo += 3 * (os.pread(fd, 3, 0) == codecs.BOM_UTF8)  # utf-8-sig dropped it from the text
     workers = _worker_count((hi - lo) // _READ_BYTES, hi - lo, _READ_BYTES)
     if workers < 2:
@@ -490,30 +470,21 @@ def _read_parts(fd: int, lo: int, hi: int, values: np.ndarray, cells: np.ndarray
         cut = _cut(os.pread(fd, end - at, at).decode("ascii", "replace"))
         bounds += [at + cut] * (cut > 0)
     bounds.append(hi)
-    ranges = list(zip(bounds, bounds[1:]))
-    counts = [_tokens(fd, a, b) for a, b in ranges]
+    counts = [_tokens(fd, a, b) for a, b in zip(bounds, bounds[1:])]
     if len(counts) < 2 or sum(counts) != values.size or 0 in counts:
         return False
     first = dict(zip(bounds, np.cumsum([0] + counts).tolist()))
 
-    def sent(a: int, b: int) -> slice | np.ndarray:
-        # the cells range [a, b) sends back: all, or its first (a clean reply
-        # is never empty) and the named ones
-        if cells is None:
-            return slice(first[a], first[b])
-        return np.concatenate(([first[a]], _between(cells, first[a], first[b])))
-
     def read(a: int, b: int, send: Callable[[bytes], object]) -> None:
-        named = None if cells is None else _between(cells, first[a], first[b]) - first[a]
-        try:
-            _read_body(_range_text(fd, a, b), "", 0, values[first[a] : first[b]], named)
-        except (ParseError, UnicodeDecodeError):
-            return  # range [a, b) is not clean: it sends nothing
-        send(memoryview(values[sent(a, b)]).cast("B"))  # a full read's cells are not copied
+        span = slice(first[a], first[b])
+        named = None if cells is None else _between(cells, first[a], first[b])
+        _read_body(_range_text(fd, a, b), "", 0, values[span],
+                   None if named is None else named - first[a])
+        # a full read's cells are not copied; an empty send is a clean range too
+        send(memoryview(values[span if named is None else named]).cast("B"))
 
     # a full read's values land in place, range 0's onto themselves
-    index = None if cells is None else np.concatenate([sent(a, b) for a, b in ranges])
-    into = values if index is None else np.empty(index.size)
+    into = values if cells is None else np.empty(cells.size)
     view, got = memoryview(into).cast("B"), 0
 
     def out(chunk: bytes) -> None:
@@ -521,11 +492,12 @@ def _read_parts(fd: int, lo: int, hi: int, values: np.ndarray, cells: np.ndarray
         view[got : got + len(chunk)] = chunk
         got += len(chunk)
 
-    _map_parts(read, [out], bounds, workers, "bytes")
-    if got != view.nbytes:  # a range that is not clean sent nothing
+    try:
+        _map_parts(read, [out], bounds, workers, "bytes")
+    except (ParseError, UnicodeDecodeError):  # a range that is not clean, rerun here
         return False
-    if index is not None:
-        values[index] = into
+    if cells is not None:
+        values[cells] = into
     return True
 
 
@@ -566,11 +538,16 @@ def _read_body(
 ) -> None:
     """Convert the grid body, which starts with ``text`` on file line
     ``lineno`` and goes on with ``reads``, into ``values``, whose size is the
-    count it must have; each read is cut by ``_cut``.
+    count it must have. Each read, whatever the layout (a row per line,
+    wrapped, all on one line), is converted up to its last line end or
+    blank (``_cut``) and the rest carried into the next, so the reader
+    holds ``values`` plus about one read.
 
-    With ``cells`` (sorted flat indices), a piece that ``_scan`` accepts is
-    checked without ``float()`` and stores only those cells; any other
-    piece is stored whole (the caller sets the cells not named). Every piece
+    With ``cells`` (sorted flat indices), a piece whose tokens ``_scan``
+    finds all plain decimals is checked with array operations on its bytes
+    and stores only those cells; any other piece is converted and stored
+    whole (the caller sets the cells not named), so a bad token gives the
+    same error, line and column whichever cells were named. Every piece
     is counted, also after a bad one, so a wrong count wins over a bad
     token, whose line and column come from re-scanning only its piece.
     """
@@ -678,20 +655,9 @@ def _between(cells: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return cells[np.searchsorted(cells, lo) : np.searchsorted(cells, hi)]
 
 
-def _number(text: str, what: str, line: int, column: int) -> float:
-    """``float(text)``; a ParseError at (line, column) if it is not a finite number."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"non-numeric {what} '{text}'", line=line, column=column) from None
-    if not math.isfinite(value):
-        raise ParseError(f"non-finite {what} '{text}'", line=line, column=column)
-    return value
-
-
 def _grid_text(values: np.ndarray) -> bytes:
-    """The rows of 2-D ``values`` as grid text, a line each (see the module
-    docstring). Commands that write no grid never import the kernel."""
+    """The rows of 2-D ``values`` as grid text, a line each (see
+    ``_gridtext``). Commands that write no grid never import the kernel."""
     from ._gridtext import grid_text
 
     return grid_text(values)
@@ -731,8 +697,18 @@ def write_ascii_grid(
     ``_WRITE_CELLS // ncols`` rows, counted from row 0, that holds one: the
     first output's first there, else the next output's, whatever the
     number of workers. With enough cells the rows are formatted in strips
-    by forked workers (see the module docstring); a worker that fails
-    otherwise raises ChildProcessError naming its rows.
+    by forked workers; a worker that fails otherwise raises
+    ChildProcessError naming its rows.
+
+    The body is formatted in contiguous row strips of at most
+    ``_PART_CELLS`` cells over all outputs, at least one per CPU this
+    process may run on, by one function that takes a strip's values a block
+    of rows at a time, checks them and sends each output the block's text.
+    This process writes each block of the first strip as it comes; a forked
+    worker per other strip (``_map_parts``, at most one per CPU alive)
+    keeps its text, which is copied on in strip order, a bounded chunk at a
+    time. Grids written to paths appear whole or not at all, all of one
+    write together (see ``_open_text``).
     """
     _check_finite([grid.values], 0)
     if not math.isfinite(grid.nodata):

@@ -608,6 +608,38 @@ def test_unknown_ini_option_exit_2(tmp_path, capsys, ini, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["a%b.asc", "a%%b.asc", "%(dem)s.asc", "100%"])
+def test_ini_values_are_read_literally(tmp_path, name):
+    # a % used to end in a configparser interpolation traceback
+    dem, gcps = write_closure_scene(tmp_path)
+    (tmp_path / name).write_bytes(dem.read_bytes())
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, tmp_path / name, gcps, out)
+    assert main(["assess", "--config", str(cfg)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["provenance"]["inputs"]["dem"] == str(tmp_path / name)
+
+
+@pytest.mark.parametrize("by", ["flag", "ini"])
+@pytest.mark.parametrize("field, text", [
+    ("remap", "1:99999999999999999999"),
+    ("remap", "-9007199254740993:1"),
+    ("exclude_classes", "99999999999999999999"),
+    ("exclude_classes", "5, -9007199254740993"),
+])
+def test_option_class_codes_keep_the_class_code_limits(tmp_path, capsys, field, text, by):
+    # such codes used to pass, echoed in the report as given
+    dem, gcps = write_closure_scene(tmp_path)
+    out = tmp_path / "out"
+    row = next(row for row in OPTIONS if row.field == field)
+    extra = f"[{row.section}]\n{row.key} = {text}\n" if by == "ini" else ""
+    flags = [f"{row.flag}={text}"] if by == "flag" else []
+    cfg = write_config(tmp_path, dem, gcps, out, extra=extra)
+    assert main(["assess", "--config", str(cfg), *flags]) == 2
+    assert capsys.readouterr().err == f"config error [assess]: bad value for {row.name}: '{text}'\n"
+    assert not out.exists()
+
+
 def test_inputs_with_utf8_bom(tmp_path):
     """Excel's "CSV UTF-8" files start with a byte order mark."""
     write_classed_scene(tmp_path)
@@ -733,13 +765,13 @@ CSV_ERRORS = [
      "non-finite value 'inf' in column 'x' (line 3, column 2)"),
     ("--gcps", "id,x,y,h\na,1,1e400,3\n",
      "non-finite value '1e400' in column 'y' (line 2, column 3)"),
-    ("--legend", "", "empty CSV file"),
+    ("--legend", "", "empty legend file"),
     ("--legend", "# c\ncode,label\n",
      "expected header 'class_code,label', got 'code,label' (line 2)"),
     ("--legend", "class_code,label\n1,a\n\nx,oops\n",
      "non-integer class code 'x' in column 'class_code' (line 4, column 1)"),
     ("--legend", "class_code,label\n1\n", "expected 2 columns, got 1 (line 2)"),
-    ("--training", "\n", "empty CSV file"),
+    ("--training", "\n", "empty training file"),
     ("--training", "x,y\n1,2\n", "expected header 'x,y,class_code', got 'x,y' (line 1)"),
     ("--training", "x,y,class_code\n# c\n1,2,z\n",
      "non-integer class code 'z' in column 'class_code' (line 3, column 3)"),
