@@ -139,7 +139,7 @@ def _one_of(names: Sequence[str]) -> Check:
 
 
 def _parts(text: str) -> list[str]:
-    return [p.strip() for p in text.replace(";", ",").split(",") if p.strip()]
+    return [p.strip() for p in text.split(",") if p.strip()]
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -148,7 +148,10 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _remap(text: str) -> dict[int, int]:
     pairs = [p.split(":") for p in _parts(text)]
-    return {_code(src): _code(dst) for src, dst in pairs}
+    remap = {_code(src): _code(dst) for src, dst in pairs}
+    if len(remap) < len(pairs):
+        raise ValueError("a class is remapped twice")
+    return remap
 
 
 def _bool(text: str) -> bool:

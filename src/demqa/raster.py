@@ -295,7 +295,7 @@ def _read_table(
     fields are ignored. With ``keep``, a row is skipped unless it is true of
     the row's {header name: field}. A row too short for the columns, or a
     field its parse rejects (ValueError), raises ParseError naming the
-    line and, for a field, the reason, the text and the column.
+    table, the line and, for a field, the reason, the text and the column.
     """
     rows = _csv_rows(source, name)
     header_line, header = next(rows)
@@ -319,13 +319,13 @@ def _read_table(
             values = [parse(fields[k]) for k, parse in at]
         except (IndexError, ValueError):
             if len(fields) < width:
-                raise ParseError(f"expected {width} columns, got {len(fields)}",
+                raise ParseError(f"expected {width} columns, got {len(fields)} in the {name}",
                                  line=lineno) from None
             for c, (k, parse) in zip(wanted, at):
                 try:
                     parse(fields[k])
                 except ValueError as exc:
-                    raise ParseError(f"{exc} '{fields[k].strip()}' in column '{c}'",
+                    raise ParseError(f"{exc} '{fields[k].strip()}' in column '{c}' of the {name}",
                                      line=lineno, column=k + 1) from None
         yield lineno, values
 

@@ -61,8 +61,9 @@ class WeightsMatrix:
     sorted here. The arrays are kept read-only (numpy arrays of the right
     dtype are not copied). ``threshold`` is the distance band the weights
     were built with, None when hand-made.
-    S0 = sum w_ij; S1 = 1/2 sum (w_ij + w_ji)^2;
-    S2 = sum_i (row_sum_i + col_sum_i)^2.
+    S0 = sum w_ij; S1 = 1/2 sum (w_ij + w_ji)^2, correctly rounded;
+    S2 = sum_i (row_sum_i + col_sum_i)^2, with each row and column sum
+    added in storage order.
     """
 
     def __init__(
@@ -101,19 +102,16 @@ class WeightsMatrix:
             a.flags.writeable = False
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             self.s0 = float(vals.sum())
-            row_sums = np.zeros(n)
-            col_sums = np.zeros(n)
-            np.add.at(row_sums, rows, vals)
-            np.add.at(col_sums, cols, vals)
             # S1 over unordered pairs: each contributes (w_ij + w_ji)^2 once,
-            # added by Python's sum() in the order the pairs first appear.
+            # correctly rounded by fsum, which raises past float64
             pair = np.minimum(rows, cols).astype(np.int64) * n + np.maximum(rows, cols)
-            _, first, which = np.unique(pair, return_index=True, return_inverse=True)
-            t = np.zeros(first.size)
-            np.add.at(t, which, vals)
-            t = t[np.argsort(first)]
-            self.s1 = float(sum((t * t).tolist()))
-            self.s2 = float(np.sum((row_sums + col_sums) ** 2))
+            t = np.bincount(np.unique(pair, return_inverse=True)[1], vals)
+            try:
+                self.s1 = math.fsum((t * t).tolist())
+            except OverflowError:
+                self.s1 = math.inf
+            sums = np.bincount(rows, vals, n) + np.bincount(cols, vals, n)
+            self.s2 = float(np.sum(sums**2))
         for name, value in (("S0", self.s0), ("S1", self.s1), ("S2", self.s2)):
             if not math.isfinite(value):
                 raise DegenerateWeightsError(f"spatial weights: {name} overflows float64")
@@ -173,7 +171,6 @@ _NEIGHBOUR_KEYS = np.array(
 )
 _CHUNK_PAIRS = 1 << 20  # candidate pairs examined at a time
 _MAX_SPAN = math.sqrt(np.finfo(np.float64).max / 2)  # keeps dx*dx + dy*dy finite
-_ROW_BLOCK_BYTES = 1 << 23  # dense row buffer for exact row sums
 
 
 def _cell_keys(pts: np.ndarray, h: float) -> tuple[np.ndarray, float]:
@@ -284,23 +281,6 @@ def _pairs_within(pts: np.ndarray, threshold: float) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _dense_row_sums(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
-    """Row sums of the n x n matrix, added as numpy adds a full dense row.
-
-    Pairwise summation groups terms by column position, so the rows are
-    scattered into a reusable block of dense rows and summed there.
-    """
-    sums = np.empty(n)
-    block = np.zeros((max(1, _ROW_BLOCK_BYTES // (8 * n)), n))
-    bounds = np.searchsorted(rows, np.arange(0, n + block.shape[0], block.shape[0]))
-    for r0, lo, hi in zip(range(0, n, block.shape[0]), bounds, bounds[1:]):
-        r1 = min(n, r0 + block.shape[0])
-        block[rows[lo:hi] - r0, cols[lo:hi]] = vals[lo:hi]
-        sums[r0:r1] = block[: r1 - r0].sum(axis=1)
-        block[rows[lo:hi] - r0, cols[lo:hi]] = 0.0
-    return sums
-
-
 def build_weights(
     points: Sequence[tuple[float, float]],
     scheme: str = "inverse_distance",
@@ -352,12 +332,8 @@ def build_weights(
     else:
         rows, cols, dist = _pairs_within(pts, threshold)
         vals = 1.0 / dist if scheme == "inverse_distance" else np.ones(dist.size)
-    if row_standardize:
-        if scheme == "inverse_distance":
-            row_sums = _dense_row_sums(rows, cols, vals, n)
-        else:  # sums of ones are exact in any order
-            row_sums = np.bincount(rows, minlength=n).astype(np.float64)
-        vals = vals / row_sums[rows]
+    if row_standardize:  # each row's weights added left to right
+        vals = vals / np.bincount(rows, vals, n)[rows]
     nonzero = vals != 0.0  # as in a dense matrix: 1/inf or an underflowed quotient is no entry
     if not nonzero.any():
         raise DegenerateWeightsError(

@@ -17,6 +17,7 @@ import demqa.cli
 import demqa.pipeline
 import demqa.spatial
 from demqa.cli import OPTIONS, AssessConfig, _config, build_parser, load_config, main
+from demqa.errors import ConfigError
 from demqa.landcover import read_training_csv
 from demqa.raster import Grid, read_ascii_grid, write_ascii_grid
 from demqa.synth import make_checkerboard, make_plane, make_smoothed_noise, scatter_points
@@ -629,6 +630,25 @@ def test_ini_values_are_read_literally(tmp_path, name):
 ])
 def test_option_class_codes_keep_the_class_code_limits(tmp_path, capsys, field, text, by):
     # such codes used to pass, echoed in the report as given
+    assert_bad_option_value(tmp_path, capsys, field, text, by)
+
+
+@pytest.mark.parametrize("by", ["flag", "ini"])
+@pytest.mark.parametrize("field, text", [
+    # a repeated source used to keep its last target
+    ("remap", "1:2, 1:3"),
+    ("remap", "-0:1, 0:2"),
+    # lists are comma-separated; a ";" used to separate too
+    ("remap", "4:3;6:3"),
+    ("exclude_classes", "5;7"),
+])
+def test_option_lists_are_comma_separated_with_one_target_per_class(
+    tmp_path, capsys, field, text, by
+):
+    assert_bad_option_value(tmp_path, capsys, field, text, by)
+
+
+def assert_bad_option_value(tmp_path, capsys, field, text, by):
     dem, gcps = write_closure_scene(tmp_path)
     out = tmp_path / "out"
     row = next(row for row in OPTIONS if row.field == field)
@@ -638,6 +658,16 @@ def test_option_class_codes_keep_the_class_code_limits(tmp_path, capsys, field, 
     assert main(["assess", "--config", str(cfg), *flags]) == 2
     assert capsys.readouterr().err == f"config error [assess]: bad value for {row.name}: '{text}'\n"
     assert not out.exists()
+
+
+def test_ini_comment_is_cut_before_a_list_is_read(tmp_path):
+    # in an INI file " ;" starts a comment; in a flag value it is part of the list
+    ini = tmp_path / "c.ini"
+    ini.write_text("[screen]\nexclude_classes = 5 ; 7\n[classes]\nremap = 4:3 # 6:3\n")
+    cfg = load_config(ini)
+    assert (cfg.exclude_classes, cfg.remap) == ((5,), {4: 3})
+    with pytest.raises(ConfigError, match=r"bad value for \[screen\] exclude_classes"):
+        _config(build_parser().parse_args(["assess", "--exclude-classes", "5 ; 7"]), OPTIONS)
 
 
 def test_inputs_with_utf8_bom(tmp_path):
@@ -756,33 +786,35 @@ CSV_ERRORS = [
     ("--gcps", "", "empty control point file"),
     ("--gcps", "# only a comment\n\n", "empty control point file"),
     ("--gcps", "# c\nx,y,h\n1,2,3\n", "expected header 'id,x,y,h', got 'x,y,h' (line 2)"),
-    ("--gcps", "id,x,y,h\n\na,1,2\n", "expected 4 columns, got 3 (line 3)"),
+    ("--gcps", "id,x,y,h\n\na,1,2\n",
+     "expected 4 columns, got 3 in the control point file (line 3)"),
     ("--gcps", "id,x,y,h\na,1,2,3\n# c\na,4,5,6\n", "duplicate point id 'a' (line 4)"),
     ("--gcps", "id,x,y,h\na,one,2,3\n",
-     "non-numeric value 'one' in column 'x' (line 2, column 2)"),
-    ("--gcps", "id,x,y,h\na,1,2,nan\n", "non-finite value 'nan' in column 'h' (line 2, column 4)"),
+     "non-numeric value 'one' in column 'x' of the control point file (line 2, column 2)"),
+    ("--gcps", "id,x,y,h\na,1,2,nan\n",
+     "non-finite value 'nan' in column 'h' of the control point file (line 2, column 4)"),
     ("--gcps", "id,x,y,h\na,1,2,3\nb,inf,2,3\n",
-     "non-finite value 'inf' in column 'x' (line 3, column 2)"),
+     "non-finite value 'inf' in column 'x' of the control point file (line 3, column 2)"),
     ("--gcps", "id,x,y,h\na,1,1e400,3\n",
-     "non-finite value '1e400' in column 'y' (line 2, column 3)"),
+     "non-finite value '1e400' in column 'y' of the control point file (line 2, column 3)"),
     ("--legend", "", "empty legend file"),
     ("--legend", "# c\ncode,label\n",
      "expected header 'class_code,label', got 'code,label' (line 2)"),
     ("--legend", "class_code,label\n1,a\n\nx,oops\n",
-     "non-integer class code 'x' in column 'class_code' (line 4, column 1)"),
-    ("--legend", "class_code,label\n1\n", "expected 2 columns, got 1 (line 2)"),
+     "non-integer class code 'x' in column 'class_code' of the legend file (line 4, column 1)"),
+    ("--legend", "class_code,label\n1\n", "expected 2 columns, got 1 in the legend file (line 2)"),
     ("--training", "\n", "empty training file"),
     ("--training", "x,y\n1,2\n", "expected header 'x,y,class_code', got 'x,y' (line 1)"),
     ("--training", "x,y,class_code\n# c\n1,2,z\n",
-     "non-integer class code 'z' in column 'class_code' (line 3, column 3)"),
+     "non-integer class code 'z' in column 'class_code' of the training file (line 3, column 3)"),
     ("--training", "x,y,class_code\n1,nan,1\n",
-     "non-finite value 'nan' in column 'y' (line 2, column 2)"),
+     "non-finite value 'nan' in column 'y' of the training file (line 2, column 2)"),
     ("--samples", "", "empty samples file"),
     ("--samples", "x,z,delta_h\n1,2,3\n", "samples file lacks column 'y' (line 1)"),
     ("--samples", SAMPLES_HEAD + "1,2,0.5,kept\n3,4,oops,kept\n",
-     "non-numeric value 'oops' in column 'delta_h' (line 5, column 3)"),
+     "non-numeric value 'oops' in column 'delta_h' of the samples file (line 5, column 3)"),
     ("--samples", SAMPLES_HEAD + "1,2,0.5,kept\n3,4,nan,kept\n",
-     "non-finite value 'nan' in column 'delta_h' (line 5, column 3)"),
+     "non-finite value 'nan' in column 'delta_h' of the samples file (line 5, column 3)"),
     # a field over csv's size limit (131,072 characters) used to end in a traceback
     ("--gcps", "id,x,y,h\n" + "p" * 200_000 + ",1,2,3\n", LONG_FIELD + " (line 2)"),
     ("--legend", "class_code,label\n1," + "a" * 200_000 + "\n", LONG_FIELD + " (line 2)"),
@@ -794,18 +826,22 @@ CSV_ERRORS = [
     ("--legend", "class_code,label\n1,forest\n# c\n1,water\n", "duplicate class code 1 (line 4)"),
     # class codes live in float64 grids, exact up to 2^53; 0 marks unclassified cells
     ("--training", "x,y,class_code\n1.5,1.5,99999999999999999999\n",
-     "out-of-range class code '99999999999999999999' in column 'class_code' (line 2, column 3)"),
+     "out-of-range class code '99999999999999999999' in column 'class_code' "
+     "of the training file (line 2, column 3)"),
     ("--training", "x,y,class_code\n1.5,1.5,1\n4.5,4.5, 0 \n",
-     "out-of-range class code '0' in column 'class_code' (line 3, column 3)"),
+     "out-of-range class code '0' in column 'class_code' "
+     "of the training file (line 3, column 3)"),
     ("--legend", "class_code,label\n-9007199254740993,far\n",
-     "out-of-range class code '-9007199254740993' in column 'class_code' (line 2, column 1)"),
+     "out-of-range class code '-9007199254740993' in column 'class_code' "
+     "of the legend file (line 2, column 1)"),
     # a field error on a line wins over the caller's duplicate check of that line
     ("--gcps", "id,x,y,h\na,1,2,3\na,1,x,3\n",
-     "non-numeric value 'x' in column 'y' (line 3, column 3)"),
+     "non-numeric value 'x' in column 'y' of the control point file (line 3, column 3)"),
     # the samples file's columns are found by name, in any order
-    ("--samples", "status,delta_h,y,x\nkept,0.5,2\n", "expected 4 columns, got 3 (line 2)"),
+    ("--samples", "status,delta_h,y,x\nkept,0.5,2\n",
+     "expected 4 columns, got 3 in the samples file (line 2)"),
     ("--samples", "delta_h,x,y\n0.5,1,inf\n",
-     "non-finite value 'inf' in column 'y' (line 2, column 3)"),
+     "non-finite value 'inf' in column 'y' of the samples file (line 2, column 3)"),
 ]
 
 
@@ -1013,10 +1049,12 @@ def test_classify_without_training_points_exit_4(tmp_path, capsys):
     # each exited 0: class 0 was counted as a class and as unclassified, the
     # cells of class -9999 were written as nodata, and 1e20 was stored as
     # 100000000000000000000.0 in the float64 map
-    ("0", "out-of-range class code '0' in column 'class_code' (line 2, column 3)"),
+    ("0", "out-of-range class code '0' in column 'class_code' of the training file "
+          "(line 2, column 3)"),
     ("-9999", "class code -9999 is the image's nodata value"),
     ("99999999999999999999",
-     "out-of-range class code '99999999999999999999' in column 'class_code' (line 2, column 3)"),
+     "out-of-range class code '99999999999999999999' in column 'class_code' "
+     "of the training file (line 2, column 3)"),
 ])
 def test_classify_rejects_codes_the_class_map_cannot_hold(tmp_path, capsys, code, message):
     write_ascii_grid(make_plane(1.0, 0.5, 0.0, 10, 10), tmp_path / "b.asc")

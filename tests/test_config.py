@@ -19,7 +19,7 @@ ANY_KEY = sorted({row.key for row in OPTIONS}) + ["n_perms", "colour"]
 LEGAL = {
     "method": ["nearest", "bilinear"], "exclude_classes": ["5, 0", "-9007199254740992", ""],
     "min_h": ["none", "2.5"], "tukey_field": ["h_dem", "delta_h"],
-    "remap": ["4:3; 6:3", "-9007199254740992:9007199254740992", ""], "z_factor": ["0.3048"],
+    "remap": ["4:3, 6:3", "-9007199254740992:9007199254740992", ""], "z_factor": ["0.3048"],
     "scheme": ["inverse_distance", "fixed_band"], "threshold": ["auto", "250", " "],
     "row_standardize": ["true", "off"], "assumption": ["randomization", "normality"],
     "n_perm": ["0", "999"], "seed": ["7"], "width": ["0.5"], "origin": ["-0.25"],

@@ -16,7 +16,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from demqa.cli import main
+from demqa.errors import DegenerateWeightsError
 from demqa.raster import Grid, write_ascii_grid
+from demqa.spatial import WeightsMatrix
 from demqa.synth import make_smoothed_noise
 
 N_POINTS = 8
@@ -184,6 +186,35 @@ def test_moran_weights_whose_sums_overflow_exit_4(tmp_path, capsys):
     code = run(["moran", "--samples", tmp_path / "s.csv", "--out", out])
     assert_exit_4(code, capsys, "moran", "spatial weights: S1 overflows float64")
     assert not out.exists()
+
+
+# Two pairs of points 2e-154 apart, with a weight of 5e153 each way: each
+# adds (1e154)^2 = 1e308 to S1, a finite term; the two together are not.
+S1_SUM_SAMPLES = """x,y,delta_h
+0,0,1
+2e-154,0,2
+0,1e-150,3
+2e-154,1e-150,1
+10,0,2
+11,0,5
+10,1,1
+11,1,4
+"""
+
+
+def test_moran_weights_whose_s1_terms_add_past_float64_exit_4(tmp_path, capsys):
+    # math.fsum raises OverflowError on these terms, which must not escape main
+    (tmp_path / "s.csv").write_text(S1_SUM_SAMPLES)
+    out = tmp_path / "moran.json"
+    code = run(["moran", "--samples", tmp_path / "s.csv", "--out", out])
+    assert_exit_4(code, capsys, "moran", "spatial weights: S1 overflows float64")
+    assert not out.exists()
+
+
+def test_weights_whose_finite_s1_terms_add_past_float64_raise():
+    # each pair adds (1.2e154)^2 = 1.44e308 to S1: finite terms, an infinite sum
+    with pytest.raises(DegenerateWeightsError, match=r"^spatial weights: S1 overflows float64$"):
+        WeightsMatrix(4, [0, 2], [1, 3], [1.2e154, 1.2e154])
 
 
 def test_assess_skips_moran_whose_weights_overflow(tmp_path, capsys):

@@ -308,10 +308,12 @@ def test_read_gcp_csv_errors():
 def test_read_gcp_csv_reports_first_bad_line():
     # a bad number on an earlier line wins over a duplicate id on a later one
     with pytest.raises(ParseError,
-                       match=r"non-numeric value 'one' in column 'x' \(line 2, column 2\)"):
+                       match=r"non-numeric value 'one' in column 'x' of the control point file "
+                             r"\(line 2, column 2\)"):
         read_gcp_csv(io.StringIO("id,x,y,h\na,one,2,3\na,4,5,6\n"))
     with pytest.raises(ParseError,
-                       match=r"non-finite value 'inf' in column 'y' \(line 3, column 3\)"):
+                       match=r"non-finite value 'inf' in column 'y' of the control point file "
+                             r"\(line 3, column 3\)"):
         read_gcp_csv(io.StringIO("id,x,y,h\na,1,2,3\nb,4,inf,7\nb,1,1,x\n"))
     with pytest.raises(ParseError, match=r"duplicate point id 'a' \(line 3\)"):
         read_gcp_csv(io.StringIO("id,x,y,h\na,1,2,3\na,4,5,6\nc,x,1,1\n"))

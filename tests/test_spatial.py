@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import re
 import tracemalloc
 
@@ -48,8 +50,9 @@ def dense_weights(points, scheme="inverse_distance", threshold=None, row_standar
         np.divide(w, dist, out=w, where=within)
     else:
         w = within.astype(np.float64)
-    if row_standardize:
-        row_sums = w.sum(axis=1, keepdims=True)
+    if row_standardize:  # each row's weights added left to right
+        row_sums = np.array([[functools.reduce(operator.add, row[row != 0].tolist(), 0.0)]
+                             for row in w])
         np.divide(w, row_sums, out=w, where=row_sums > 0)
     ii, jj = np.nonzero(w)
     entries = {(int(i), int(j)): float(w[i, j]) for i, j in zip(ii, jj)}
@@ -61,7 +64,7 @@ def dense_weights(points, scheme="inverse_distance", threshold=None, row_standar
 
 
 def dense_sums(n, entries):
-    """S0, S1, S2 as the dict-based weights computed them."""
+    """S0, S1, S2 as the dict-based weights computed them, with S1 correctly rounded."""
     vals = np.array(list(entries.values()))
     rows = np.array([i for i, _ in entries], dtype=np.intp)
     cols = np.array([j for _, j in entries], dtype=np.intp)
@@ -73,7 +76,7 @@ def dense_sums(n, entries):
     for (i, j), v in entries.items():
         key = (i, j) if i < j else (j, i)
         sym[key] = sym.get(key, 0.0) + v
-    s1 = float(sum(t * t for t in sym.values()))
+    s1 = math.fsum(t * t for t in sym.values())
     return float(vals.sum()), s1, float(np.sum((row_sums + col_sums) ** 2))
 
 
