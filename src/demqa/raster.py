@@ -700,10 +700,10 @@ def write_ascii_grid(
     by forked workers; a worker that fails otherwise raises
     ChildProcessError naming its rows.
 
-    The body is formatted in contiguous row strips of at most
-    ``_PART_CELLS`` cells over all outputs, at least one per CPU this
-    process may run on, by one function that takes a strip's values a block
-    of rows at a time, checks them and sends each output the block's text.
+    The body is formatted in row strips of whole blocks, of at most
+    ``_PART_CELLS`` cells over all outputs (or one block), at least one per
+    CPU this process may run on, by one function that takes a strip's
+    values a block at a time, checks them and sends each output its text.
     This process writes each block of the first strip as it comes; a forked
     worker per other strip (``_map_parts``, at most one per CPU alive)
     keeps its text, which is copied on in strip order, a bounded chunk at a
@@ -722,15 +722,9 @@ def write_ascii_grid(
     step = max(1, _WRITE_CELLS // grid.ncols)  # rows per block
 
     def strip(lo: int, hi: int, *sends: Callable[[bytes], object]) -> None:
-        cuts = [lo, *range(lo - lo % step + step, hi, step), hi]  # blocks counted from row 0
-        for at, end in zip(cuts, cuts[1:]):
-            block = blocks(at, end)
-            if not all(np.isfinite(values).all() for values in block):
-                # the value named is decided over the whole block, whichever
-                # strips hold its rows
-                first = at - at % step
-                _check_finite(blocks(first, min(first + step, grid.nrows)), first)
-                _check_finite(block, at)  # unreached while rows() gives the same values
+        for at in range(lo, hi, step):  # lo is a block's first row
+            block = blocks(at, min(at + step, hi))
+            _check_finite(block, at)
             for values, send in zip(block, sends):
                 send(_grid_text(values))
 
@@ -739,14 +733,15 @@ def write_ascii_grid(
         f"{key} {_grid_text(np.array([[value]])).decode()}" for key, value in (
             ("xllcorner", grid.xll), ("yllcorner", grid.yll),
             ("cellsize", grid.cellsize), ("NODATA_value", grid.nodata)))
-    workers = _worker_count(grid.nrows, grid.values.size * len(dests), 2 * _WRITE_CELLS)
-    parts = max(workers, -(-grid.nrows // max(1, _PART_CELLS // (grid.ncols * len(dests)))))
+    nblocks = -(-grid.nrows // step)
+    workers = _worker_count(nblocks, grid.values.size * len(dests), 2 * _WRITE_CELLS)
+    parts = max(workers, -(-nblocks // max(1, _PART_CELLS // (step * grid.ncols * len(dests)))))
     with contextlib.ExitStack() as stack:
         streams = [stack.enter_context(_open_text(d, "w")) for d in dests]
         for stream in streams:
             stream.write(head)
         outs = [lambda chunk, s=s: s.write(chunk.decode("ascii")) for s in streams]
-        _map_parts(strip, outs, [k * grid.nrows // parts for k in range(parts + 1)], workers,
-                   "rows")
+        cuts = [min(k * nblocks // parts * step, grid.nrows) for k in range(parts + 1)]
+        _map_parts(strip, outs, cuts, workers, "rows")
         for stream in streams:  # a full disk fails here, before any path replaces its target
             stream.flush()

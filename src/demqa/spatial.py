@@ -36,7 +36,7 @@ from .errors import (
     InsufficientDataError,
     ZeroVarianceError,
 )
-from .stats import _finite, two_tailed_p
+from .stats import _no_overflow, two_tailed_p
 
 # More weights than an assessment needs (about 10 per point in practice);
 # reached when one outlying point makes the ``auto`` band span a cluster.
@@ -122,10 +122,6 @@ class WeightsMatrix:
     def nnz(self) -> int:
         """Number of stored (nonzero) weights."""
         return int(self.vals.size)
-
-    def lag_products_sum(self, z: np.ndarray) -> float:
-        """sum_ij w_ij z_i z_j for a deviation vector z."""
-        return float(np.sum(self.vals * z[self.rows] * z[self.cols]))
 
 
 @dataclass(frozen=True)
@@ -342,26 +338,32 @@ def build_weights(
     return WeightsMatrix(n, rows[nonzero], cols[nonzero], vals[nonzero], threshold)
 
 
-def _deviations(values: Sequence[float], w: WeightsMatrix) -> tuple[np.ndarray, float]:
-    """The deviations z of ``values`` from their mean, and sum z^2."""
+def _moran(values: Sequence[float], w: WeightsMatrix) -> tuple[np.ndarray, float, float]:
+    """The deviations z of ``values`` from their mean, sum z^2 and Moran's I;
+    DegenerateDataError when a sum of squares or weighted products overflows."""
     x = np.asarray(values, dtype=np.float64)
     if x.size != w.n:
         raise ValueError(f"got {x.size} values for {w.n} locations")
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite names an overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # _no_overflow names an overflow
         z = x - x.mean()
         ss = float(np.sum(z * z))
-    if ss == 0.0:
-        raise ZeroVarianceError("Moran's I undefined for a constant field")
-    return z, _finite(ss, "Moran's I: the sum of squared deviations")
+        if ss == 0.0:
+            raise ZeroVarianceError("Moran's I undefined for a constant field")
+        _no_overflow(ss, "Moran's I: the sum of squared deviations")
+        i = _index(z, ss, w)
+    return z, ss, _no_overflow(i, "Moran's I: the weighted sum of products of deviations")
+
+
+def _index(z: np.ndarray, ss: float, w: WeightsMatrix) -> float:
+    """Moran's I of the deviations z, whose sum of squares is ``ss``: the one
+    expression of the observed I and of every permuted one."""
+    return (w.n / w.s0) * float(np.sum(w.vals * z[w.rows] * z[w.cols])) / ss
 
 
 def morans_i(values: Sequence[float], w: WeightsMatrix) -> float:
     """Global Moran's I of ``values`` under weights ``w``; DegenerateDataError
     when a sum of squares or weighted products overflows."""
-    z, ss = _deviations(values, w)
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite names an overflow
-        i = (w.n / w.s0) * w.lag_products_sum(z) / ss
-    return _finite(i, "Moran's I: the weighted sum of products of deviations")
+    return _moran(values, w)[2]
 
 
 def morans_significance(
@@ -377,15 +379,14 @@ def morans_significance(
         raise ValueError(f"unknown assumption '{assumption}'")
     if w.n < 4:
         raise InsufficientDataError(f"need n >= 4 for the variance of I, got {w.n}")
-    z, ss = _deviations(values, w)
+    z, ss, i_obs = _moran(values, w)
     n = w.n
     m2 = ss / n
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite names an overflow
-        m4 = _finite(float(np.sum(z**4)), "Moran's I: the sum of fourth powers") / n
+    with np.errstate(over="ignore", invalid="ignore"):  # _no_overflow names an overflow
+        m4 = _no_overflow(float(np.sum(z**4)), "Moran's I: the sum of fourth powers") / n
     if m2 * m2 == 0.0:
         raise DegenerateDataError("Moran's I: the squared variance underflows float64")
     b2 = m4 / (m2 * m2)
-    i_obs = morans_i(values, w)
     e_i = -1.0 / (n - 1)
     s0sq = w.s0 * w.s0
     if assumption == "randomization":
@@ -430,11 +431,7 @@ def permutation_test(
         raise ValueError(f"n_perm must be at least 99, got {n_perm}")
     if n_perm > MAX_PERMUTATIONS:
         raise ValueError(f"n_perm must be at most {MAX_PERMUTATIONS}, got {n_perm}")
-    z, denom = _deviations(values, w)
-    scale = w.n / _finite(w.s0 * denom, "Moran's I: S0 times the sum of squared deviations")
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite names an overflow
-        i_obs = scale * w.lag_products_sum(z)
-    _finite(i_obs, "Moran's I: the weighted sum of products of deviations")
+    z, ss, i_obs = _moran(values, w)
     e_i = -1.0 / (w.n - 1)
     ref = abs(i_obs - e_i)
 
@@ -447,7 +444,7 @@ def permutation_test(
                 # stream k of SeedSequence(seed).spawn(n_perm), built where it is used
                 stream = np.random.SeedSequence(seed, spawn_key=(k,))
                 perm = np.random.default_rng(stream).permutation(w.n)
-                sims[k - lo] = scale * w.lag_products_sum(z[perm])
+                sims[k - lo] = _index(z[perm], ss, w)
         send(sims.tobytes())
 
     workers = _worker_count(n_perm, n_perm * (w.n + w.nnz), _SPAN_WORK)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -76,12 +76,12 @@ def summarize(deltas: Sequence[float]) -> SummaryStats:
     n = d.size
     if n < 2:
         raise InsufficientDataError(f"need at least 2 values, got {n}")
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite names an overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # _no_overflow names an overflow
         mean = float(d.mean())
         ss = float(np.sum((d - mean) ** 2))
         sq = float(np.sum(d**2))
-    sd = math.sqrt(_finite(ss, "standard deviation: the sum of squared deviations") / (n - 1))
-    rmse = math.sqrt(_finite(sq, "RMSE: the sum of squares") / n)
+    sd = math.sqrt(_no_overflow(ss, "standard deviation: the sum of squared deviations") / (n - 1))
+    rmse = math.sqrt(_no_overflow(sq, "RMSE: the sum of squares") / n)
     lo = float(d.min())
     hi = float(d.max())
     return SummaryStats(n=n, mean=mean, sd=sd, rmse=rmse, min=lo, max=hi, range=hi - lo)
@@ -123,7 +123,8 @@ def anova_decompose(
     """Between/within sum-of-squares decomposition for one-way ANOVA.
 
     Returns (ss_between, df_between, ss_within, df_within); raises
-    DegenerateDataError when a sum of squares overflows.
+    DegenerateDataError when a sum of squares overflows. The sums over the
+    groups are correctly rounded, so they do not depend on the Python version.
     """
     if len(groups) < 2:
         raise InsufficientDataError("need at least 2 groups")
@@ -136,16 +137,22 @@ def anova_decompose(
         raise InsufficientDataError(
             f"total n ({n_total}) must exceed number of groups ({k})"
         )
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # _finite names an overflow
-            ss_within = sum(float(np.sum((a - a.mean()) ** 2)) for a in arrays)
-            grand = sum(float(a.sum()) for a in arrays) / n_total
-            ss_between = sum(a.size * (float(a.mean()) - grand) ** 2 for a in arrays)
-    except OverflowError:  # a float's ** raises where numpy's gives inf
-        ss_between = math.inf
-    ss_between = _finite(float(ss_between), "ANOVA: the between-group sum of squares")
-    ss_within = _finite(float(ss_within), "ANOVA: the within-group sum of squares")
+    between = "ANOVA: the between-group sum of squares"
+    with np.errstate(over="ignore", invalid="ignore"):  # _fsum names an overflow
+        grand = _fsum((float(a.sum()) for a in arrays), between) / n_total
+        ss_between = _fsum((a.size * (float(a.mean()) - grand) ** 2 for a in arrays), between)
+        ss_within = _fsum((float(np.sum((a - a.mean()) ** 2)) for a in arrays),
+                          "ANOVA: the within-group sum of squares")
     return ss_between, k - 1, ss_within, n_total - k
+
+
+def _fsum(terms: Iterable[float], what: str) -> float:
+    """``math.fsum(terms)``, or DegenerateDataError naming ``what`` on an overflow."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # a float's **, fsum past float64, or inf + -inf
+        total = math.inf
+    return _no_overflow(total, what)
 
 
 def f_test(
@@ -169,7 +176,7 @@ def f_test(
     if ms_within == 0.0:
         f, p, infinite_f = math.inf, 0.0, True
     else:
-        f, infinite_f = _finite(ms_between / ms_within, "ANOVA: the F ratio"), False
+        f, infinite_f = _no_overflow(ms_between / ms_within, "ANOVA: the F ratio"), False
         # the upper tail itself, I_{d2/(d2 + d1 F)}(d2/2, d1/2), not 1 - cdf,
         # which is 0 below about 1e-16
         p = regularized_incomplete_beta(df_within / 2.0, df_between / 2.0,
@@ -187,9 +194,8 @@ def f_test(
     )
 
 
-def _finite(value: float, what: str) -> float:
-    """``value``, or DegenerateDataError naming ``what`` when an overflow
-    made it infinite or NaN."""
+def _no_overflow(value: float, what: str) -> float:
+    """``value``, or DegenerateDataError naming ``what`` if it is infinite or NaN."""
     if not math.isfinite(value):
         raise DegenerateDataError(f"{what} overflows float64")
     return value

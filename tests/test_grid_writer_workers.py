@@ -39,6 +39,7 @@ def edge_grid(nrows=7, ncols=5):
 
 def text_with(monkeypatch, workers, grid, dest, comment):
     monkeypatch.setattr(demqa._workers, "_WORKERS", workers)
+    monkeypatch.setattr(demqa.raster, "_WRITE_CELLS", grid.ncols)  # blocks of one row
     write_ascii_grid(grid, dest, comment=comment)
     assert_no_child_left()
     return dest.getvalue().encode() if isinstance(dest, io.StringIO) else dest.read_bytes()
@@ -66,6 +67,7 @@ def test_bytes_do_not_depend_on_workers(monkeypatch, tmp_path, shape, to):
 
 def test_rows_split_over_workers(monkeypatch, tmp_path):
     monkeypatch.setattr(demqa._workers, "_WORKERS", 3)
+    monkeypatch.setattr(demqa.raster, "_WRITE_CELLS", 5)  # blocks of one row
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -96,6 +98,7 @@ def test_grid_below_the_threshold_never_forks(monkeypatch, tmp_path):
 
 def test_failing_parent_kills_and_reaps_its_writer_children(monkeypatch, tmp_path):
     monkeypatch.setattr(demqa._workers, "_WORKERS", 3)
+    monkeypatch.setattr(demqa.raster, "_WRITE_CELLS", 5)  # blocks of one row
     parent = os.getpid()
     text = demqa.raster._grid_text
 
@@ -116,6 +119,7 @@ def test_failing_parent_kills_and_reaps_its_writer_children(monkeypatch, tmp_pat
 
 def test_failing_writer_child_exits_3(monkeypatch, tmp_path, capfd):
     monkeypatch.setattr(demqa._workers, "_WORKERS", 2)
+    monkeypatch.setattr(demqa.raster, "_WRITE_CELLS", 4)  # blocks of one row
     parent = os.getpid()
     text = demqa.raster._grid_text
 
@@ -221,11 +225,27 @@ def test_parts_bound_what_a_worker_holds(monkeypatch, tmp_path):
     # part: 5 rows each, so eight 5-row strips
     monkeypatch.setattr(demqa._workers, "_WORKERS", 2)
     monkeypatch.setattr(demqa.raster, "_PART_CELLS", 100)
+    monkeypatch.setattr(demqa.raster, "_WRITE_CELLS", 50)  # blocks of 5 rows
     bounds = record_bounds(monkeypatch)
     write_ascii_grid(forty_rows(), [tmp_path / "a.asc", tmp_path / "b.asc"])
     assert bounds == [list(range(0, 41, 5))]
     assert read_ascii_grid(tmp_path / "a.asc") == read_ascii_grid(tmp_path / "b.asc")
     assert read_ascii_grid(tmp_path / "a.asc") == forty_rows()
+
+
+def test_strips_are_cut_between_blocks(monkeypatch, tmp_path):
+    # 20 rows of 4 cells in 7 blocks of 3 rows (the last of 2), at most 30
+    # cells a strip: strips of whole blocks, 2 at most, each block computed once
+    monkeypatch.setattr(demqa._workers, "_WORKERS", 1)
+    monkeypatch.setattr(demqa.raster, "_WRITE_CELLS", 12)
+    monkeypatch.setattr(demqa.raster, "_PART_CELLS", 30)
+    grid = Grid(ncols=4, nrows=20, xll=0, yll=0, cellsize=1, values=np.arange(80.0) / 7)
+    bounds, asked = record_bounds(monkeypatch), []
+    write_ascii_grid(grid, tmp_path / "g.asc",
+                     rows=lambda lo, hi: asked.append((lo, hi)) or grid.values[lo:hi])
+    assert bounds == [[0, 3, 9, 15, 20]]
+    assert asked == [(lo, min(lo + 3, 20)) for lo in range(0, 20, 3)]
+    assert read_ascii_grid(tmp_path / "g.asc") == grid
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -234,6 +254,7 @@ def test_at_most_one_child_per_worker_is_alive(monkeypatch, tmp_path, workers):
     # children run, then each strip is forked as a child ahead of it is reaped
     monkeypatch.setattr(demqa._workers, "_WORKERS", workers)
     monkeypatch.setattr(demqa.raster, "_PART_CELLS", 50)
+    monkeypatch.setattr(demqa.raster, "_WRITE_CELLS", 50)  # blocks of 5 rows
     alive, most, forked = [0], [0], []
     fork_part, reap = demqa._workers._fork_part, demqa._workers._reap
 
@@ -261,6 +282,7 @@ def test_a_strip_that_raises_inside_the_window_raises_here(monkeypatch, tmp_path
     # child of rows 25..29 runs; the error is the one a serial run raises
     monkeypatch.setattr(demqa._workers, "_WORKERS", 2)
     monkeypatch.setattr(demqa.raster, "_PART_CELLS", 50)
+    monkeypatch.setattr(demqa.raster, "_WRITE_CELLS", 50)  # blocks of 5 rows
     grid = forty_rows()
     forked = []
     fork_part = demqa._workers._fork_part
@@ -286,6 +308,7 @@ def test_one_worker_never_forks(monkeypatch, tmp_path):
 
     monkeypatch.setattr(demqa._workers, "_WORKERS", 1)
     monkeypatch.setattr(demqa.raster, "_PART_CELLS", 50)
+    monkeypatch.setattr(demqa.raster, "_WRITE_CELLS", 50)  # blocks of 5 rows
     monkeypatch.setattr(os, "fork", no_fork)
     bounds = record_bounds(monkeypatch)
     write_ascii_grid(forty_rows(), tmp_path / "g.asc")
@@ -298,8 +321,8 @@ def test_one_worker_never_forks(monkeypatch, tmp_path):
     ((1, 2), "inf at row 1, column 2"),  # in a block above it: named first
 ], ids=["same_block", "block_above"])
 def test_first_output_is_checked_first_within_a_block(monkeypatch, tmp_path, aspect_cell, named):
-    # blocks of 3 rows counted from row 0; three workers cut the strips at
-    # rows 4 and 8, inside the block of rows 3-5: the cell named is the same
+    # blocks of 3 rows; three workers cut the strips at rows 3 and 6, so
+    # the block of rows 3-5 is one strip's: the cell named is the same
     grid = Grid(ncols=4, nrows=12, xll=0, yll=0, cellsize=1, values=np.zeros((12, 4)))
     slope, aspect = np.ones((12, 4)), np.ones((12, 4))
     slope[5, 1] = np.nan

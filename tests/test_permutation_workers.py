@@ -1,6 +1,8 @@
 """Permutation replicates split over forked workers: the same bits at any
 worker count, and no child process left behind."""
 
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -12,18 +14,20 @@ import pytest
 
 import demqa._workers
 import demqa.spatial
-from demqa.spatial import build_weights, permutation_test
+from demqa.cli import main
+from demqa.raster import Grid, write_ascii_grid
+from demqa.spatial import build_weights, morans_i, permutation_test
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# float.hex of each summary, recorded with the single-process loop the
-# workers replaced (numpy 2.4)
+# float.hex of each summary (numpy 2.4), with every replicate computed by
+# morans_i's expression, (n / S0) * sum w z z / sum z^2
 GOLDEN = {
     "pseudo_p": "0x1.cf6899725153ap-2",  # 453 / 1001
-    "perm_mean": "-0x1.7a4f8d68c5abcp-11",
-    "perm_sd": "0x1.fb8aa951511eep-6",
+    "perm_mean": "-0x1.7a4f8d68c5abep-11",
+    "perm_sd": "0x1.fb8aa951511efp-6",
     "perm_min": "-0x1.0062e7f80f407p-3",
-    "perm_max": "0x1.447a3cdcf7c35p-3",
+    "perm_max": "0x1.447a3cdcf7c36p-3",
 }
 
 
@@ -54,6 +58,50 @@ def test_permutation_bits_do_not_depend_on_workers(monkeypatch, workers):
     auto = demqa._workers._worker_count(1000, work, demqa.spatial._SPAN_WORK)
     assert len(forks) == (workers or auto) - 1
     assert_no_child_left()
+
+
+def eighths_scene(tmp_path):
+    """A flat DEM and 64 control points whose height errors are multiples of
+    1/8 with a trend in x. Every sum over the errors, their deviations or
+    the squares of those is exact, so a permuted field has the mean and the
+    sum of squares of the field, whatever the order of its values."""
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(0, 400, (64, 2))
+    errors = (np.rint(16 * np.sin(pts[:, 0] / 80)) + rng.integers(-4, 5, 64)) / 8
+    write_ascii_grid(Grid(ncols=40, nrows=40, xll=0, yll=0, cellsize=10,
+                          values=np.full((40, 40), 100.0)), tmp_path / "dem.asc")
+    with open(tmp_path / "gcps.csv", "w") as f:
+        f.write("id,x,y,h\n")
+        for k, ((x, y), e) in enumerate(zip(pts.tolist(), errors.tolist())):
+            f.write(f"g{k:02d},{x!r},{y!r},{100.0 - e!r}\n")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_assess_replicates_are_morans_i_of_permuted_fields(monkeypatch, tmp_path, workers):
+    # at this scene n / (S0 * sum z^2) * sum w z z is one bit from morans_i
+    monkeypatch.setattr(demqa._workers, "_WORKERS", workers)
+    eighths_scene(tmp_path)
+    out = tmp_path / "out"
+    assert main(["assess", "--dem", str(tmp_path / "dem.asc"), "--gcps",
+                 str(tmp_path / "gcps.csv"), "--n-perm", "99", "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert_no_child_left()
+    moran = json.loads((out / "report.json").read_text())["moran"]
+    assert moran["permutation"]["i_obs"] == moran["i"]
+    with open(out / "samples.csv") as f:
+        kept = [r for r in csv.DictReader(ln for ln in f if ln[0] != "#") if r["status"] == "kept"]
+    assert len(kept) == 64
+    x = np.array([float(r["delta_h"]) for r in kept])
+    w = build_weights([(float(r["x"]), float(r["y"])) for r in kept])
+    assert morans_i(x, w) == moran["i"]
+    sims = np.array([
+        morans_i(x[np.random.default_rng(np.random.SeedSequence(5, spawn_key=(k,)))
+                   .permutation(w.n)], w)
+        for k in range(99)
+    ])
+    assert {k: moran["permutation"][k] for k in ("perm_mean", "perm_sd", "perm_min", "perm_max")} \
+        == {"perm_mean": float(sims.mean()), "perm_sd": float(sims.std()),
+            "perm_min": float(sims.min()), "perm_max": float(sims.max())}
 
 
 def test_small_fixture_never_forks(monkeypatch):

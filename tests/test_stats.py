@@ -130,6 +130,16 @@ def test_anova_total_ss_additivity():
         assert abs(ssb + ssw - sst) <= 1e-9 * max(1.0, sst)
 
 
+def test_anova_sums_are_correctly_rounded():
+    # within-group terms 1, 1e16 and 1: left to right 1e16 + 1 rounds to
+    # 1e16 twice, the exact 1e16 + 2 is a float
+    half = [0.5, -0.5, 0.5, -0.5]
+    ssb, _, ssw, _ = anova_decompose([half, [5e7, -5e7, 5e7, -5e7], half])
+    assert (1.0 + 1e16) + 1.0 == 1e16
+    assert ssw == 1e16 + 2
+    assert ssb == 0.0
+
+
 def test_anova_degenerate():
     with pytest.raises(InsufficientDataError):
         anova_decompose([[1, 2, 3]])
@@ -184,8 +194,15 @@ def test_f_test_without_any_variance_raises():
      "ANOVA: the between-group sum of squares overflows"),
     (lambda: anova_decompose([[1e200, -1e200], [0.0, 0.0]]),
      "ANOVA: the within-group sum of squares overflows"),
+    # each group's term is finite (1.5e308), their sum is not
+    (lambda: anova_decompose([[8.7e153, -8.7e153], [8.7e153, -8.7e153]]),
+     "ANOVA: the within-group sum of squares overflows"),
+    # group totals of inf and -inf: no grand mean
+    (lambda: anova_decompose([[1e308, 1e308], [-1e308, -1e308]]),
+     "ANOVA: the between-group sum of squares overflows"),
     (lambda: f_test(1e300, 1, 1e-300, 10), "ANOVA: the F ratio overflows"),
-], ids=["sd", "rmse", "pearson-over", "pearson-under", "anova-between", "anova-within", "f"])
+], ids=["sd", "rmse", "pearson-over", "pearson-under", "anova-between", "anova-within",
+        "anova-within-sum", "anova-grand", "f"])
 def test_sums_beyond_float64_raise_degenerate_data(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
