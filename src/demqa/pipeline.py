@@ -50,7 +50,8 @@ def read_inputs(cfg: AssessConfig) -> tuple[Grid, SampleTable, Grid | None, dict
     """The DEM, the control points, the class map (or None) and the legend (or {}).
 
     Only the grid cells the later stages read are converted
-    (``cells_near``); the other cells are NaN. The control points, which
+    (``cells_near``), and the grids hold those alone: ``raster.values_at``
+    reads any other cell as NaN. The control points, which
     name those cells, are read first, but an error is reported in the
     order DEM, control points, class map, legend: when the control points
     fail, the DEM is checked before their error is raised.

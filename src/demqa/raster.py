@@ -85,10 +85,10 @@ _READ_BYTES = 1 << 20
 class Grid:
     """A georeferenced single-band raster.
 
-    ``values`` has shape (nrows, ncols) with row 0 the northernmost row.
-    Cells equal to ``nodata`` are missing and never enter statistics.
-    Grids are treated as immutable after construction; the value array is
-    marked read-only so they can be shared across threads.
+    ``values`` has shape (nrows, ncols) with row 0 the northernmost row, or
+    in a windowed grid holds the cells at sorted flat indices ``cells`` only
+    (``values_at`` reads either). Cells equal to ``nodata`` are missing and
+    never enter statistics. Grids are immutable; the arrays are read-only.
     """
 
     ncols: int
@@ -98,17 +98,19 @@ class Grid:
     cellsize: float
     values: np.ndarray
     nodata: float = DEFAULT_NODATA
+    cells: np.ndarray | None = None
 
     def __post_init__(self):
         _check_georef(self.ncols, self.nrows, self.xll, self.yll, self.cellsize)
+        shape = (self.nrows, self.ncols) if self.cells is None else (len(self.cells),)
         vals = np.asarray(self.values, dtype=np.float64)
-        if vals.size != self.nrows * self.ncols:
-            raise ValueError(
-                f"expected {self.nrows * self.ncols} values, got {vals.size}"
-            )
-        vals = vals.reshape(self.nrows, self.ncols)
-        vals.flags.writeable = False
-        self.values = vals
+        if vals.size != math.prod(shape):
+            raise ValueError(f"expected {math.prod(shape)} values, got {vals.size}")
+        self.values = vals.reshape(shape)
+        self.values.flags.writeable = False
+        if self.cells is not None:
+            self.cells = np.asarray(self.cells, dtype=np.int64)
+            self.cells.flags.writeable = False
 
     def __eq__(self, other):
         if not isinstance(other, Grid):
@@ -117,6 +119,7 @@ class Grid:
             self.same_georef(other)
             and self.nodata == other.nodata
             and np.array_equal(self.values, other.values)
+            and np.array_equal(self.cells, other.cells)  # None equals None
         )
 
     def same_georef(self, other: "Grid") -> bool:
@@ -130,7 +133,7 @@ class Grid:
 
     def value_at(self, row: int, col: int) -> float | None:
         """Cell value, or None for a nodata cell."""
-        v = self.values[row, col]
+        v = values_at(self, row, col)
         return None if v == self.nodata else float(v)
 
     def cell_center(self, row: int, col: int) -> tuple[float, float]:
@@ -183,6 +186,17 @@ def cell_of(grid: Grid, x: float, y: float) -> tuple[int, int] | None:
     """
     u, v = _cell_units(grid, float(x), float(y))
     return (grid.nrows - 1 - int(v), int(u)) if _on_grid(grid, u, v) else None
+
+
+def values_at(grid: Grid, rows, cols) -> np.ndarray:
+    """The values of the cells (rows, cols), integer arrays of one shape or
+    broadcast to one, all on the grid: a windowed grid's cell that is not
+    named reads as NaN, a value no full read gives."""
+    if grid.cells is None:
+        return grid.values[rows, cols]
+    flat = rows * grid.ncols + cols
+    k = np.searchsorted(grid.cells, flat)  # a cell not named takes the NaN appended at -1
+    return np.append(grid.values, np.nan)[np.where(np.append(grid.cells, -1)[k] == flat, k, -1)]
 
 
 @contextlib.contextmanager
@@ -335,14 +349,14 @@ def read_ascii_grid(
 ) -> Grid:
     """Parse an ASCII grid from a path or open text stream.
 
-    ``cells``, when given, is called after the header with a grid of the
-    file's georeferencing whose values are all NaN, and returns the sorted
+    ``cells``, when given, is called after the header with a windowed grid
+    of the file's georeferencing that names no cell, and returns the sorted
     flat indices of the cells the caller will read (``assess`` names the
     cells under its control points and their 3x3 windows). Only those are
-    converted; every other cell stays NaN, a value no full read gives.
-    Every token is still checked, with a full read's error, line and
-    column, and a list longer than a fixed share of the grid reads every
-    cell.
+    converted, and the grid returned is windowed: it holds those values
+    alone, and ``values_at`` reads any other cell as NaN. Every token is
+    still checked, with a full read's error, line and column, and a list
+    longer than a fixed share of the grid reads every cell.
     """
     with _open_text(source, "r") as stream:
         return _read_stream(stream, cells, from_path=isinstance(source, (str, Path)))
@@ -420,37 +434,35 @@ def _read_stream(
         )
     index = None
     if cells is not None:
-        unread = Grid(**georef, values=np.broadcast_to(np.nan, expected))
-        index = np.asarray(cells(unread), dtype=np.int64)
+        index = np.asarray(cells(Grid(**georef, values=(), cells=())), dtype=np.int64)
         if index.size > _DENSE_FRACTION * expected:
             index = None
     try:  # untouched until read: a body that is short fails before the pages are used
-        values = np.empty(expected)
+        values = np.empty(expected if index is None else index.size)
+        if index is not None and size is None:  # no file size bounds the claim, so it
+            np.empty(expected)  # must fit as a full read's would, before the body is read
     except (MemoryError, ValueError):  # ValueError: more than numpy can index
         raise ParseError(f"a grid of {expected} values needs {8 * expected} bytes, "
                          "more memory than can be allocated") from None
     lo = read - len(raw.encode("utf-8", "surrogatepass"))  # the body's offset, less any BOM
     if not (from_path and size is not None
-            and _read_parts(stream.fileno(), lo, size, values, index)):
-        _read_body(iter(lambda: stream.read(_BLOCK_CHARS), ""), raw, lineno, values, index)
-    if index is not None:  # every cell that is not named is NaN
-        named = values[index]
-        values.fill(np.nan)
-        values[index] = named
-    return Grid(**georef, values=values)
+            and _read_parts(stream.fileno(), lo, size, expected, values, index)):
+        _read_body(iter(lambda: stream.read(_BLOCK_CHARS), ""), raw, lineno, expected,
+                   values, index)
+    return Grid(**georef, values=values, cells=index)
 
 
-def _read_parts(fd: int, lo: int, hi: int, values: np.ndarray, cells: np.ndarray | None) -> bool:
-    """Read the body, bytes [lo, hi) of the file open as ``fd``, into
-    ``values`` (its ``cells`` only, if given) in byte ranges, one per CPU
-    this process may run on with at least ``_READ_BYTES`` each, each cut
-    just after a line end (else a blank). ``lo`` is the UTF-8 length of
+def _read_parts(fd: int, lo: int, hi: int, expected: int, values: np.ndarray,
+                cells: np.ndarray | None) -> bool:
+    """Read the body of ``expected`` tokens, bytes [lo, hi) of the file open
+    as ``fd``, into ``values`` (as ``_read_body`` does) in byte ranges, one
+    per CPU this process may run on with at least ``_READ_BYTES`` each, each
+    cut just after a line end (else a blank). ``lo`` is the UTF-8 length of
     what the header loop read (a path's text keeps every line end as it
     is), not counting a byte order mark. Counting a range's tokens from its
     bytes (every byte up to 32 separates) gives the index of its first
-    cell. ``_read_body`` reads each range, the first in this process and
-    each other in a forked child (``_map_parts``), which sends back its
-    named cells' values (all of them in a full read, with no copy).
+    cell. ``_read_body`` reads each range into its slice of ``values``, the
+    first here and each other in a forked child (``_map_parts``).
 
     A range that is not clean (a bad token, a count other than the one
     counted, bytes that are not UTF-8) raises: ``_map_parts`` runs a failed
@@ -471,21 +483,19 @@ def _read_parts(fd: int, lo: int, hi: int, values: np.ndarray, cells: np.ndarray
         bounds += [at + cut] * (cut > 0)
     bounds.append(hi)
     counts = [_tokens(fd, a, b) for a, b in zip(bounds, bounds[1:])]
-    if len(counts) < 2 or sum(counts) != values.size or 0 in counts:
+    if len(counts) < 2 or sum(counts) != expected or 0 in counts:
         return False
     first = dict(zip(bounds, np.cumsum([0] + counts).tolist()))
 
     def read(a: int, b: int, send: Callable[[bytes], object]) -> None:
-        span = slice(first[a], first[b])
-        named = None if cells is None else _between(cells, first[a], first[b])
-        _read_body(_range_text(fd, a, b), "", 0, values[span],
-                   None if named is None else named - first[a])
-        # a full read's cells are not copied; an empty send is a clean range too
-        send(memoryview(values[span if named is None else named]).cast("B"))
+        cut = (first[a], first[b])  # the range's cells, and where they go in values
+        span = slice(*cut) if cells is None else slice(*np.searchsorted(cells, cut))
+        _read_body(_range_text(fd, a, b), "", 0, cut[1] - cut[0], values[span],
+                   None if cells is None else cells[span] - cut[0])
+        send(memoryview(values[span]).cast("B"))  # an empty send is a clean range too
 
-    # a full read's values land in place, range 0's onto themselves
-    into = values if cells is None else np.empty(cells.size)
-    view, got = memoryview(into).cast("B"), 0
+    # the values land in place, range 0's onto themselves
+    view, got = memoryview(values).cast("B"), 0
 
     def out(chunk: bytes) -> None:
         nonlocal got
@@ -496,8 +506,6 @@ def _read_parts(fd: int, lo: int, hi: int, values: np.ndarray, cells: np.ndarray
         _map_parts(read, [out], bounds, workers, "bytes")
     except (ParseError, UnicodeDecodeError):  # a range that is not clean, rerun here
         return False
-    if cells is not None:
-        values[cells] = into
     return True
 
 
@@ -533,25 +541,24 @@ def _cut(text: str) -> int:
     return end - len(text.rsplit(None, 1)[-1])
 
 
-def _read_body(
-    reads: Iterator[str], text: str, lineno: int, values: np.ndarray, cells: np.ndarray | None
-) -> None:
-    """Convert the grid body, which starts with ``text`` on file line
-    ``lineno`` and goes on with ``reads``, into ``values``, whose size is the
-    count it must have. Each read, whatever the layout (a row per line,
+def _read_body(reads: Iterator[str], text: str, lineno: int, expected: int, values: np.ndarray,
+               cells: np.ndarray | None) -> None:
+    """Convert the grid body of ``expected`` tokens, which starts with
+    ``text`` on file line ``lineno`` and goes on with ``reads``, into
+    ``values``: all, or token ``cells[j]`` into ``values[j]`` given sorted
+    flat indices ``cells``. Each read, whatever the layout (a row per line,
     wrapped, all on one line), is converted up to its last line end or
     blank (``_cut``) and the rest carried into the next, so the reader
     holds ``values`` plus about one read.
 
-    With ``cells`` (sorted flat indices), a piece whose tokens ``_scan``
-    finds all plain decimals is checked with array operations on its bytes
-    and stores only those cells; any other piece is converted and stored
-    whole (the caller sets the cells not named), so a bad token gives the
-    same error, line and column whichever cells were named. Every piece
-    is counted, also after a bad one, so a wrong count wins over a bad
-    token, whose line and column come from re-scanning only its piece.
+    With ``cells``, a piece whose tokens ``_scan`` finds all plain decimals
+    is checked with array operations on its bytes and only the named
+    tokens are converted; any other piece is converted whole, so a bad
+    token gives the same error, line and column whichever cells were
+    named. Every piece is counted, also after a bad one, so a wrong count
+    wins over a bad token, whose line and column come from re-scanning
+    only its piece.
     """
-    expected = values.size
     got = column = 0  # values so far, and values so far on line lineno
     bad = None  # (line, column, piece) of the first piece with a bad token
     for more in itertools.chain(reads, [""]):  # "": the end
@@ -559,18 +566,20 @@ def _read_body(
         cut = _cut(text) if more else len(text)  # at the end of the stream, all of it
         piece, text = text[:cut], text[cut:]
         spans = None if cells is None else _scan(piece)
-        if spans is not None:  # plain decimals: convert only the named cells
-            starts, ends = spans
-            n = starts.size
-            k = _between(cells, got, got + n) - got
-            at = zip(starts[k].tolist(), ends[k].tolist())
-            values[k + got] = [float(piece[a:b]) for a, b in at]
-        else:
-            tokens = piece.split()
-            n = len(tokens)
-            if bad is None and got + n <= expected and not _convert(tokens, values, got):
+        tokens = piece.split() if spans is None else None
+        n = len(tokens) if spans is None else spans[0].size
+        # values[lo:hi] takes the piece's tokens k: all, or the named ones
+        lo, hi = (got, got + n) if cells is None else np.searchsorted(cells, (got, got + n))
+        k = slice(None) if cells is None else cells[lo:hi] - got
+        if spans is not None:  # plain decimals: convert only the named tokens
+            at = zip(spans[0][k].tolist(), spans[1][k].tolist())
+            values[lo:hi] = [float(piece[a:b]) for a, b in at]
+        elif bad is None and got + n <= expected:
+            if (parsed := _convert(tokens)) is None:
                 bad = (lineno, column, piece)
-            del tokens  # before the next read: one token list at a time
+            else:
+                values[lo:hi] = parsed[k]
+        del tokens  # before the next read: one token list at a time
         got += n
         lines = _line_ends(piece)
         lineno, column = lineno + lines, 0 if lines else column + n
@@ -636,23 +645,14 @@ def _scan(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     return starts, ends
 
 
-def _convert(tokens: list[str], values: np.ndarray, at: int) -> bool:
-    """Convert ``tokens`` into the cells ``at``, ``at + 1``, ... of
-    ``values``. False if one is not a finite number."""
+def _convert(tokens: list[str]) -> np.ndarray | None:
+    """``tokens`` as float64 values; None if one is not a finite number."""
     # map(float) keeps Python's number syntax whatever the numpy version.
     try:
         parsed = np.fromiter(map(float, tokens), np.float64, count=len(tokens))
     except ValueError:
-        return False
-    if not np.isfinite(parsed).all():
-        return False
-    values[at : at + parsed.size] = parsed
-    return True
-
-
-def _between(cells: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The entries of sorted ``cells`` in [lo, hi)."""
-    return cells[np.searchsorted(cells, lo) : np.searchsorted(cells, hi)]
+        return None
+    return parsed if np.isfinite(parsed).all() else None
 
 
 def _grid_text(values: np.ndarray) -> bytes:

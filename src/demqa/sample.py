@@ -22,7 +22,7 @@ import numpy as np
 
 from .choices import EXTRACTION_METHODS
 from .errors import ConfigError, ParseError
-from .raster import Grid, _finite, _read_table, _text, cells_of
+from .raster import Grid, _finite, _read_table, _text, cells_of, values_at
 from .terrain import slope_aspect_at
 
 # The value columns of a table, in field order.
@@ -130,7 +130,7 @@ def extract_coincident(dem: Grid, points: SampleTable, method: str = "nearest") 
 def _sample_nearest(grid: Grid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     inside, rows, cols = cells_of(grid, x, y)
     h = np.full(x.shape, np.nan)
-    v = grid.values[rows, cols]
+    v = values_at(grid, rows, cols)
     h[inside] = np.where(v == grid.nodata, np.nan, v)
     return h
 
@@ -158,7 +158,7 @@ def _sample_bilinear(grid: Grid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
                 on = (col >= 0) & (col < grid.ncols) & (row >= 0) & (row < grid.nrows)
                 ok &= on | ~used
                 take = used & on
-                val = grid.values[row[take].astype(np.int64), col[take].astype(np.int64)]
+                val = values_at(grid, row[take].astype(np.int64), col[take].astype(np.int64))
                 ok[np.flatnonzero(take)[val == grid.nodata]] = False
                 total[take] += w[take] * val
     return np.where(ok, total, np.nan)
@@ -194,17 +194,15 @@ def cells_near(grid: Grid, x: np.ndarray, y: np.ndarray, reach: int) -> np.ndarr
     clipped to the grid, of the cell of each point (x, y) on the grid.
 
     Reach 1 gives the DEM cells ``extract_coincident`` and
-    ``attach_derivatives`` read: every bilinear corner and Horn neighbour
-    of such a point (a point off the grid gets no height whatever its
-    corners on the grid hold). Reach 0 gives the class-map cells
-    ``attach_class`` reads.
+    ``attach_derivatives`` read, reach 0 the class-map cells ``attach_class``
+    reads (a point off the grid gets no height, whatever its corners hold):
+    a grid read windowed on them gives those stages a full read's values.
     """
     _, rows, cols = cells_of(grid, x, y)
     steps = np.arange(-reach, reach + 1)
     r = np.clip(rows[:, None] + steps, 0, grid.nrows - 1)
     c = np.clip(cols[:, None] + steps, 0, grid.ncols - 1)
-    # sorted, then repeats dropped: no grid-sized mask, so a header that
-    # claims a huge grid fails at the body's allocation, not here
+    # sorted, then repeats dropped (np.unique took 7x as long): no grid-sized mask
     flat = np.sort((r[:, :, None] * grid.ncols + c[:, None, :]).ravel())
     return np.concatenate((flat[:1], flat[1:][flat[1:] != flat[:-1]]))
 

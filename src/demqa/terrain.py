@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .raster import Grid
+from .raster import Grid, values_at
 
 FLAT_ASPECT = -1.0
 
@@ -104,7 +104,7 @@ def slope_aspect_at(
         raise ValueError("cell off the grid")
     step = np.arange(-1, 2)
     r, c = rows.reshape(-1, 1, 1) + step[:, None], cols.reshape(-1, 1, 1) + step
-    v = dem.values[np.clip(r, 0, dem.nrows - 1), np.clip(c, 0, dem.ncols - 1)]
+    v = values_at(dem, np.clip(r, 0, dem.nrows - 1), np.clip(c, 0, dem.ncols - 1))
     inside = (r >= 0) & (r < dem.nrows) & (c >= 0) & (c < dem.ncols)
     windows = np.where(inside & (v != dem.nodata), v, np.nan)
     slope, aspect = _horn(windows, np.isnan(windows[:, 1:2, 1:2]), dem.cellsize, z_factor, np.nan)

@@ -19,7 +19,7 @@ import demqa._workers
 from demqa import raster
 from demqa.cli import main
 from demqa.errors import ParseError
-from demqa.raster import Grid, read_ascii_grid, write_ascii_grid
+from demqa.raster import Grid, read_ascii_grid, values_at, write_ascii_grid
 
 
 def assert_no_child_left():
@@ -36,10 +36,15 @@ def forks(monkeypatch):
     return calls
 
 
+def every_cell(grid):
+    """The value of each cell of ``grid`` through the lookup, in row-major order."""
+    return values_at(grid, *np.divmod(np.arange(grid.nrows * grid.ncols), grid.ncols))
+
+
 def outcome(path, cells):
-    """The array's bytes (signs of zeros included), or the ParseError message."""
+    """Every cell's bytes (signs of zeros included), or the ParseError message."""
     try:
-        return read_ascii_grid(path, cells=cells).values.tobytes()
+        return every_cell(read_ascii_grid(path, cells=cells)).tobytes()
     except ParseError as exc:
         return f"ParseError: {exc}"
 
@@ -138,7 +143,7 @@ def test_ranges_of_a_large_body_match_the_serial_read(tmp_path, monkeypatch, for
     for workers in (1, 2, 3):
         monkeypatch.setattr(demqa._workers, "_WORKERS", workers)
         assert read_ascii_grid(path).values.tobytes() == grid.values.tobytes()
-        windowed = read_ascii_grid(path, cells=lambda g: named).values.ravel()
+        windowed = every_cell(read_ascii_grid(path, cells=lambda g: named))
         assert windowed[named].tobytes() == grid.values.ravel()[named].tobytes()
         assert np.isnan(np.delete(windowed, named)).all()
     assert len(forks) == 2 * (1 + 2)
@@ -166,13 +171,13 @@ def test_lone_cr_line_ends_are_read_in_ranges(tmp_path, monkeypatch, forks, bom)
     named = np.arange(0, 200_000, 97)
     monkeypatch.setattr(demqa._workers, "_WORKERS", 1)
     full = read_ascii_grid(path).values.tobytes()
-    windowed = read_ascii_grid(path, cells=lambda g: named).values.tobytes()
+    windowed = every_cell(read_ascii_grid(path, cells=lambda g: named)).tobytes()
     assert full == grid.values.tobytes()
     assert not forks
     monkeypatch.setattr(demqa._workers, "_WORKERS", 2)
     assert read_ascii_grid(path).values.tobytes() == full
     assert len(forks) == 1
-    assert read_ascii_grid(path, cells=lambda g: named).values.tobytes() == windowed
+    assert every_cell(read_ascii_grid(path, cells=lambda g: named)).tobytes() == windowed
     assert len(forks) == 2
     assert_no_child_left()
 
@@ -224,8 +229,8 @@ def test_small_bodies_pipes_and_streams_never_fork(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     for name, grid in (("dem", dem), ("classes", classes)):
         assert read_ascii_grid(tmp_path / f"{name}.asc") == grid
-        assert read_ascii_grid(tmp_path / f"{name}.asc", cells=lambda g: [0, 5]).values[0, 0] \
-            == grid.values[0, 0]
+        assert values_at(read_ascii_grid(tmp_path / f"{name}.asc", cells=lambda g: [0, 5]),
+                         0, 0) == grid.values[0, 0]
     text = (tmp_path / "big.asc").read_text()
     assert read_ascii_grid(io.StringIO(text)) == big
     fifo = tmp_path / "big.fifo"
