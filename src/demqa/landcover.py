@@ -15,8 +15,8 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParseError, TrainingPointError
-from .raster import _WRITE_CELLS, Grid, _code, _finite, _read_table, _text, cell_of
+from .errors import DegenerateDataError, InsufficientDataError, ParseError, TrainingPointError
+from .raster import _WRITE_CELLS, Grid, _code, _finite, _read_table, _require_full, _text, cell_of
 
 UNCLASSIFIED = 0
 
@@ -53,7 +53,9 @@ def train_parallelepiped(
 
     ``labeled`` is (x, y, class_code) triples; there must be some, and
     every class needs at least two usable pixels. A training point off the
-    grid or on nodata is a TrainingPointError, not silently dropped.
+    grid or on nodata is a TrainingPointError, not silently dropped. A
+    class whose pixel mean or SD overflows is a DegenerateDataError; a box
+    bound that overflows is infinite.
     """
     if not k > 0:
         raise ValueError("k must be positive")
@@ -79,14 +81,18 @@ def train_parallelepiped(
             raise InsufficientDataError(
                 f"class {code} has {samples.shape[0]} training pixel(s); need >= 2"
             )
-        means = samples.mean(axis=0)
-        sds = samples.std(axis=0, ddof=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # a mean or SD overflow is named below
+            means = samples.mean(axis=0)
+            sds = samples.std(axis=0, ddof=1)
+            lows, highs = means - k * sds, means + k * sds
+        if not np.isfinite([means, sds]).all():
+            raise DegenerateDataError(f"class {code}: the mean or SD of a band overflows float64")
         boxes.append(
             ClassBox(
                 class_code=code,
                 label=(labels or {}).get(code, str(code)),
-                lows=tuple(means - k * sds),
-                highs=tuple(means + k * sds),
+                lows=tuple(lows),
+                highs=tuple(highs),
                 means=tuple(means),
             )
         )
@@ -100,8 +106,10 @@ def classify(bands: Sequence[Grid], boxes: Sequence[ClassBox]) -> Grid:
     several take the class with the smallest Euclidean distance to the
     class mean, ties to the lowest code. Nodata in any band propagates,
     so no class may have the first band's nodata value as its code.
-    The bands share one georeferencing; they are read a block of rows at a time.
+    The bands are full grids of one georeferencing, read a block of rows at a time.
     """
+    for band in bands:
+        _require_full(band, "classify")
     if not boxes:
         raise ValueError("no class boxes given")
     ref = bands[0]

@@ -57,7 +57,12 @@ _CLASSES = bytes(
 # Longest token the scanner accepts: a plain decimal of 300 characters is
 # below 1e300, so float() gives it a finite value.
 _MAX_TOKEN = 300
-# A read that names more than this share of the cells converts them all.
+# A read that names more than this share of the cells converts them all;
+# each path wins on one input. Reading a 200 x 200 DEM, then bilinear
+# extraction and Horn at its points (in process, best of 45, 2 vCPUs, numpy
+# 2.4) took 15.7 ms full and 22.8 windowed with 59% of the cells named,
+# 13.9 and 13.8 at 20%, 13.4 and 12.3 at 12.6%; a 1000 x 1000 DEM with 0.4%
+# named took 176 and 122 ms. The columns were identical.
 _DENSE_FRACTION = 1 / 8
 # Cells of a grid-writing block, whose values are checked and formatted
 # together (``landcover.classify`` computes its blocks of this size too).
@@ -197,6 +202,12 @@ def values_at(grid: Grid, rows, cols) -> np.ndarray:
     flat = rows * grid.ncols + cols
     k = np.searchsorted(grid.cells, flat)  # a cell not named takes the NaN appended at -1
     return np.append(grid.values, np.nan)[np.where(np.append(grid.cells, -1)[k] == flat, k, -1)]
+
+
+def _require_full(grid: Grid, caller: str) -> None:
+    """Raise ValueError naming ``caller`` if ``grid`` was read windowed."""
+    if grid.cells is not None:
+        raise ValueError(f"{caller} needs a full grid; this one was read windowed (cells=)")
 
 
 @contextlib.contextmanager
@@ -710,6 +721,7 @@ def write_ascii_grid(
     time. Grids written to paths appear whole or not at all, all of one
     write together (see ``_open_text``).
     """
+    _require_full(grid, "write_ascii_grid")
     _check_finite([grid.values], 0)
     if not math.isfinite(grid.nodata):
         raise NonFiniteGridError(f"cannot write non-finite nodata {grid.nodata}")

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .raster import Grid, values_at
+from .raster import Grid, _require_full, values_at
 
 FLAT_ASPECT = -1.0
 
@@ -71,11 +71,12 @@ def _horn(
 
 def slope_aspect(dem: Grid, lo: int, hi: int, z_factor: float = 1.0) -> CellDerivatives:
     """Slope and aspect of rows ``lo..hi-1`` of a DEM, read with the rows
-    beside them; ValueError for rows off the grid.
+    beside them; ValueError for rows off the grid or a windowed DEM.
 
     ``z_factor`` converts vertical units to the horizontal units before
     the slope angle is taken (1 when both are metres).
     """
+    _require_full(dem, "slope_aspect")
     if not 0 <= lo <= hi <= dem.nrows:
         raise ValueError("rows off the grid")
     top, bottom = max(lo - 1, 0), min(hi + 1, dem.nrows)

@@ -1,11 +1,12 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import demqa.landcover
-from demqa.errors import InsufficientDataError, ParseError, TrainingPointError
+from demqa.errors import DegenerateDataError, InsufficientDataError, ParseError, TrainingPointError
 from demqa.landcover import (
     ClassBox,
     classify,
@@ -54,6 +55,26 @@ def test_train_single_sample_class_errors():
     img = one_band_image([7.0, 7.0], 2, 1)
     with pytest.raises(InsufficientDataError, match="class 3"):
         train_parallelepiped(img, [(0.5, 0.5, 3)])
+
+
+@pytest.mark.parametrize("pixels", [(1e308, 1e308), (-1e308, -1e308), (1e308, -1e308),
+                                    (1e154, -1e154)])
+def test_train_overflowing_mean_or_sd_errors(pixels):
+    img = one_band_image(pixels, 2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateDataError, match="^class 1: the mean or SD of a band "
+                                                      "overflows float64$"):
+            train_parallelepiped(img, [(0.5, 0.5, 1), (1.5, 0.5, 1)])
+
+
+def test_train_overflowing_bound_is_infinite():
+    img = one_band_image([1e150, 3e150], 2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (b,) = train_parallelepiped(img, [(0.5, 0.5, 1), (1.5, 0.5, 1)], k=1e300)
+    assert b.lows == (-math.inf,) and b.highs == (math.inf,) and b.means == (2e150,)
+    assert classify(img, [b]).values.tolist() == [[1.0, 1.0]]
 
 
 def test_train_off_grid_point_errors():

@@ -22,8 +22,8 @@ import demqa.pipeline
 from demqa import raster
 from demqa.cli import CSV_NAMES, REPORT_NAME, main
 from demqa.errors import ParseError
-from demqa.landcover import read_legend_csv
-from demqa.raster import Grid, cells_of, read_ascii_grid, values_at
+from demqa.landcover import ClassBox, classify, read_legend_csv
+from demqa.raster import Grid, cells_of, read_ascii_grid, values_at, write_ascii_grid
 from demqa.sample import (
     EXTRACTION_METHODS,
     SampleTable,
@@ -33,6 +33,7 @@ from demqa.sample import (
     extract_coincident,
     read_gcp_csv,
 )
+from demqa.terrain import slope_aspect
 
 PLAIN = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)")
 
@@ -271,6 +272,23 @@ def test_windowed_grid_holds_its_named_cells_alone():
     assert windowed != Grid(**geo, values=[0.0, 2.0, 0.0, 0.0, 0.0, 6.0])
     with pytest.raises(ValueError, match="^expected 2 values, got 3$"):
         Grid(**geo, values=[1.0, 2.0, 3.0], cells=[0, 1])
+
+
+FULL_GRID_CALLS = {
+    "write_ascii_grid": lambda grid: write_ascii_grid(grid, io.StringIO()),
+    "slope_aspect": lambda grid: slope_aspect(grid, 0, grid.nrows),
+    "classify": lambda grid: classify([grid], [ClassBox(1, "a", (0.0,), (9.0,), (3.0,))]),
+}
+
+
+@pytest.mark.parametrize("name", FULL_GRID_CALLS)
+def test_full_grid_functions_refuse_a_windowed_grid(windowed, name):
+    text = "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3\n4 5 6\n"
+    grid = read_ascii_grid(io.StringIO(text), cells=lambda g: [1])
+    assert grid.cells.tolist() == [1]
+    with pytest.raises(ValueError, match=f"^{name} needs a full grid; this one was read windowed"):
+        FULL_GRID_CALLS[name](grid)
+    FULL_GRID_CALLS[name](read_ascii_grid(io.StringIO(text)))
 
 
 def test_many_named_cells_read_every_cell():
