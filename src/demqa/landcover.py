@@ -54,8 +54,8 @@ def train_parallelepiped(
     ``labeled`` is (x, y, class_code) triples; there must be some, and
     every class needs at least two usable pixels. A training point off the
     grid or on nodata is a TrainingPointError, not silently dropped. A
-    class whose pixel mean or SD overflows is a DegenerateDataError; a box
-    bound that overflows is infinite.
+    class whose pixel SD overflows is a DegenerateDataError; a box bound
+    that overflows is infinite.
     """
     if not k > 0:
         raise ValueError("k must be positive")
@@ -81,12 +81,16 @@ def train_parallelepiped(
             raise InsufficientDataError(
                 f"class {code} has {samples.shape[0]} training pixel(s); need >= 2"
             )
-        with np.errstate(over="ignore", invalid="ignore"):  # a mean or SD overflow is named below
-            means = samples.mean(axis=0)
-            sds = samples.std(axis=0, ddof=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # an SD overflow is named below
+            # each band scaled by a power of two into (-1, 1), where no square
+            # overflows, and back: the same bits wherever nothing underflows
+            e = np.frexp(np.abs(samples).max(axis=0))[1]
+            scaled = np.ldexp(samples, -e)
+            means = np.ldexp(scaled.mean(axis=0), e)
+            sds = np.ldexp(scaled.std(axis=0, ddof=1), e)
             lows, highs = means - k * sds, means + k * sds
-        if not np.isfinite([means, sds]).all():
-            raise DegenerateDataError(f"class {code}: the mean or SD of a band overflows float64")
+        if not np.isfinite(sds).all():
+            raise DegenerateDataError(f"class {code}: the SD of a band overflows float64")
         boxes.append(
             ClassBox(
                 class_code=code,

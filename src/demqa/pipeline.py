@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DegenerateDataError, InsufficientDataError
+from .errors import ConfigError, DegenerateDataError
 from .landcover import read_legend_csv
 from .raster import Grid, read_ascii_grid
 from .sample import (
@@ -124,10 +124,6 @@ def statistics(cfg: AssessConfig, kept: SampleTable, legend: dict[int, str]) -> 
     """
     dh = kept.delta_h
     deltas = dh[~np.isnan(dh)]
-    if deltas.size < 2:
-        raise InsufficientDataError(
-            f"only {deltas.size} usable records after screening; need >= 2"
-        )
     codes = kept.class_code
     found = sorted(set(codes[~np.isnan(codes)].tolist()))
     by_class = {int(c): dh[(codes == c) & ~np.isnan(dh)] for c in found}

@@ -340,18 +340,16 @@ def _read_table(
     for lineno, fields in rows:
         if keep is not None and not keep(dict(zip(names, fields))):
             continue
-        try:
-            values = [parse(fields[k]) for k, parse in at]
-        except (IndexError, ValueError):
-            if len(fields) < width:
-                raise ParseError(f"expected {width} columns, got {len(fields)} in the {name}",
-                                 line=lineno) from None
-            for c, (k, parse) in zip(wanted, at):
-                try:
-                    parse(fields[k])
-                except ValueError as exc:
-                    raise ParseError(f"{exc} '{fields[k].strip()}' in column '{c}' of the {name}",
-                                     line=lineno, column=k + 1) from None
+        if len(fields) < width:
+            raise ParseError(f"expected {width} columns, got {len(fields)} in the {name}",
+                             line=lineno)
+        values = []
+        for c, (k, parse) in zip(wanted, at):
+            try:
+                values.append(parse(fields[k]))
+            except ValueError as exc:
+                raise ParseError(f"{exc} '{fields[k].strip()}' in column '{c}' of the {name}",
+                                 line=lineno, column=k + 1) from None
         yield lineno, values
 
 
@@ -701,15 +699,15 @@ def write_ascii_grid(
     ``rows(lo, hi)``, if given, gives the values of rows lo..hi-1 in place
     of ``grid.values``, a block of rows at a time: one array, or one per
     destination of a list or tuple (slope and aspect from one Horn pass,
-    say). A NaN or infinite value raises NonFiniteGridError naming its row
-    and column (0-based from the top-left cell) before its block is written
-    (a stream keeps the rows before it), and before anything is if it is in
-    ``grid.values``. The value named is in the first block of
-    ``_WRITE_CELLS // ncols`` rows, counted from row 0, that holds one: the
-    first output's first there, else the next output's, whatever the
-    number of workers. With enough cells the rows are formatted in strips
-    by forked workers; a worker that fails otherwise raises
-    ChildProcessError naming its rows.
+    say); ``grid.values`` is then never written. A NaN or infinite value
+    raises NonFiniteGridError naming its row and column (0-based from the
+    top-left cell) before its block is written: a path is left as it was, a
+    stream keeps what was written (on one worker, every row before it). The
+    value named is in the first block of ``_WRITE_CELLS // ncols`` rows,
+    counted from row 0, that holds one: the first output's first there,
+    else the next output's, whatever the number of workers. With enough
+    cells the rows are formatted in strips by forked workers; a worker
+    that fails otherwise raises ChildProcessError naming its rows.
 
     The body is formatted in row strips of whole blocks, of at most
     ``_PART_CELLS`` cells over all outputs (or one block), at least one per
@@ -722,7 +720,6 @@ def write_ascii_grid(
     write together (see ``_open_text``).
     """
     _require_full(grid, "write_ascii_grid")
-    _check_finite([grid.values], 0)
     if not math.isfinite(grid.nodata):
         raise NonFiniteGridError(f"cannot write non-finite nodata {grid.nodata}")
     several = isinstance(dest, (list, tuple))

@@ -288,9 +288,9 @@ def build_weights(
     ``inverse_distance``: w_ij = 1/d_ij for d_ij <= threshold, else 0.
     ``fixed_band``: w_ij = 1 for d_ij <= threshold, else 0.
     ``threshold=None`` picks the maximum nearest-neighbour distance, so
-    every point has at least one neighbour. Duplicate coordinates are an
-    error (a 1/0 weight), not silently jittered; so are non-finite ones
-    and a span wide enough to overflow a squared distance.
+    every point has at least one neighbour; any other not > 0 is a ValueError.
+    Duplicate coordinates (a 1/0 weight) are an error, not jittered; so are
+    non-finite ones and a span wide enough to overflow a squared distance.
     Neighbours come from a cell-list search, in memory linear in the
     number of neighbours.
     """
@@ -318,16 +318,11 @@ def build_weights(
     if threshold is None or not threshold > 0:
         # duplicates are reported before the threshold is looked at
         auto = _max_nearest_distance(pts)
-        if threshold is None:
-            threshold = auto
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    if math.isnan(threshold):
-        rows = cols = np.empty(0, dtype=np.intp)
-        vals = np.empty(0)
-    else:
-        rows, cols, dist = _pairs_within(pts, threshold)
-        vals = 1.0 / dist if scheme == "inverse_distance" else np.ones(dist.size)
+        if threshold is not None:
+            raise ValueError("threshold must be positive")
+        threshold = auto
+    rows, cols, dist = _pairs_within(pts, threshold)
+    vals = 1.0 / dist if scheme == "inverse_distance" else np.ones(dist.size)
     if row_standardize:  # each row's weights added left to right
         vals = vals / np.bincount(rows, vals, n)[rows]
     nonzero = vals != 0.0  # as in a dense matrix: 1/inf or an underflowed quotient is no entry

@@ -138,6 +138,29 @@ def test_anova_skipped_when_no_height_error_varies(tmp_path):
     }
 
 
+def test_constant_errors_within_classes_report_an_infinite_f(tmp_path):
+    # a flat DEM and a checkerboard class map: class 1 points are 0.5 m
+    # high, class -1 points 1.5 m, so the within-class sum of squares is 0
+    dem = make_plane(0.0, 0.0, 100.0, 6, 6, cellsize=10.0)
+    write_ascii_grid(dem, tmp_path / "dem.asc")
+    write_ascii_grid(make_checkerboard(1.0, 6, 6, cellsize=10.0), tmp_path / "classes.asc")
+    with open(tmp_path / "gcps.csv", "w") as f:
+        f.write("id,x,y,h\n")
+        for r in range(6):
+            for c in range(6):
+                h = 99.5 if (r + c) % 2 == 0 else 98.5
+                f.write(f"p{r}{c},{10 * c + 5},{55 - 10 * r},{h}\n")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, tmp_path / "dem.asc", tmp_path / "gcps.csv", out)
+    classmap = str(tmp_path / "classes.asc")
+    assert main(["assess", "--config", str(cfg), "--classmap", classmap]) == 0
+    text = (out / "report.json").read_text()
+    anova = json.loads(text)["anova"]
+    assert (anova["f"], anova["infinite_f"], anova["p"]) == ("inf", True, 0.0)
+    for pair in ('"f": "inf"', '"infinite_f": true', '"p": 0.0'):
+        assert pair in text
+
+
 def test_repeated_runs_byte_identical(tmp_path):
     dem, gcps = write_closure_scene(tmp_path)
     out = tmp_path / "out"
@@ -249,6 +272,13 @@ def test_config_error_before_any_io(tmp_path, capsys):
     assert main(["assess", "--config", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["missing.ini", "a_directory"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, name):
+    (tmp_path / "a_directory").mkdir()
+    assert main(["assess", "--config", str(tmp_path / name)]) == 2
+    assert capsys.readouterr().err.startswith("config error [assess]: cannot read config file: ")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -385,6 +415,20 @@ def test_moran_command_degenerate_exit(tmp_path, capsys):
     samples.write_text("x,y,delta_h\n" + "".join(
         f"{i}.0,0.0,5.0\n" for i in range(10)))
     assert main(["moran", "--samples", str(samples)]) == 4
+
+
+def test_moran_without_out_prints_what_out_writes(tmp_path, capsys):
+    samples = tmp_path / "s.csv"
+    rng = np.random.default_rng(8)
+    samples.write_text("x,y,delta_h\n" + "".join(
+        f"{float(x)!r},{float(y)!r},{float(v)!r}\n"
+        for x, y, v in rng.uniform(0, 20, (30, 3))))
+    argv = ["moran", "--samples", str(samples), "--n-perm", "99", "--seed", "2"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main([*argv, "--out", str(tmp_path / "m.json")]) == 0
+    assert printed == (tmp_path / "m.json").read_text()
+    assert '"permutation"' in printed
 
 
 def test_classify_command(tmp_path):

@@ -57,15 +57,33 @@ def test_train_single_sample_class_errors():
         train_parallelepiped(img, [(0.5, 0.5, 3)])
 
 
+# (low, high, mean) of each pair of pixels below; the last pair has none
+WIDE_BOXES = {
+    (1e308, 1e308): (1e308, 1e308, 1e308),
+    (-1e308, -1e308): (-1e308, -1e308, -1e308),
+    (1e308, -1e308): (-math.inf, math.inf, 0.0),
+    (1e154, -1e154): (-2.82842712474619e154, 2.82842712474619e154, 0.0),
+    (8e307, 9e307): (7.085786437626904e307, 9.914213562373096e307, 8.5e307),
+}
+
+
 @pytest.mark.parametrize("pixels", [(1e308, 1e308), (-1e308, -1e308), (1e308, -1e308),
-                                    (1e154, -1e154)])
+                                    (1e154, -1e154), (8e307, 9e307), (1.7e308, -1.7e308)])
 def test_train_overflowing_mean_or_sd_errors(pixels):
+    """Pixels whose sum or squared deviations overflow float64: the mean
+    and SD come from the pixels scaled by a power of two, so each pair
+    trains (a bound past float64 is infinite) but the last, whose SD
+    (2.4e308) is past float64 itself."""
     img = one_band_image(pixels, 2, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DegenerateDataError, match="^class 1: the mean or SD of a band "
-                                                      "overflows float64$"):
-            train_parallelepiped(img, [(0.5, 0.5, 1), (1.5, 0.5, 1)])
+        if pixels not in WIDE_BOXES:
+            with pytest.raises(DegenerateDataError,
+                               match="^class 1: the SD of a band overflows float64$"):
+                train_parallelepiped(img, [(0.5, 0.5, 1), (1.5, 0.5, 1)])
+            return
+        (b,) = train_parallelepiped(img, [(0.5, 0.5, 1), (1.5, 0.5, 1)])
+    assert b.lows + b.highs + b.means == WIDE_BOXES[pixels]
 
 
 def test_train_overflowing_bound_is_infinite():

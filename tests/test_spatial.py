@@ -155,6 +155,14 @@ def test_duplicate_error_names_first_pair_like_dense():
         )
 
 
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+def test_threshold_not_above_zero_is_a_value_error_after_duplicates(threshold):
+    with pytest.raises(ValueError, match="^threshold must be positive$"):
+        build_weights([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], threshold=threshold)
+    with pytest.raises(DegenerateWeightsError, match="^duplicate coordinates at indices 0 and 2"):
+        build_weights([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)], threshold=threshold)
+
+
 def test_non_finite_coordinates_rejected():
     with pytest.raises(DegenerateWeightsError, match="non-finite coordinates at index 1"):
         build_weights([(0.0, 0.0), (float("nan"), 1.0), (2.0, 2.0)], threshold=5.0)
